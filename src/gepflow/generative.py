@@ -23,7 +23,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import AllRestartsDegenerate, DegenerateOutput, DegenerateProjection
-from .linalg import _eigvalsh
 from .rng import NormalStream
 
 __all__ = [
@@ -295,20 +294,13 @@ def backward(gen: Generator, z, cotangent) -> NDArray[np.float64]:
     return grad
 
 
-def _weight_spectral_norm(w: NDArray[np.float64]) -> float:
-    gram = w @ w.T if w.shape[0] <= w.shape[1] else w.T @ w
-    gram = (gram + gram.T) / 2.0
-    top = float(_eigvalsh(gram)[0])
-    return math.sqrt(max(top, 0.0))
-
-
 def lipschitz_upper_bound(gen: Generator) -> float:
     """Product-of-layer-norms Lipschitz bound on the raw (pre-norm) map."""
     if isinstance(gen, SubspaceGenerator):
         return 1.0  # orthonormal columns: exactly norm-preserving
     bound = 1.0
     for layer in gen.layers:
-        bound *= _weight_spectral_norm(layer.weight) * _ACT_LIPSCHITZ[layer.activation]
+        bound *= float(np.linalg.norm(layer.weight, 2)) * _ACT_LIPSCHITZ[layer.activation]
     return bound
 
 

@@ -5,11 +5,10 @@ validated by :func:`as_sym_matrix`; the pair (A, B) with B positive definite
 is carried by :class:`MatrixPair`; full decompositions are returned as
 :class:`GeneralizedSpectrum`.
 
-The symmetric eigensolver is a cyclic Jacobi iteration: deterministic
-(fixed rotation order, no data-dependent pivoting) and accurate to near
-machine precision, which matters more than speed at the dimensions used
-here (n up to a few hundred). The generalized problem is reduced to it by
-Cholesky whitening; a singular B is refused, never regularized.
+The dense routines are numpy's LAPACK wrappers (``eigh``, ``cholesky``,
+``solve``). The generalized problem is reduced to a symmetric one by
+Cholesky whitening (Golub & Van Loan, *Matrix Computations*, section 8.7);
+a singular B is refused, never regularized.
 """
 
 from __future__ import annotations
@@ -133,85 +132,19 @@ class GeneralizedSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# symmetric eigendecomposition (cyclic Jacobi)
-
-
-def _jacobi_sweeps(
-    d: NDArray[np.float64],
-    v: NDArray[np.float64] | None,
-    max_sweeps: int,
-) -> None:
-    """Run cyclic Jacobi rotations on `d` in place until off-diagonal decay.
-
-    `d` must be exactly symmetric on entry. If `v` is given, rotations are
-    accumulated into it (columns become eigenvectors). Raises NonConvergence
-    if the sweep budget runs out.
-    """
-    n = d.shape[0]
-    fro = float(np.linalg.norm(d))
-    if n == 1 or fro == 0.0:
-        return
-    stop = 1e-14 * fro
-    # Entries below skip_floor cannot lift the off-diagonal norm above stop.
-    skip_floor = stop / n
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(d - np.diag(np.diag(d))))
-        if off <= stop:
-            return
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = d[p, q]
-                if abs(apq) <= skip_floor:
-                    continue
-                rotated = True
-                theta = (d[q, q] - d[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.hypot(1.0, theta)
-                )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                app, aqq = d[p, p], d[q, q]
-                colp = c * d[:, p] - s * d[:, q]
-                colq = s * d[:, p] + c * d[:, q]
-                d[:, p] = colp
-                d[:, q] = colq
-                d[p, :] = colp
-                d[q, :] = colq
-                # The 2x2 intersection block needs the two-sided formulas.
-                d[p, p] = app - t * apq
-                d[q, q] = aqq + t * apq
-                d[p, q] = 0.0
-                d[q, p] = 0.0
-                if v is not None:
-                    vp = c * v[:, p] - s * v[:, q]
-                    v[:, q] = s * v[:, p] + c * v[:, q]
-                    v[:, p] = vp
-        if not rotated:
-            return
-    raise NonConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
+# symmetric eigendecomposition, Cholesky, generalized eigenproblem
 
 
 def _fix_signs(vectors: NDArray[np.float64]) -> None:
     """Flip columns in place so each largest-|entry| coordinate is positive."""
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        if col[int(np.argmax(np.abs(col)))] < 0.0:
-            np.negative(col, out=col)
-
-
-def _eigvalsh(s: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Descending eigenvalues only (skips eigenvector accumulation)."""
-    d = (s + s.T) / 2.0
-    _jacobi_sweeps(d, None, 100 * max(d.shape[0], 1))
-    w = np.diag(d).copy()
-    return w[np.argsort(-w, kind="stable")]
+    peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    vectors *= np.where(peaks < 0.0, -1.0, 1.0)
 
 
 def sym_eig(
     s,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a symmetric matrix (LAPACK via ``numpy.linalg.eigh``).
 
     Parameters
     ----------
@@ -223,20 +156,20 @@ def sym_eig(
     (eigenvalues, eigenvectors)
         Eigenvalues in descending order; eigenvectors as the columns of an
         orthonormal matrix in matching order, signs fixed so each column's
-        largest-magnitude entry is positive. Ties in the ordering are broken
-        stably (original diagonal position).
+        largest-magnitude entry is positive. Equal eigenvalues keep the
+        relative order LAPACK returns them in (a stable sort), so their
+        eigenvectors span the right space but are otherwise unspecified.
 
     Raises
     ------
     NonConvergence
-        If 100 * n sweeps do not reduce the off-diagonal norm.
+        If LAPACK's eigensolver fails to converge.
     """
     a = as_sym_matrix(s)
-    n = a.shape[0]
-    d = (a + a.T) / 2.0
-    v = np.eye(n)
-    _jacobi_sweeps(d, v, 100 * n)
-    w = np.diag(d).copy()
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"symmetric eigensolver failed: {exc}") from exc
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = v[:, order]
@@ -244,62 +177,25 @@ def sym_eig(
     return w, v
 
 
-# ---------------------------------------------------------------------------
-# Cholesky and triangular solves
-
-
 def cholesky(b) -> NDArray[np.float64]:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
-    Raises NotPositiveDefinite as soon as any pivot is <= 1e-12; callers
-    that want to refuse near-singular matrices get that behavior for free.
+    Raises NotPositiveDefinite when the factorization fails or any pivot
+    is <= 1e-12; callers that want to refuse near-singular matrices get
+    that behavior for free.
     """
     a = as_sym_matrix(b)
-    n = a.shape[0]
-    low = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - low[j, :j] @ low[j, :j]
-        if d <= 0.0:
-            raise NotPositiveDefinite(f"pivot {d:.6g} <= 0 at column {j}")
-        pivot = math.sqrt(d)
-        if pivot <= PIVOT_FLOOR:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.6g} <= {PIVOT_FLOOR} at column {j}"
-            )
-        low[j, j] = pivot
-        if j + 1 < n:
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / pivot
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from exc
+    small = np.flatnonzero(np.diag(low) <= PIVOT_FLOOR)
+    if small.size:
+        j = int(small[0])
+        raise NotPositiveDefinite(
+            f"pivot {low[j, j]:.6g} <= {PIVOT_FLOOR} at column {j}"
+        )
     return low
-
-
-def _forward_sub(low: NDArray[np.float64], rhs: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Solve low @ X = rhs for lower-triangular `low` (rhs may be a matrix)."""
-    x = np.array(rhs, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-        squeeze = True
-    else:
-        squeeze = False
-    for i in range(low.shape[0]):
-        x[i] = (x[i] - low[i, :i] @ x[:i]) / low[i, i]
-    return x[:, 0] if squeeze else x
-
-
-def _back_sub(up: NDArray[np.float64], rhs: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Solve up @ X = rhs for upper-triangular `up` (rhs may be a matrix)."""
-    x = np.array(rhs, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-        squeeze = True
-    else:
-        squeeze = False
-    for i in range(up.shape[0] - 1, -1, -1):
-        x[i] = (x[i] - up[i, i + 1 :] @ x[i + 1 :]) / up[i, i]
-    return x[:, 0] if squeeze else x
-
-
-# ---------------------------------------------------------------------------
-# generalized eigenproblem
 
 
 def generalized_eig(pair: MatrixPair) -> GeneralizedSpectrum:
@@ -313,11 +209,11 @@ def generalized_eig(pair: MatrixPair) -> GeneralizedSpectrum:
     NotPositiveDefinite (from pair construction) and NonConvergence.
     """
     low = pair.chol_lower
-    x = _forward_sub(low, pair.a)
-    c = _forward_sub(low, x.T).T
+    x = np.linalg.solve(low, pair.a)
+    c = np.linalg.solve(low, x.T).T
     c = (c + c.T) / 2.0
     w, q = sym_eig(c)
-    vecs = _back_sub(low.T, q)
+    vecs = np.linalg.solve(low.T, q)
     # Columns are already near B-orthonormal; renormalize exactly.
     bv = pair.b @ vecs
     norms = np.sqrt(np.einsum("ij,ij->j", vecs, bv))
@@ -363,8 +259,7 @@ def rayleigh_quotient(a, b, u) -> float:
 
 def spectral_norm(s) -> float:
     """Largest absolute eigenvalue of a symmetric matrix."""
-    a = as_sym_matrix(s)
-    w = _eigvalsh(a)
+    w = np.linalg.eigvalsh(as_sym_matrix(s))
     return max(abs(float(w[0])), abs(float(w[-1])))
 
 
@@ -372,11 +267,11 @@ def condition_kappa(b) -> float:
     """Condition number lambda_max / lambda_min of a positive definite matrix."""
     a = as_sym_matrix(b)
     cholesky(a)  # rejects non-PD inputs with the standard pivot floor
-    w = _eigvalsh(a)
-    lo = float(w[-1])
+    w = np.linalg.eigvalsh(a)  # ascending
+    lo = float(w[0])
     if lo <= 0.0:
         raise NotPositiveDefinite(f"smallest eigenvalue {lo:.6g} <= 0")
-    return float(w[0]) / lo
+    return float(w[-1]) / lo
 
 
 def crawford_number_estimate(pair: MatrixPair, samples: int, seed: int) -> float:

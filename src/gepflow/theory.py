@@ -31,7 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DegenerateGap, NonPositiveAlignment, RhoOutOfRange
-from .linalg import GeneralizedSpectrum, MatrixPair, _eigvalsh, as_sym_matrix, generalized_eig
+from .linalg import GeneralizedSpectrum, MatrixPair, as_sym_matrix, generalized_eig
 from .problems import ProblemInstance
 from .rng import NormalStream
 
@@ -134,8 +134,8 @@ def compute_conditions(
     if spectrum.gap <= 1e-10:
         raise DegenerateGap(f"leading gap {spectrum.gap:.3e} <= 1e-10")
     b = as_sym_matrix(b, name="b")
-    b_eigs = _eigvalsh(b)
-    b_max, b_min = float(b_eigs[0]), float(b_eigs[-1])
+    b_eigs = np.linalg.eigvalsh(b)  # ascending
+    b_min, b_max = float(b_eigs[0]), float(b_eigs[-1])
     if b_min <= 0:
         raise ValueError("population B must be positive definite")
     u = np.asarray(u0, dtype=np.float64).reshape(-1)
@@ -182,8 +182,8 @@ def _spectrum_of(pair: MatrixPair, spectrum: GeneralizedSpectrum | None):
 
 
 def _b_extremes(pair: MatrixPair) -> tuple[float, float]:
-    eigs = _eigvalsh(pair.b)
-    return float(eigs[-1]), float(eigs[0])  # (min, max)
+    eigs = np.linalg.eigvalsh(pair.b)  # ascending
+    return float(eigs[0]), float(eigs[-1])  # (min, max)
 
 
 def _check_rho(rho: float, lam) -> None:
