@@ -314,7 +314,7 @@ def subspace_project(gen: SubspaceGenerator, x) -> NDArray[np.float64]:
     if xv.shape[0] != gen.output_dim:
         raise ValueError(f"target has length {xv.shape[0]}, expected {gen.output_dim}")
     coeff = gen.basis.T @ xv
-    norm = float(np.linalg.norm(coeff))  # equals ||QQ^T x|| for orthonormal Q
+    norm = math.sqrt(float(coeff @ coeff))  # equals ||QQ^T x|| for orthonormal Q
     if norm <= 1e-12:
         raise DegenerateProjection("target is orthogonal to the subspace")
     return gen.basis @ (coeff / norm)

@@ -191,11 +191,15 @@ def _run_cell(spec: SweepSpec, m_index: int, trial: int) -> list[ResultRow]:
     truth_v = instance.truth.v_lead
     p = _cell_projector(spec, truth_v, key + 2)
 
+    # A row reads only iterations_run, so the trace rows are skipped.
+    cfg = SolverConfig(
+        step_size=spec.eta,
+        max_iters=spec.max_iters,
+        stop_tol=spec.stop_tol,
+        record_trace=False,
+    )
     rows: list[ResultRow] = []
     for solver in spec.solvers:
-        cfg = SolverConfig(
-            step_size=spec.eta, max_iters=spec.max_iters, stop_tol=spec.stop_tol
-        )
         start = perf_counter()
         try:
             result = run_with_restarts(

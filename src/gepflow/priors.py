@@ -13,6 +13,7 @@ projector so repeated calls agree bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,10 +93,10 @@ def sparse_truncate(x, s: int) -> NDArray[np.float64]:
     xv = np.asarray(x, dtype=np.float64).reshape(-1)
     if s < 1:
         raise ValueError("sparsity level must be >= 1")
-    keep = np.argsort(-np.abs(xv), kind="stable")[:s]
-    out = np.zeros_like(xv)
+    keep = (-np.abs(xv)).argsort(kind="stable")[:s]
+    out = np.zeros(xv.shape[0])
     out[keep] = xv[keep]
-    norm = float(np.linalg.norm(out))
+    norm = math.sqrt(float(out @ out))
     if norm <= 1e-12:
         raise ZeroVector("nothing left after sparse truncation")
     return out / norm
@@ -107,9 +108,11 @@ def project(p: Projector, x) -> NDArray[np.float64]:
     Exact for sphere, sparse, and subspace priors; approximate (best of the
     configured restarts) for the range prior.
     """
-    xv = np.asarray(x, dtype=np.float64).reshape(-1)
+    # ravel copies a strided view, so the dot below sums in the same order
+    # as np.linalg.norm does
+    xv = np.asarray(x, dtype=np.float64).ravel()
     if isinstance(p, SphereProjector):
-        norm = float(np.linalg.norm(xv))
+        norm = math.sqrt(float(xv @ xv))
         if norm <= 1e-12:
             raise ZeroVector("cannot normalize a (near-)zero vector")
         return xv / norm

@@ -1,12 +1,15 @@
 """Iterative leading-eigenvector estimators under structural priors.
 
-Three solvers share one skeleton: track the Rayleigh quotient
-rho_t = (u'Au)/(u'Bu), take a gradient-flavored step, and map back into the
-prior's feasible set.
+The three solvers are one flow with different steps. At each iterate the
+shared loop computes A u and B u once; they give the Rayleigh quotient
+rho_t = (u'Au)/(u'Bu) and the step, whose result is mapped back into the
+prior's feasible set:
 
 * projected Rayleigh flow: u <- P(u + eta * (A - rho B) u)
 * truncated Rayleigh flow ("rifle"): u <- truncate(u + (eta'/rho)(A - rho B) u, s)
 * projected power iteration ("ppower"): u <- P(A u), ignoring B entirely
+
+So prfm and rifle cost two matvecs per iterate and ppower one.
 
 All runs are deterministic. Restart initializations for run_with_restarts
 come from NormalStream(seed, stream=j) for restart j >= 1 (restart 0 uses
@@ -59,7 +62,10 @@ class SolverConfig:
 
     `init` of None means the all-ones direction, filled in at solve time
     once the dimension is known. `stop_tol` of None disables early stopping
-    for fixed-iteration-count runs.
+    for fixed-iteration-count runs. `record_trace=False` skips the trace
+    rows, and with them the per-iterate truth columns (cos_sim, dist); the
+    iterates, the final vector, iterations_run and stop_reason are the same
+    either way.
     """
 
     step_size: float
@@ -78,7 +84,7 @@ class SolverConfig:
             raise ValueError("denominator_floor must be positive")
         if self.init is not None:
             u = np.asarray(self.init, dtype=np.float64).reshape(-1)
-            if abs(float(np.linalg.norm(u)) - 1.0) > 1e-10:
+            if abs(_norm(u) - 1.0) > 1e-10:
                 raise ValueError("init must be a unit vector within 1e-10")
             object.__setattr__(self, "init", u)
 
@@ -101,12 +107,14 @@ class RunTrace:
     """Per-iteration records for one solver run.
 
     When recording is enabled, rows has iterations_run + 1 entries: one per
-    visited iterate, including the final one.
+    visited iterate, including the final one. stop_reason is "converged"
+    when an update moved the iterate by at most stop_tol, else "max_iters".
     """
 
     rows: tuple[TraceRow, ...]
     final_vector: NDArray[np.float64]
     iterations_run: int
+    stop_reason: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,25 +136,76 @@ def _resolve_init(cfg: SolverConfig, n: int) -> NDArray[np.float64]:
     return cfg.init.copy()
 
 
-def _truth_columns(u: NDArray[np.float64], v_star):
-    if v_star is None:
-        return None, None
-    return float(u @ v_star), float(np.linalg.norm(u - v_star))
+def _norm(x: NDArray[np.float64]) -> float:
+    # np.linalg.norm's dot-then-sqrt without its dispatch; bit-equal to it
+    # for the contiguous 1-D float64 arrays the solvers pass
+    return math.sqrt(float(x @ x))
 
 
-def _guarded_rho(a, b, u, floor: float, t: int) -> float:
-    den = float(u @ (b @ u))
+def _rho(u, au, bu, floor: float, t: int) -> float:
+    """Rayleigh quotient from the iterate's matvecs; with bu None, u'Au."""
+    if bu is None:
+        return float(u @ au)
+    den = float(u @ bu)
     if den <= floor:
         raise DenominatorNonPositive(t, den)
-    return float(u @ (a @ u)) / den
+    return float(u @ au) / den
 
 
-def _final_trace(rows, record, u, iterations):
-    return RunTrace(
-        rows=tuple(rows) if record else (),
+def _row(t: int, rho: float, u, v) -> TraceRow:
+    if v is None:
+        return TraceRow(t=t, rho=rho, cos_sim=None, dist=None)
+    return TraceRow(t=t, rho=rho, cos_sim=float(u @ v), dist=_norm(u - v))
+
+
+def _flow(a, b, cfg: SolverConfig, v_star, step) -> tuple[NDArray[np.float64], RunTrace]:
+    """The loop all three solvers share: per iterate u_t, compute A u_t and
+    B u_t once (no B u_t when b is None), take rho_t from them, record a
+    trace row if asked, and move to step(t, u_t, A u_t, B u_t, rho_t).
+
+    Stops once an update moves u by at most cfg.stop_tol, or after
+    cfg.max_iters updates; rho's guard also covers the final iterate.
+    """
+    u = _resolve_init(cfg, a.shape[0])
+    record = cfg.record_trace
+    v = None
+    if record and v_star is not None:
+        v = np.asarray(v_star, dtype=np.float64).reshape(-1)
+
+    rows: list[TraceRow] = []
+    iterations = 0
+    stop_reason = "max_iters"
+    for t in range(cfg.max_iters):
+        au = a @ u
+        bu = None if b is None else b @ u
+        rho = _rho(u, au, bu, cfg.denominator_floor, t)
+        if record:
+            rows.append(_row(t, rho, u, v))
+        u_next = step(t, u, au, bu, rho)
+        iterations = t + 1
+        moved = _norm(u_next - u)
+        u = u_next
+        if cfg.stop_tol is not None and moved <= cfg.stop_tol:
+            stop_reason = "converged"
+            break
+
+    rho = _rho(u, a @ u, None if b is None else b @ u, cfg.denominator_floor, iterations)
+    if record:
+        rows.append(_row(iterations, rho, u, v))
+    return u, RunTrace(
+        rows=tuple(rows),
         final_vector=u,
         iterations_run=iterations,
+        stop_reason=stop_reason,
     )
+
+
+def _pair(a_hat, b_hat):
+    a = as_sym_matrix(a_hat, name="a_hat")
+    b = as_sym_matrix(b_hat, name="b_hat")
+    if a.shape != b.shape:
+        raise ValueError("a_hat and b_hat dimensions differ")
+    return a, b
 
 
 def prfm(
@@ -164,32 +223,12 @@ def prfm(
     denominator at any iterate (including the final one) raises
     DenominatorNonPositive rather than clamping.
     """
-    a = as_sym_matrix(a_hat, name="a_hat")
-    b = as_sym_matrix(b_hat, name="b_hat")
-    if a.shape != b.shape:
-        raise ValueError("a_hat and b_hat dimensions differ")
-    u = _resolve_init(cfg, a.shape[0])
-    v = None if v_star is None else np.asarray(v_star, dtype=np.float64).reshape(-1)
+    a, b = _pair(a_hat, b_hat)
 
-    rows: list[TraceRow] = []
-    iterations = 0
-    for t in range(cfg.max_iters):
-        rho = _guarded_rho(a, b, u, cfg.denominator_floor, t)
-        if cfg.record_trace:
-            cos, dist = _truth_columns(u, v)
-            rows.append(TraceRow(t=t, rho=rho, cos_sim=cos, dist=dist))
-        u_next = project(p, u + cfg.step_size * (a @ u - rho * (b @ u)))
-        iterations = t + 1
-        moved = float(np.linalg.norm(u_next - u))
-        u = u_next
-        if cfg.stop_tol is not None and moved <= cfg.stop_tol:
-            break
+    def step(t, u, au, bu, rho):
+        return project(p, u + cfg.step_size * (au - rho * bu))
 
-    rho = _guarded_rho(a, b, u, cfg.denominator_floor, iterations)
-    if cfg.record_trace:
-        cos, dist = _truth_columns(u, v)
-        rows.append(TraceRow(t=iterations, rho=rho, cos_sim=cos, dist=dist))
-    return u, _final_trace(rows, cfg.record_trace, u, iterations)
+    return _flow(a, b, cfg, v_star, step)
 
 
 def rifle(
@@ -205,36 +244,16 @@ def rifle(
     Requires rho_t to stay positive (it divides the step); a nonpositive
     quotient raises NonPositiveRho at the offending iteration.
     """
-    a = as_sym_matrix(a_hat, name="a_hat")
-    b = as_sym_matrix(b_hat, name="b_hat")
-    if a.shape != b.shape:
-        raise ValueError("a_hat and b_hat dimensions differ")
+    a, b = _pair(a_hat, b_hat)
     if eta_prime <= 0:
         raise ValueError("eta_prime must be positive")
-    u = _resolve_init(cfg, a.shape[0])
-    v = None if v_star is None else np.asarray(v_star, dtype=np.float64).reshape(-1)
 
-    rows: list[TraceRow] = []
-    iterations = 0
-    for t in range(cfg.max_iters):
-        rho = _guarded_rho(a, b, u, cfg.denominator_floor, t)
+    def step(t, u, au, bu, rho):
         if rho <= cfg.denominator_floor:
             raise NonPositiveRho(t, rho)
-        if cfg.record_trace:
-            cos, dist = _truth_columns(u, v)
-            rows.append(TraceRow(t=t, rho=rho, cos_sim=cos, dist=dist))
-        u_next = sparse_truncate(u + (eta_prime / rho) * (a @ u - rho * (b @ u)), s)
-        iterations = t + 1
-        moved = float(np.linalg.norm(u_next - u))
-        u = u_next
-        if cfg.stop_tol is not None and moved <= cfg.stop_tol:
-            break
+        return sparse_truncate(u + (eta_prime / rho) * (au - rho * bu), s)
 
-    rho = _guarded_rho(a, b, u, cfg.denominator_floor, iterations)
-    if cfg.record_trace:
-        cos, dist = _truth_columns(u, v)
-        rows.append(TraceRow(t=iterations, rho=rho, cos_sim=cos, dist=dist))
-    return u, _final_trace(rows, cfg.record_trace, u, iterations)
+    return _flow(a, b, cfg, v_star, step)
 
 
 def ppower(
@@ -250,31 +269,13 @@ def ppower(
     method never sees B.
     """
     a = as_sym_matrix(a_hat, name="a_hat")
-    u = _resolve_init(cfg, a.shape[0])
-    v = None if v_star is None else np.asarray(v_star, dtype=np.float64).reshape(-1)
 
-    rows: list[TraceRow] = []
-    iterations = 0
-    for t in range(cfg.max_iters):
-        if cfg.record_trace:
-            cos, dist = _truth_columns(u, v)
-            rows.append(TraceRow(t=t, rho=float(u @ (a @ u)), cos_sim=cos, dist=dist))
-        w = a @ u
-        if float(np.linalg.norm(w)) <= 1e-12:
+    def step(t, u, au, bu, rho):
+        if _norm(au) <= 1e-12:
             raise ZeroVector(f"a_hat @ u vanished at iteration {t}")
-        u_next = project(p, w)
-        iterations = t + 1
-        moved = float(np.linalg.norm(u_next - u))
-        u = u_next
-        if cfg.stop_tol is not None and moved <= cfg.stop_tol:
-            break
+        return project(p, au)
 
-    if cfg.record_trace:
-        cos, dist = _truth_columns(u, v)
-        rows.append(
-            TraceRow(t=iterations, rho=float(u @ (a @ u)), cos_sim=cos, dist=dist)
-        )
-    return u, _final_trace(rows, cfg.record_trace, u, iterations)
+    return _flow(a, None, cfg, v_star, step)
 
 
 def run_with_restarts(
@@ -316,7 +317,7 @@ def run_with_restarts(
             run_cfg = cfg
         else:
             u0 = np.abs(NormalStream(seed, stream=j).unit_vector(n))
-            u0 /= np.linalg.norm(u0)
+            u0 /= _norm(u0)
             run_cfg = replace(cfg, init=u0)
         try:
             if solver == "prfm":
@@ -344,13 +345,7 @@ def run_with_restarts(
             )
     if best is None:
         raise AllRunsFailed("; ".join(failures))
-    return RestartResult(
-        estimate=best.estimate,
-        trace=best.trace,
-        objective=best.objective,
-        restart_index=best.restart_index,
-        failures=tuple(failures),
-    )
+    return replace(best, failures=tuple(failures))
 
 
 def exact_solve(pair: MatrixPair) -> NDArray[np.float64]:
@@ -381,5 +376,6 @@ def trace_to_json(solver: str, cfg: SolverConfig, trace: RunTrace, status: str) 
             for r in trace.rows
         ],
         "final": [float(x) for x in trace.final_vector],
+        "stop_reason": trace.stop_reason,
         "status": status,
     }

@@ -5,12 +5,20 @@ eigensolver is itself numpy/LAPACK, so comparing the two checks little; the
 routes that stay independent of it are sign-change bisection on the
 determinant (here), the characteristic-polynomial roots frozen in
 test_linalg.py, and the eigen-residual and B-orthonormality checks, which
-test a solution by its defining equations.
+test a solution by its defining equations. `reference_flow` restates the
+three iterative solvers from their update rules alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from gepflow.errors import (
+    DegenerateProjection,
+    DenominatorNonPositive,
+    NonPositiveRho,
+    ZeroVector,
+)
 
 
 def det_poly_roots(a: np.ndarray, b: np.ndarray, *, points: int = 200_001) -> list[float]:
@@ -82,3 +90,92 @@ def finite_difference_gradient(f, z: np.ndarray, *, h: float = 1e-5) -> np.ndarr
         zm[i] -= h
         g[i] = (f(zp) - f(zm)) / (2.0 * h)
     return g
+
+
+def _reference_projection(prior: tuple, x: np.ndarray) -> np.ndarray:
+    """Closed-form projection onto ("sphere",), ("sparse", s) or
+    ("subspace", orthonormal basis); ties in |x| keep the lowest index."""
+    if prior[0] == "sphere":
+        norm = np.linalg.norm(x)
+        if norm <= 1e-12:
+            raise ZeroVector("zero vector")
+        return x / norm
+    if prior[0] == "sparse":
+        keep = sorted(range(x.shape[0]), key=lambda i: (-abs(x[i]), i))[: prior[1]]
+        out = np.zeros(x.shape[0])
+        out[keep] = x[keep]
+        norm = np.linalg.norm(out)
+        if norm <= 1e-12:
+            raise ZeroVector("nothing left after truncation")
+        return out / norm
+    basis = prior[1]
+    coeff = basis.T @ x
+    norm = np.linalg.norm(coeff)
+    if norm <= 1e-12:
+        raise DegenerateProjection("orthogonal to the subspace")
+    return basis @ (coeff / norm)
+
+
+def reference_flow(
+    solver: str,
+    a: np.ndarray,
+    b: np.ndarray | None,
+    u0: np.ndarray,
+    prior: tuple,
+    *,
+    step_size: float,
+    max_iters: int,
+    stop_tol: float | None,
+    eta_prime: float | None = None,
+    floor: float = 1e-10,
+    v_star: np.ndarray | None = None,
+):
+    """prfm, rifle or ppower written straight from their update rules.
+
+    prfm:   u <- P(u + eta (A u - rho B u)),        rho = u'Au / u'Bu
+    rifle:  u <- P_s(u + (eta'/rho)(A u - rho B u)), P_s = ("sparse", s)
+    ppower: u <- P(A u),                             rho = u'Au
+
+    Every use of A u or B u is a fresh product and every norm is
+    np.linalg.norm. Returns (u, iterations, rows, stop_reason) with rows
+    the (t, rho, cos_sim, dist) of each visited iterate, the final one
+    included; raises the package's error class for each failure.
+    """
+
+    def rho_at(u, t):
+        if solver == "ppower":
+            return float(u @ (a @ u))
+        den = float(u @ (b @ u))
+        if den <= floor:
+            raise DenominatorNonPositive(t, den)
+        return float(u @ (a @ u)) / den
+
+    def row(t, rho, u):
+        if v_star is None:
+            return (t, rho, None, None)
+        return (t, rho, float(u @ v_star), float(np.linalg.norm(u - v_star)))
+
+    u = np.array(u0, dtype=np.float64)
+    rows, iterations, stop_reason = [], 0, "max_iters"
+    for t in range(max_iters):
+        rho = rho_at(u, t)
+        if solver == "prfm":
+            target = u + step_size * (a @ u - rho * (b @ u))
+        elif solver == "rifle":
+            if rho <= floor:
+                raise NonPositiveRho(t, rho)
+            target = u + (eta_prime / rho) * (a @ u - rho * (b @ u))
+        else:
+            if np.linalg.norm(a @ u) <= 1e-12:
+                raise ZeroVector(f"A u vanished at iteration {t}")
+            target = a @ u
+        rows.append(row(t, rho, u))
+        u_next = _reference_projection(prior, target)
+        iterations = t + 1
+        moved = float(np.linalg.norm(u_next - u))
+        u = u_next
+        if stop_tol is not None and moved <= stop_tol:
+            stop_reason = "converged"
+            break
+    rows.append(row(iterations, rho_at(u, iterations), u))
+    return u, iterations, rows, stop_reason

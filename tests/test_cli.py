@@ -93,6 +93,7 @@ class TestSolve:
         assert obj["solver"] == "prfm"
         assert obj["config"]["step_size"] == 0.21875  # 7/32 parsed exactly
         assert obj["status"] == "ok"
+        assert obj["stop_reason"] in ("converged", "max_iters")
         assert len(obj["rows"]) >= 2
         assert {"t", "rho", "cos_sim", "dist"} <= set(obj["rows"][0])
         assert len(obj["estimate"]) == 16

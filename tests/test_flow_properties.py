@@ -1,0 +1,129 @@
+"""Property test of the shared solver loop against `oracles.reference_flow`.
+
+prfm, rifle and ppower must reproduce, bit for bit, the oracle that
+restates their update rules with fresh matvecs at every use: the same final
+vector, iteration count, stop reason and trace rows, or the same error
+class. Inputs come from seeded NormalStream draws: n in 2..16, sphere,
+sparse and subspace priors, stop_tol None and 1e-9, and positive- or
+negative-definite B.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gepflow.errors import DenominatorNonPositive, GepflowError
+from gepflow.generative import random_subspace
+from gepflow.priors import SparseProjector, SphereProjector, SubspaceProjector
+from gepflow.rng import NormalStream
+from gepflow.solvers import SolverConfig, ppower, prfm, rifle
+
+from oracles import reference_flow
+
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@st.composite
+def flow_case(draw):
+    seed = draw(st.integers(0, 2**31 - 1))
+    n = draw(st.integers(2, 16))
+    solver = draw(st.sampled_from(("prfm", "rifle", "ppower")))
+    prior = "sparse" if solver == "rifle" else draw(
+        st.sampled_from(("sphere", "sparse", "subspace"))
+    )
+    return dict(
+        seed=seed,
+        n=n,
+        solver=solver,
+        prior=prior,
+        level=draw(st.integers(1, n)),
+        a_kind=draw(st.sampled_from(("spiked", "psd", "indefinite"))),
+        negative_b=draw(st.booleans()),
+        random_init=draw(st.booleans()),
+        stop_tol=draw(st.sampled_from((None, 1e-9))),
+        max_iters=draw(st.integers(1, 200)),
+        step_size=draw(st.sampled_from((0.05, 7.0 / 32.0, 0.6))),
+    )
+
+
+def _inputs(case):
+    n, seed = case["n"], case["seed"]
+    g = NormalStream(seed, stream=0).matrix(n, n)
+    if case["a_kind"] == "spiked":
+        v = np.abs(NormalStream(seed, stream=1).unit_vector(n))
+        a = 4.0 * np.outer(v, v) + np.eye(n)
+    elif case["a_kind"] == "psd":
+        a = g @ g.T / n
+    else:
+        a = (g + g.T) / 2.0
+    m = NormalStream(seed, stream=2).matrix(n, n)
+    b = m @ m.T / n + np.eye(n)
+    if case["negative_b"]:
+        b = -b
+    u0 = NormalStream(seed, stream=3).unit_vector(n) if case["random_init"] else None
+    v_star = NormalStream(seed, stream=4).unit_vector(n)
+    if case["prior"] == "sphere":
+        projector, prior = SphereProjector(), ("sphere",)
+    elif case["prior"] == "sparse":
+        projector, prior = SparseProjector(case["level"]), ("sparse", case["level"])
+    else:
+        basis = random_subspace(n, case["level"], seed=seed).basis
+        projector = SubspaceProjector(basis=basis)
+        prior = ("subspace", projector.basis)
+    return a, b, u0, v_star, projector, prior
+
+
+def _run(case, a, b, projector, cfg, v_star):
+    if case["solver"] == "prfm":
+        return prfm(a, b, projector, cfg, v_star=v_star)
+    if case["solver"] == "rifle":
+        return rifle(a, b, case["level"], 35.0 / 32.0, cfg, v_star=v_star)
+    return ppower(a, projector, cfg, v_star=v_star)
+
+
+@PROPERTY_SETTINGS
+@given(flow_case())
+def test_solvers_match_reference_flow(case):
+    a, b, u0, v_star, projector, prior = _inputs(case)
+    start = np.ones(case["n"]) / np.sqrt(case["n"]) if u0 is None else u0
+    try:
+        expected = reference_flow(
+            case["solver"],
+            a,
+            b,
+            start,
+            prior,
+            step_size=case["step_size"],
+            max_iters=case["max_iters"],
+            stop_tol=case["stop_tol"],
+            eta_prime=35.0 / 32.0,
+            v_star=v_star,
+        )
+    except GepflowError as exc:
+        expected = type(exc)
+
+    for record in (True, False):
+        cfg = SolverConfig(
+            step_size=case["step_size"],
+            max_iters=case["max_iters"],
+            init=u0,
+            stop_tol=case["stop_tol"],
+            record_trace=record,
+        )
+        try:
+            u, trace = _run(case, a, b, projector, cfg, v_star)
+        except GepflowError as exc:
+            assert type(exc) is expected
+            continue
+        assert not isinstance(expected, type), f"expected {expected.__name__}"
+        ref_u, ref_iterations, ref_rows, ref_stop = expected
+        assert np.array_equal(u, ref_u) and np.array_equal(trace.final_vector, ref_u)
+        assert trace.iterations_run == ref_iterations
+        assert trace.stop_reason == ref_stop
+        if record:
+            assert [(r.t, r.rho, r.cos_sim, r.dist) for r in trace.rows] == ref_rows
+        else:
+            assert trace.rows == ()
+
+    if case["negative_b"] and case["solver"] != "ppower":
+        assert expected is DenominatorNonPositive

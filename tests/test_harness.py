@@ -212,6 +212,33 @@ class TestRunSweep:
             else:
                 assert row.status == "ok"
 
+    def test_sweep_solves_without_trace_rows(self, monkeypatch):
+        import gepflow.solvers as solvers_mod
+
+        real = solvers_mod.run_with_restarts
+        calls = []
+
+        def spy(solver, a_hat, b_hat, cfg, *args, **kwargs):
+            result = real(solver, a_hat, b_hat, cfg, *args, **kwargs)
+            calls.append((solver, cfg.record_trace, result.trace))
+            return result
+
+        monkeypatch.setattr(harness, "run_with_restarts", spy)
+        spec = SweepSpec(
+            kind="diag_b", m_values=(60, 120), n=8, solvers=("prfm", "ppower", "rifle"),
+            trials=2, restarts=3, max_iters=40, s=3,
+        )
+        rows = run_sweep(spec)
+        assert len(calls) == len(rows) == 12
+        assert all(record is False for _, record, _ in calls)
+        for solver in spec.solvers:
+            traces = [trace for name, _, trace in calls if name == solver]
+            solver_rows = sorted(
+                (r for r in rows if r.solver == solver), key=lambda r: (r.m, r.trial)
+            )
+            assert [r.iterations for r in solver_rows] == [t.iterations_run for t in traces]
+            assert all(t.rows == () for t in traces)
+
     def test_more_samples_reduce_median_error(self):
         spec = SweepSpec(
             kind="spiked", m_values=(150, 2400), n=48,

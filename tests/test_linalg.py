@@ -150,7 +150,7 @@ class TestGeneralizedEig:
             for _ in range(10):
                 a, b = random_definite_pair(rng, n, min_gap=1e-3)
                 spec = generalized_eig(MatrixPair(a, b))
-                roots = det_poly_roots(a, b)
+                roots = det_poly_roots(a, b, points=10_001)
                 assert len(roots) == n
                 np.testing.assert_allclose(
                     spec.eigenvalues, roots[::-1], atol=1e-8

@@ -80,6 +80,12 @@ class TestProjectDispatch:
         out = project(SphereProjector(), [3.0, 4.0])
         assert_allclose(out, [0.6, 0.8], atol=1e-15)
 
+    def test_sphere_matches_linalg_norm_on_strided_input(self):
+        column = NormalStream(80, stream=0).matrix(100, 3)[:, 1]
+        assert not column.flags.c_contiguous
+        expected = column / np.linalg.norm(column)
+        assert np.array_equal(project(SphereProjector(), column), expected)
+
     def test_sphere_zero_rejected(self):
         with pytest.raises(ZeroVector):
             project(SphereProjector(), np.zeros(3))

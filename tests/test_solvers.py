@@ -349,6 +349,30 @@ class TestTraceJson:
         assert parsed["rows"][0].keys() == {"t", "rho", "cos_sim", "dist"}
         assert_allclose(parsed["final"], est, rtol=0, atol=0)
 
+    @pytest.mark.parametrize("solver", ["prfm", "rifle", "ppower"])
+    def test_stop_reason(self, solver):
+        a, b, _ = _spiked_pair(8, seed=9)
+
+        def run(cfg):
+            if solver == "prfm":
+                return prfm(a, b, SPHERE, cfg)[1]
+            if solver == "rifle":
+                return rifle(a, b, 8, 35 / 32, cfg)[1]
+            return ppower(a, SPHERE, cfg)[1]
+
+        early = SolverConfig(step_size=7 / 32, max_iters=500)
+        stopped = run(early)
+        assert stopped.iterations_run < 500
+        assert stopped.stop_reason == "converged"
+        blob = json.loads(json.dumps(trace_to_json(solver, early, stopped, "ok")))
+        assert blob["stop_reason"] == "converged"
+        fixed = SolverConfig(step_size=7 / 32, max_iters=12, stop_tol=None)
+        capped = run(fixed)
+        assert capped.iterations_run == 12
+        assert capped.stop_reason == "max_iters"
+        blob = json.loads(json.dumps(trace_to_json(solver, fixed, capped, "ok")))
+        assert blob["stop_reason"] == "max_iters"
+
     def test_unknown_truth_serializes_as_null(self):
         a, b, _ = _spiked_pair(4, seed=53)
         cfg = SolverConfig(step_size=7 / 32, max_iters=5)
