@@ -37,8 +37,9 @@ import numpy as np
 
 from . import __version__
 from .errors import GepflowError
-from .generative import model_from_json, subspace_containing
+from .generative import model_from_json
 from .harness import (
+    GENERATORS,
     SweepSpec,
     cosine_similarity,
     rows_to_csv,
@@ -48,31 +49,12 @@ from .harness import (
     summary_to_json,
     summary_to_text,
 )
-from .generative import LatentProjectionConfig
 from .linalg import generalized_eig
-from .priors import (
-    RangeProjector,
-    SparseProjector,
-    SphereProjector,
-    SubspaceProjector,
-)
-from .problems import (
-    gen_diag_b,
-    gen_phase_retrieval,
-    gen_spiked,
-    instance_from_json,
-    instance_to_json,
-    verify_perturbation,
-)
+from .priors import PRIOR_NAMES, projector_from_spec
+from .problems import instance_from_json, instance_to_json, verify_perturbation
 from .rng import NormalStream
-from .solvers import SolverConfig, run_with_restarts, trace_to_json
+from .solvers import SOLVER_NAMES, SolverConfig, run_with_restarts, trace_to_json
 from .theory import compute_conditions, run_lemma_suites
-
-_GENERATORS = {
-    "spiked": gen_spiked,
-    "phase_retrieval": gen_phase_retrieval,
-    "diag_b": gen_diag_b,
-}
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -207,24 +189,41 @@ def _write_text(path: str, text: str, prov: dict) -> None:
         fh.write(text)
 
 
-def _load_instance(path: str):
+def _load(path: str, from_json, what: str):
+    """Read a JSON file and decode it with `from_json`; failures exit 1."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return instance_from_json(json.load(fh))
+            return from_json(json.load(fh))
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read instance file {path}: {exc}") from exc
+        raise CliError(f"cannot read {what} file {path}: {exc}") from exc
     except (ValueError, KeyError, GepflowError) as exc:
-        raise CliError(f"invalid instance bundle {path}: {exc}") from exc
+        raise CliError(f"invalid {what} file {path}: {exc}") from exc
 
 
-def _load_model(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return model_from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read model file {path}: {exc}") from exc
-    except (ValueError, KeyError, GepflowError) as exc:
-        raise CliError(f"invalid model file {path}: {exc}") from exc
+def _prior_spec(r: _Resolver) -> dict:
+    """The `projector_from_spec` dict described by the prior flags."""
+    name = r.get("prior", "sphere")
+    spec: dict = {"prior": name}
+    if name == "sparse":
+        spec["s"] = r.get("s", None, int)
+        if spec["s"] is None:
+            raise CliError("sparse prior requires --s")
+    elif name == "subspace":
+        k, model = r.get("k", None, int), r.get("model")
+        if (k is None) == (model is None):
+            raise CliError("subspace prior requires one of --k or --model")
+        spec.update({"k": k} if model is None else {"model_path": model})
+    elif name == "range":
+        spec["model_path"] = r.get("model")
+        if spec["model_path"] is None:
+            raise CliError("range prior requires --model")
+        spec["projection"] = {
+            "steps": r.get("proj_steps", 100, int),
+            "learning_rate": r.get("proj_lr", 0.1, float),
+            "restarts": r.get("proj_restarts", 3, int),
+            "seed": r.get("proj_seed", 0, int),
+        }
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +233,7 @@ def _load_model(path: str):
 def _cmd_generate(args) -> int:
     r = _Resolver(args, _load_config_file(args.config))
     kind = r.require("kind")
-    if kind not in _GENERATORS:
+    if kind not in GENERATORS:
         raise CliError(f"unknown kind {kind!r}")
     n = r.require("n", int)
     m = r.require("m", int)
@@ -250,7 +249,7 @@ def _cmd_generate(args) -> int:
     v = np.abs(raw) if vstar == "nonneg" else raw
     v = v / float(np.linalg.norm(v))
     try:
-        instance = _GENERATORS[kind](v, m, seed=seed)
+        instance = GENERATORS[kind](v, m, seed=seed)
     except (ValueError, GepflowError) as exc:
         raise CliError(str(exc)) from exc
     _write_json(out, instance_to_json(instance), prov)
@@ -258,48 +257,10 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _build_projector(r: _Resolver, truth_v, seed: int):
-    prior = r.get("prior", "sphere")
-    model_path = r.get("model")
-    if prior == "sphere":
-        return SphereProjector()
-    if prior == "sparse":
-        s = r.get("s", None, int)
-        if s is None:
-            raise CliError("sparse prior requires --s")
-        return SparseProjector(s=s)
-    if prior == "subspace":
-        if model_path is not None:
-            gen = _load_model(model_path)
-            if not hasattr(gen, "basis"):
-                raise CliError("subspace prior model must be a basis-form model")
-            return SubspaceProjector(basis=gen.basis)
-        k = r.get("k", None, int)
-        if k is None:
-            raise CliError("subspace prior requires --model or --k")
-        if truth_v is None:
-            raise CliError("--k subspace prior needs an instance with recorded truth")
-        return SubspaceProjector(
-            basis=subspace_containing(truth_v, k, seed=seed).basis
-        )
-    if prior == "range":
-        if model_path is None:
-            raise CliError("range prior requires --model")
-        gen = _load_model(model_path)
-        cfg = LatentProjectionConfig(
-            steps=r.get("proj_steps", 100, int),
-            learning_rate=r.get("proj_lr", 0.1, float),
-            restarts=r.get("proj_restarts", 3, int),
-            seed=r.get("proj_seed", 0, int),
-        )
-        return RangeProjector(model=gen, config=cfg)
-    raise CliError(f"unknown prior {prior!r}")
-
-
 def _cmd_solve(args) -> int:
     r = _Resolver(args, _load_config_file(args.config))
     solver = r.require("solver")
-    if solver not in ("prfm", "rifle", "ppower"):
+    if solver not in SOLVER_NAMES:
         raise CliError(f"unknown solver {solver!r}")
     in_path = r.require("in_path")
     out = r.require("out")
@@ -311,6 +272,7 @@ def _cmd_solve(args) -> int:
     floor = r.get("denominator_floor", 1e-10, float)
     restarts = r.get("restarts", 10, int)
     s = r.get("s", None, int)
+    prior = _prior_spec(r)
 
     opts = {
         "cmd": "solve", "solver": solver, "in": in_path, "seed": seed,
@@ -325,10 +287,13 @@ def _cmd_solve(args) -> int:
     }
     prov = _provenance(seed, opts)
 
-    instance = _load_instance(in_path)
+    instance = _load(in_path, instance_from_json, "instance")
     # Reference = population GEP optimum (equals the planted vector for B = I).
     truth_v = instance.truth.v_lead if instance.truth is not None else None
-    p = _build_projector(r, truth_v, seed)
+    try:
+        p = projector_from_spec(prior, truth=truth_v, seed=seed)
+    except (OSError, ValueError, KeyError, GepflowError) as exc:
+        raise CliError(f"cannot build the {prior['prior']} prior: {exc}") from exc
     if solver == "rifle" and s is None:
         raise CliError("rifle requires --s")
     try:
@@ -376,34 +341,7 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     r = _Resolver(args, _load_config_file(args.config))
     seed = r.seed()
-    prior_name = r.get("prior", "sphere")
-    prior_spec: dict = {"prior": prior_name}
-    if prior_name == "subspace":
-        k = r.get("k", None, int)
-        model = r.get("model")
-        if k is not None:
-            prior_spec["k"] = k
-        elif model is not None:
-            prior_spec["model_path"] = model
-        else:
-            raise CliError("subspace prior requires --k or --model")
-    elif prior_name == "sparse":
-        s = r.get("s", None, int)
-        if s is None:
-            raise CliError("sparse prior requires --s")
-        prior_spec["s"] = s
-    elif prior_name == "range":
-        model = r.get("model")
-        if model is None:
-            raise CliError("range prior requires --model")
-        prior_spec["model_path"] = model
-        prior_spec["projection"] = {
-            "steps": r.get("proj_steps", 100, int),
-            "learning_rate": r.get("proj_lr", 0.1, float),
-            "restarts": r.get("proj_restarts", 3, int),
-            "seed": r.get("proj_seed", 0, int),
-        }
-
+    prior_spec = _prior_spec(r)
     timing = r.get("timing", "real")
     jobs = r.get("jobs", 1, int)
     out = r.require("out")
@@ -463,8 +401,8 @@ def _cmd_verify(args) -> int:
     }
     prov = _provenance(seed, opts)
 
-    instance = _load_instance(in_path)
-    generator = _load_model(model) if model is not None else None
+    instance = _load(in_path, instance_from_json, "instance")
+    generator = _load(model, model_from_json, "model") if model is not None else None
     try:
         report = verify_perturbation(instance, set_size, seed, generator=generator)
     except GepflowError as exc:
@@ -492,7 +430,7 @@ def _cmd_theory_check(args) -> int:
     }
     prov = _provenance(seed, opts)
 
-    instance = _load_instance(in_path)
+    instance = _load(in_path, instance_from_json, "instance")
     if instance.truth is None:
         raise CliError("theory-check needs an instance with recorded truth")
     pair = instance.truth.pair
@@ -551,6 +489,23 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="integer seed (GEP_SEED is the fallback)")
 
 
+def _add_run_options(p: argparse.ArgumentParser) -> None:
+    """Prior, step and restart options shared by solve and sweep."""
+    p.add_argument("--prior", choices=PRIOR_NAMES)
+    p.add_argument("--model", help="generator model JSON (subspace/range priors)")
+    p.add_argument("--k", type=int, help="latent dim for a truth-containing subspace prior")
+    p.add_argument("--s", type=int, help="sparsity level (rifle / sparse prior)")
+    p.add_argument("--eta", help='step size, e.g. "0.21875" or "7/32"')
+    p.add_argument("--eta-prime", dest="eta_prime", help="rifle step scale")
+    p.add_argument("--max-iters", dest="max_iters", type=int)
+    p.add_argument("--stop-tol", dest="stop_tol", help='tolerance or "none"')
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--proj-steps", dest="proj_steps", type=int)
+    p.add_argument("--proj-lr", dest="proj_lr", type=float)
+    p.add_argument("--proj-restarts", dest="proj_restarts", type=int)
+    p.add_argument("--proj-seed", dest="proj_seed", type=int)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _CliParser(prog="gepflow", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"gepflow {__version__}")
@@ -558,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write a synthetic instance bundle")
     _add_common(g)
-    g.add_argument("--kind", choices=sorted(_GENERATORS))
+    g.add_argument("--kind", choices=sorted(GENERATORS))
     g.add_argument("--n", type=int)
     g.add_argument("--m", type=int)
     g.add_argument("--vstar", choices=("nonneg", "raw"))
@@ -568,44 +523,20 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="run one solver on an instance file")
     _add_common(s)
     s.add_argument("--in", dest="in_path")
-    s.add_argument("--solver", choices=("prfm", "rifle", "ppower"))
-    s.add_argument("--prior", choices=("sphere", "sparse", "subspace", "range"))
-    s.add_argument("--model", help="generator model JSON (subspace/range priors)")
-    s.add_argument("--k", type=int, help="latent dim for a truth-containing subspace prior")
-    s.add_argument("--s", type=int, help="sparsity level (rifle / sparse prior)")
-    s.add_argument("--eta", help='step size, e.g. "0.21875" or "7/32"')
-    s.add_argument("--eta-prime", dest="eta_prime", help="rifle step scale")
-    s.add_argument("--max-iters", dest="max_iters", type=int)
-    s.add_argument("--stop-tol", dest="stop_tol", help='tolerance or "none"')
+    s.add_argument("--solver", choices=SOLVER_NAMES)
+    _add_run_options(s)
     s.add_argument("--denominator-floor", dest="denominator_floor", type=float)
-    s.add_argument("--restarts", type=int)
-    s.add_argument("--proj-steps", dest="proj_steps", type=int)
-    s.add_argument("--proj-lr", dest="proj_lr", type=float)
-    s.add_argument("--proj-restarts", dest="proj_restarts", type=int)
-    s.add_argument("--proj-seed", dest="proj_seed", type=int)
     s.add_argument("--out")
     s.set_defaults(handler=_cmd_solve)
 
     w = sub.add_parser("sweep", help="run an m-sweep, write CSV + summary")
     _add_common(w)
-    w.add_argument("--kind", choices=sorted(_GENERATORS))
+    w.add_argument("--kind", choices=sorted(GENERATORS))
     w.add_argument("--n", type=int)
     w.add_argument("--m-values", dest="m_values", help="comma list, e.g. 250,500,1000")
-    w.add_argument("--solvers", help="comma list from prfm,rifle,ppower")
+    w.add_argument("--solvers", help=f"comma list from {','.join(SOLVER_NAMES)}")
     w.add_argument("--trials", type=int)
-    w.add_argument("--restarts", type=int)
-    w.add_argument("--prior", choices=("sphere", "sparse", "subspace", "range"))
-    w.add_argument("--model")
-    w.add_argument("--k", type=int)
-    w.add_argument("--s", type=int)
-    w.add_argument("--eta")
-    w.add_argument("--eta-prime", dest="eta_prime")
-    w.add_argument("--max-iters", dest="max_iters", type=int)
-    w.add_argument("--stop-tol", dest="stop_tol")
-    w.add_argument("--proj-steps", dest="proj_steps", type=int)
-    w.add_argument("--proj-lr", dest="proj_lr", type=float)
-    w.add_argument("--proj-restarts", dest="proj_restarts", type=int)
-    w.add_argument("--proj-seed", dest="proj_seed", type=int)
+    _add_run_options(w)
     w.add_argument("--jobs", type=int, help="thread pool size; never changes output")
     w.add_argument("--timing", choices=("real", "zero"))
     w.add_argument("--summary-out", dest="summary_out")

@@ -22,11 +22,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DegenerateFit, GepflowError, ZeroVector
-from .generative import subspace_containing
-from .priors import Projector, SubspaceProjector, projector_from_spec
+from .priors import PRIOR_NAMES, Projector, projector_from_spec
 from .problems import ProblemInstance, gen_diag_b, gen_phase_retrieval, gen_spiked
 from .rng import NormalStream
-from .solvers import SolverConfig, run_with_restarts
+from .solvers import SOLVER_NAMES, SolverConfig, run_with_restarts
 
 __all__ = [
     "SweepSpec",
@@ -44,16 +43,14 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-KINDS = ("spiked", "phase_retrieval", "diag_b")
-SOLVER_NAMES = ("prfm", "rifle", "ppower")
-
 CSV_HEADER = "solver,m,trial,cos_sim,abs_cos_sim,dist,signed_dist_min,iterations,wall_ms,status"
 
-_GENERATORS = {
+GENERATORS = {
     "spiked": gen_spiked,
     "phase_retrieval": gen_phase_retrieval,
     "diag_b": gen_diag_b,
 }
+KINDS = tuple(GENERATORS)
 
 
 def _unit_checked(x, name: str) -> NDArray[np.float64]:
@@ -97,10 +94,10 @@ def plateau_index(values, slack: float = 1e-7) -> int:
 class SweepSpec:
     """Full description of one experiment sweep.
 
-    `prior` is the same dict shape the projector loader accepts, with one
-    extension: {"prior": "subspace", "k": int} builds, per cell, a random
-    subspace that contains that cell's planted truth vector (the
-    oracle-assisted prior used throughout the synthetic protocol).
+    `prior` is the dict `projector_from_spec` accepts (None means the
+    sphere). A {"prior": "subspace", "k": int} prior is built per cell,
+    around that cell's truth vector; every other prior is built once per
+    sweep and shared by all cells.
     """
 
     kind: str
@@ -142,12 +139,7 @@ class SweepSpec:
             raise ValueError("max_iters must be >= 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be >= 0")
-        if self.prior is not None and self.prior.get("prior") not in (
-            "sphere",
-            "sparse",
-            "subspace",
-            "range",
-        ):
+        if self.prior is not None and self.prior.get("prior") not in PRIOR_NAMES:
             raise ValueError("unrecognized prior spec")
 
 
@@ -170,26 +162,20 @@ def _cell_key(spec: SweepSpec, m_index: int, trial: int) -> int:
     return (spec.base_seed << 32) + (idx << 4)
 
 
-def _cell_projector(spec: SweepSpec, v_star, prior_seed: int) -> Projector:
-    pr = spec.prior if spec.prior is not None else {"prior": "sphere"}
-    if pr.get("prior") == "subspace" and "k" in pr:
-        gen = subspace_containing(v_star, int(pr["k"]), seed=prior_seed)
-        return SubspaceProjector(basis=gen.basis)
-    return projector_from_spec(pr)
-
-
-def _run_cell(spec: SweepSpec, m_index: int, trial: int) -> list[ResultRow]:
+def _run_cell(
+    spec: SweepSpec, m_index: int, trial: int, shared: Projector | None
+) -> list[ResultRow]:
     m = spec.m_values[m_index]
     key = _cell_key(spec, m_index, trial)
     raw = NormalStream(key + 1, stream=0).unit_vector(spec.n)
     v_star = np.abs(raw)
     v_star = v_star / float(np.linalg.norm(v_star))
-    instance: ProblemInstance = _GENERATORS[spec.kind](v_star, m, seed=key)
+    instance: ProblemInstance = GENERATORS[spec.kind](v_star, m, seed=key)
     # Metric reference is the population GEP optimum (unit leading
     # generalized eigenvector). It equals the planted vector when B = I;
     # for anisotropic B the two differ and the optimum is the honest target.
     truth_v = instance.truth.v_lead
-    p = _cell_projector(spec, truth_v, key + 2)
+    p = shared or projector_from_spec(spec.prior, truth=truth_v, seed=key + 2)
 
     # A row reads only iterations_run, so the trace rows are skipped.
     cfg = SolverConfig(
@@ -251,14 +237,19 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1, timing: str = "real") -> list[R
         raise ValueError("jobs must be >= 1")
     if timing not in ("real", "zero"):
         raise ValueError('timing must be "real" or "zero"')
+    prior = spec.prior if spec.prior is not None else {"prior": "sphere"}
+    # Projectors are frozen and range projection is seeded by its config, so
+    # cells and threads share one; only a "k" prior depends on the cell's truth.
+    per_cell = prior.get("prior") == "subspace" and "k" in prior
+    shared = None if per_cell else projector_from_spec(prior)
     cells = [
         (mi, t) for mi in range(len(spec.m_values)) for t in range(spec.trials)
     ]
     if jobs == 1:
-        batches = [_run_cell(spec, mi, t) for mi, t in cells]
+        batches = [_run_cell(spec, mi, t, shared) for mi, t in cells]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(lambda c: _run_cell(spec, *c), cells))
+            batches = list(pool.map(lambda c: _run_cell(spec, *c, shared), cells))
     rows = [row for batch in batches for row in batch]
     if timing == "zero":
         rows = [replace(row, wall_ms=0.0) for row in rows]

@@ -13,7 +13,9 @@ projector so repeated calls agree bit for bit.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +28,7 @@ from .generative import (
     SubspaceGenerator,
     model_from_json,
     project_to_range,
+    subspace_containing,
     subspace_project,
 )
 
@@ -39,6 +42,8 @@ __all__ = [
     "sparse_truncate",
     "projector_from_spec",
 ]
+
+PRIOR_NAMES = ("sphere", "sparse", "subspace", "range")
 
 
 @dataclass(frozen=True)
@@ -125,17 +130,19 @@ def project(p: Projector, x) -> NDArray[np.float64]:
     raise TypeError(f"unknown projector type {type(p).__name__}")
 
 
-def projector_from_spec(spec: dict, base_dir: str = ".") -> Projector:
+def projector_from_spec(
+    spec: dict, base_dir: str = ".", *, truth=None, seed: int = 0
+) -> Projector:
     """Build a projector from its JSON description.
 
-    Keys: "prior" in {"sphere", "sparse", "subspace", "range"}; "s" for the
-    sparse level; "model_path" (relative to base_dir) for subspace and range
-    priors; optional "projection" object with LatentProjectionConfig
-    overrides for the range prior.
+    Keys: "prior" in PRIOR_NAMES; "s" for the sparse level; for the
+    subspace prior either "model_path" (a basis-form model) or "k", which
+    builds a random k-dimensional subspace containing `truth` (the
+    oracle-assisted prior of the synthetic protocol) seeded by `seed`;
+    "model_path" for the range prior, with an optional "projection" object
+    of LatentProjectionConfig overrides. Model paths are relative to
+    base_dir. Only a "k" spec reads `truth` and `seed`.
     """
-    import json
-    import os
-
     if not isinstance(spec, dict) or "prior" not in spec:
         raise ValueError("prior spec must be an object with a 'prior' key")
     kind = spec["prior"]
@@ -145,6 +152,11 @@ def projector_from_spec(spec: dict, base_dir: str = ".") -> Projector:
         if "s" not in spec:
             raise ValueError("sparse prior needs an 's' level")
         return SparseProjector(s=int(spec["s"]))
+    if kind == "subspace" and "k" in spec:
+        if truth is None:
+            raise ValueError("a 'k' subspace prior needs the truth vector")
+        gen = subspace_containing(truth, int(spec["k"]), seed=seed)
+        return SubspaceProjector(basis=gen.basis)
     if kind in ("subspace", "range"):
         path = spec.get("model_path")
         if not path:

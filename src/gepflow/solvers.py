@@ -50,6 +50,8 @@ __all__ = [
     "trace_to_json",
 ]
 
+SOLVER_NAMES = ("prfm", "rifle", "ppower")
+
 
 def default_init(n: int) -> NDArray[np.float64]:
     """The all-ones direction, normalized."""
@@ -300,7 +302,7 @@ def run_with_restarts(
     baseline; individual failures are collected and only a full wipeout
     raises AllRunsFailed.
     """
-    if solver not in ("prfm", "rifle", "ppower"):
+    if solver not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {solver!r}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")

@@ -32,7 +32,7 @@ def det_poly_roots(a: np.ndarray, b: np.ndarray, *, points: int = 200_001) -> li
     bw = np.linalg.eigvalsh(b)
     radius = float(np.linalg.norm(a, 2)) / float(bw[0]) + 1.0
     grid = np.linspace(-radius, radius, points)
-    vals = np.array([np.linalg.det(a - lam * b) for lam in grid])
+    vals = np.linalg.det(a[None] - grid[:, None, None] * b[None])
     roots = []
     sign = np.sign(vals)
     for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:

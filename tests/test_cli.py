@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from gepflow.cli import main
-from gepflow.harness import CSV_HEADER
+from gepflow.harness import CSV_HEADER, SweepSpec, rows_to_csv, run_sweep
 from gepflow.generative import model_to_json, random_mlp, random_subspace
-from gepflow.problems import ProblemInstance, instance_from_json
+from gepflow.priors import projector_from_spec
+from gepflow.problems import ProblemInstance, instance_from_json, instance_to_json
+from gepflow.solvers import SolverConfig, run_with_restarts
 
 
 def _generate(tmp_path, name="inst.json", **overrides):
@@ -76,7 +78,7 @@ class TestGenerate:
 
     def test_no_subcommand_prints_help(self, capsys):
         assert main([]) == 1
-        assert "subcommand" in capsys.readouterr().err or True
+        assert "usage: gepflow" in capsys.readouterr().err
 
 
 class TestSolve:
@@ -140,8 +142,6 @@ class TestSolve:
             a_hat=np.eye(4), b_hat=-np.eye(4), truth=None, m=5,
             kind="custom", seed=0,
         )
-        from gepflow.problems import instance_to_json
-
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(instance_to_json(bad)))
         code = main([
@@ -205,6 +205,111 @@ class TestSweep:
         argv[argv.index("--m-values") + 1] = "80,40"
         assert main(argv) == 1
         assert "ascending" in capsys.readouterr().err
+
+
+def _prior_case(name, tmp_path):
+    """(CLI flags, the projector_from_spec dict they describe) for n = 16."""
+    if name == "sphere":
+        return [], {"prior": "sphere"}
+    if name == "sparse":
+        return ["--prior", "sparse", "--s", "5"], {"prior": "sparse", "s": 5}
+    if name == "subspace-k":
+        return ["--prior", "subspace", "--k", "4"], {"prior": "subspace", "k": 4}
+    if name == "subspace-model":
+        path = tmp_path / "sub.json"
+        path.write_text(json.dumps(model_to_json(random_subspace(16, 5, seed=2))))
+        flags = ["--prior", "subspace", "--model", str(path)]
+        return flags, {"prior": "subspace", "model_path": str(path)}
+    path = tmp_path / "mlp.json"
+    path.write_text(json.dumps(model_to_json(random_mlp(16, 4, hidden=(8,), seed=3))))
+    flags = ["--prior", "range", "--model", str(path), "--proj-steps", "5",
+             "--proj-restarts", "1"]
+    spec = {"prior": "range", "model_path": str(path),
+            "projection": {"steps": 5, "restarts": 1}}
+    return flags, spec
+
+
+PRIOR_CASES = ["sphere", "sparse", "subspace-k", "subspace-model", "range"]
+
+
+class TestPriorFlags:
+    """solve and sweep turn the prior flags into the library's prior spec."""
+
+    @pytest.mark.parametrize("name", PRIOR_CASES)
+    def test_sweep_matches_library(self, tmp_path, name):
+        flags, prior = _prior_case(name, tmp_path)
+        out = tmp_path / "out.csv"
+        assert main([
+            "sweep", "--kind", "spiked", "--n", "16", "--m-values", "40,80",
+            "--solvers", "prfm,ppower", "--trials", "2", "--restarts", "2",
+            "--max-iters", "20", "--seed", "5", "--timing", "zero",
+            "--out", str(out), *flags,
+        ]) == 0
+        spec = SweepSpec(
+            kind="spiked", m_values=(40, 80), n=16, solvers=("prfm", "ppower"),
+            trials=2, prior=prior, restarts=2, s=prior.get("s"), max_iters=20,
+            base_seed=5,
+        )
+        body = out.read_text().split("\n", 1)[1]
+        assert body == rows_to_csv(run_sweep(spec, timing="zero"))
+
+    @pytest.mark.parametrize("name", PRIOR_CASES)
+    def test_solve_matches_library(self, tmp_path, name):
+        inst_path = _generate(tmp_path)
+        flags, prior = _prior_case(name, tmp_path)
+        out = tmp_path / "trace.json"
+        assert main([
+            "solve", "--solver", "prfm", "--in", str(inst_path), "--seed", "3",
+            "--restarts", "2", "--max-iters", "30", "--out", str(out), *flags,
+        ]) == 0
+        inst = instance_from_json(json.loads(inst_path.read_text()))
+        truth = inst.truth.v_lead
+        result = run_with_restarts(
+            "prfm", inst.a_hat, inst.b_hat,
+            SolverConfig(step_size=7 / 32, max_iters=30), 2, 3,
+            p=projector_from_spec(prior, truth=truth, seed=3),
+            s=prior.get("s"), eta_prime=35 / 32, v_star=truth,
+        )
+        assert json.loads(out.read_text())["estimate"] == result.estimate.tolist()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--prior", "sparse"], "sparse prior requires --s"),
+            (["--prior", "range"], "range prior requires --model"),
+            (["--prior", "subspace"], "subspace prior requires one of --k or --model"),
+            # Both: solve used to prefer the model and sweep the k.
+            (["--prior", "subspace", "--k", "4", "--model", "sub.json"],
+             "subspace prior requires one of --k or --model"),
+        ],
+        ids=["sparse-no-s", "range-no-model", "subspace-neither", "subspace-both"],
+    )
+    def test_missing_or_conflicting_options(self, tmp_path, capsys, command, flags, message):
+        out = str(tmp_path / "out")
+        if command == "solve":
+            argv = ["solve", "--solver", "prfm", "--in", str(_generate(tmp_path))]
+        else:
+            argv = ["sweep", "--kind", "spiked", "--n", "16", "--m-values", "40",
+                    "--trials", "1"]
+        assert main([*argv, "--out", out, *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_k_prior_needs_truth(self, tmp_path, capsys):
+        # Sweep instances always carry their truth; a bundle may not.
+        bare = ProblemInstance(
+            a_hat=np.eye(4), b_hat=np.eye(4), truth=None, m=5, kind="custom", seed=0,
+        )
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(instance_to_json(bare)))
+        code = main([
+            "solve", "--solver", "prfm", "--prior", "subspace", "--k", "2",
+            "--in", str(path), "--out", str(tmp_path / "t.json"),
+        ])
+        assert code == 1
+        assert "truth" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
 
 
 class TestConfigLayer:
@@ -274,8 +379,6 @@ class TestVerify:
         assert code == 0
 
     def test_truthless_instance_rejected(self, tmp_path, capsys):
-        from gepflow.problems import instance_to_json
-
         bare = ProblemInstance(
             a_hat=np.eye(4), b_hat=np.eye(4), truth=None, m=5,
             kind="custom", seed=0,
@@ -310,8 +413,6 @@ class TestTheoryCheck:
         assert "0.875" in capsys.readouterr().out
 
     def test_truthless_instance_rejected(self, tmp_path):
-        from gepflow.problems import instance_to_json
-
         bare = ProblemInstance(
             a_hat=np.eye(4), b_hat=np.eye(4), truth=None, m=5,
             kind="custom", seed=0,

@@ -239,6 +239,34 @@ class TestRunSweep:
             assert [r.iterations for r in solver_rows] == [t.iterations_run for t in traces]
             assert all(t.rows == () for t in traces)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_model_read_once_per_sweep(self, tmp_path, monkeypatch, jobs):
+        import json
+
+        import gepflow.priors as priors_mod
+        from gepflow.generative import model_to_json, random_mlp
+
+        path = tmp_path / "mlp.json"
+        path.write_text(json.dumps(model_to_json(random_mlp(8, 2, hidden=(4,), seed=1))))
+        real = priors_mod.model_from_json
+        calls = []
+
+        def counted(obj):
+            calls.append(1)
+            return real(obj)
+
+        monkeypatch.setattr(priors_mod, "model_from_json", counted)
+        spec = SweepSpec(
+            kind="spiked", m_values=(40, 80), n=8, solvers=("prfm",), trials=2,
+            restarts=1, max_iters=5,
+            prior={"prior": "range", "model_path": str(path), "projection": {"steps": 3}},
+        )
+        rows = run_sweep(spec, jobs=jobs, timing="zero")
+        assert len(rows) == 4 and all(r.status == "ok" for r in rows)
+        assert len(calls) == 1
+        # Cells share the one projector; results still match a serial run.
+        assert rows == run_sweep(spec, jobs=1, timing="zero")
+
     def test_more_samples_reduce_median_error(self):
         spec = SweepSpec(
             kind="spiked", m_values=(150, 2400), n=48,

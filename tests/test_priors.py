@@ -193,6 +193,17 @@ class TestProjectorFromSpec:
         assert p.config.steps == 17 and p.config.seed == 4
         assert p.config.restarts == 3  # untouched default
 
+    def test_truth_containing_subspace_from_k(self):
+        from gepflow.generative import subspace_containing
+
+        truth = NormalStream(93, stream=0).unit_vector(10)
+        p = projector_from_spec({"prior": "subspace", "k": 3}, truth=truth, seed=5)
+        assert isinstance(p, SubspaceProjector)
+        assert_allclose(p.basis, subspace_containing(truth, 3, seed=5).basis, rtol=0, atol=0)
+        assert_allclose(project(p, truth), truth, atol=1e-12)
+        with pytest.raises(ValueError, match="truth"):
+            projector_from_spec({"prior": "subspace", "k": 3})
+
     def test_rejections(self, tmp_path):
         with pytest.raises(ValueError):
             projector_from_spec({"prior": "banana"})
