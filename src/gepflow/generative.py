@@ -187,10 +187,12 @@ class RangeProjection:
 
 
 def _clamp_latent(gen: Generator, z) -> NDArray[np.float64]:
-    zv = np.asarray(z, dtype=np.float64).reshape(-1)
+    # ravel, not reshape: a strided view must be copied to contiguous memory,
+    # or its dot product (hence the clamp) can differ in the last bit.
+    zv = np.asarray(z, dtype=np.float64).ravel()
     if zv.shape[0] != gen.latent_dim:
         raise ValueError(f"latent has length {zv.shape[0]}, expected {gen.latent_dim}")
-    norm = float(np.linalg.norm(zv))
+    norm = math.sqrt(float(zv @ zv))
     if norm > gen.latent_radius:
         # Rescaling-induced 1-ulp overshoots are silent; real violations warn.
         if norm > gen.latent_radius * (1.0 + 1e-9):
@@ -215,9 +217,7 @@ def _activate_grad(name: str, pre: NDArray[np.float64], post: NDArray[np.float64
     if name == "relu":
         # Subgradient at exactly 0 is taken as 0.
         return (pre > 0.0).astype(np.float64)
-    if name == "sigmoid":
-        return post * (1.0 - post)
-    return np.ones_like(pre)
+    return post * (1.0 - post)  # sigmoid; identity layers skip the multiply
 
 
 def _mlp_trace(gen: MlpGenerator, z: NDArray[np.float64]):
@@ -251,7 +251,7 @@ def forward(gen: Generator, z) -> NDArray[np.float64]:
     if isinstance(gen, MlpGenerator) and not gen.normalized:
         return raw
     floor = gen.min_norm if isinstance(gen, MlpGenerator) else MIN_NORM_DEFAULT
-    norm = float(np.linalg.norm(raw))
+    norm = math.sqrt(float(raw @ raw))
     if norm <= floor:
         raise DegenerateOutput(f"raw output norm {norm:.6g} <= {floor:.6g}")
     return raw / norm
@@ -273,7 +273,7 @@ def backward(gen: Generator, z, cotangent) -> NDArray[np.float64]:
 
     if isinstance(gen, SubspaceGenerator):
         raw = gen.basis @ zv
-        norm = float(np.linalg.norm(raw))
+        norm = math.sqrt(float(raw @ raw))
         if norm <= MIN_NORM_DEFAULT:
             raise DegenerateOutput(f"raw output norm {norm:.6g} too small")
         out = raw / norm
@@ -282,7 +282,7 @@ def backward(gen: Generator, z, cotangent) -> NDArray[np.float64]:
 
     raw, cache = _mlp_trace(gen, zv)
     if gen.normalized:
-        norm = float(np.linalg.norm(raw))
+        norm = math.sqrt(float(raw @ raw))
         if norm <= gen.min_norm:
             raise DegenerateOutput(f"raw output norm {norm:.6g} <= {gen.min_norm:.6g}")
         out = raw / norm
@@ -290,7 +290,9 @@ def backward(gen: Generator, z, cotangent) -> NDArray[np.float64]:
     else:
         grad = cot
     for layer, (pre, post) in zip(reversed(gen.layers), reversed(cache)):
-        grad = layer.weight.T @ (grad * _activate_grad(layer.activation, pre, post))
+        if layer.activation != "identity":
+            grad = grad * _activate_grad(layer.activation, pre, post)
+        grad = layer.weight.T @ grad
     return grad
 
 
@@ -359,6 +361,8 @@ def project_to_range(
     radius = gen.latent_radius
     total = max(cfg.restarts, len(warm_starts))
     best: RangeProjection | None = None
+    beta1, beta2, lr, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.learning_rate, cfg.adam_eps
+    keep1, keep2 = 1.0 - beta1, 1.0 - beta2
 
     for restart in range(total):
         if restart < len(warm_starts):
@@ -379,12 +383,12 @@ def project_to_range(
             continue
         best = _candidate(point, z, value, restart, best)
         for step in range(1, cfg.steps + 1):
-            m = cfg.adam_beta1 * m + (1.0 - cfg.adam_beta1) * grad
-            v = cfg.adam_beta2 * v + (1.0 - cfg.adam_beta2) * grad * grad
-            m_hat = m / (1.0 - cfg.adam_beta1**step)
-            v_hat = v / (1.0 - cfg.adam_beta2**step)
-            z = z - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-            norm = float(np.linalg.norm(z))
+            m = beta1 * m + keep1 * grad
+            v = beta2 * v + keep2 * grad * grad
+            m_hat = m / (1.0 - beta1**step)
+            v_hat = v / (1.0 - beta2**step)
+            z = z - lr * m_hat / (np.sqrt(v_hat) + eps)
+            norm = math.sqrt(float(z @ z))
             if norm > radius:
                 z = z * (radius / norm)
             try:
@@ -534,6 +538,9 @@ def model_from_json(obj: dict) -> Generator:
     """Load a generator from its JSON form; validates the dimension chain."""
     if not isinstance(obj, dict):
         raise ValueError("model JSON must be an object")
+    for key in ("latent_dim", "output_dim"):
+        if key not in obj:
+            raise ValueError(f"model JSON is missing {key!r}")
     radius = float(obj.get("latent_radius", 0.0))
     if "basis" in obj:
         gen: Generator = SubspaceGenerator(

@@ -31,6 +31,10 @@ Draw order
 Because the word stream is a pure function of (seed, stream, position),
 prefix stability holds: the first k draws of a stream never depend on how
 many draws follow them.
+
+``normals`` evaluates Box-Muller in fixed-size chunks of pairs so that its
+temporaries stay in cache; every value is computed elementwise, so the
+results do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ from numpy.typing import NDArray
 _U64 = np.uint64
 _SHIFT = _U64(11)
 _SCALE = 2.0**-53
+#: Box-Muller pairs evaluated per chunk in `NormalStream.normals`.
+_CHUNK_PAIRS = 1 << 13
 
 
 class NormalStream:
@@ -78,15 +84,18 @@ class NormalStream:
         """Return `count` standard normals via Box-Muller."""
         if count <= 0:
             return np.empty(0, dtype=np.float64)
-        pairs = (count + 1) // 2
-        w = self.raw(2 * pairs)
-        u1 = ((w[0::2] >> _SHIFT) + _U64(1)) * _SCALE
-        u2 = (w[1::2] >> _SHIFT) * _SCALE
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = (2.0 * np.pi) * u2
-        out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
+        words = 2 * ((count + 1) // 2)
+        out = np.empty(words, dtype=np.float64)
+        for lo in range(0, words, 2 * _CHUNK_PAIRS):
+            hi = min(lo + 2 * _CHUNK_PAIRS, words)
+            w = self.raw(hi - lo)
+            w >>= _SHIFT
+            u1 = (w[0::2] + _U64(1)) * _SCALE
+            u2 = w[1::2] * _SCALE
+            radius = np.sqrt(-2.0 * np.log(u1))
+            angle = (2.0 * np.pi) * u2
+            np.multiply(radius, np.cos(angle), out[lo:hi:2])
+            np.multiply(radius, np.sin(angle), out[lo + 1 : hi : 2])
         return out[:count]
 
     def matrix(self, rows: int, cols: int) -> NDArray[np.float64]:

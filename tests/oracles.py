@@ -6,7 +6,9 @@ routes that stay independent of it are sign-change bisection on the
 determinant (here), the characteristic-polynomial roots frozen in
 test_linalg.py, and the eigen-residual and B-orthonormality checks, which
 test a solution by its defining equations. `reference_flow` restates the
-three iterative solvers from their update rules alone.
+three iterative solvers from their update rules alone, and `reference_draws`
+restates the Philox/Box-Muller contract of `gepflow.rng` in one unchunked
+pass.
 """
 
 from __future__ import annotations
@@ -179,3 +181,38 @@ def reference_flow(
             break
     rows.append(row(iterations, rho_at(u, iterations), u))
     return u, iterations, rows, stop_reason
+
+
+def reference_draws(seed: int, stream: int, calls) -> list[np.ndarray]:
+    """Outputs of a sequence of ("normals" | "uniforms", count) draws.
+
+    Restates the rng module's contract over one block of Philox 4x64 words
+    keyed by (seed mod 2^64, stream mod 2^64): a uniform takes one word w
+    as (w >> 11) 2^-53; normals take 2 ceil(c / 2) words in pairs,
+    u1 = ((w_even >> 11) + 1) 2^-53, u2 = (w_odd >> 11) 2^-53,
+    z_even = sqrt(-2 ln u1) cos(2 pi u2), z_odd = sqrt(-2 ln u1) sin(2 pi u2).
+    """
+    sizes = [c if kind == "uniforms" else 2 * ((c + 1) // 2) for kind, c in calls]
+    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
+    words = np.random.Philox(key=key).random_raw(max(sum(sizes), 1))
+    shift, scale = np.uint64(11), 2.0**-53
+    out, pos = [], 0
+    for (kind, count), size in zip(calls, sizes):
+        w = words[pos : pos + size]
+        pos += size
+        if kind == "uniforms":
+            out.append((w >> shift) * scale)
+            continue
+        u1 = ((w[0::2] >> shift) + np.uint64(1)) * scale
+        u2 = (w[1::2] >> shift) * scale
+        r = np.sqrt(-2.0 * np.log(u1))
+        z = np.empty(size)
+        z[0::2] = r * np.cos(2.0 * np.pi * u2)
+        z[1::2] = r * np.sin(2.0 * np.pi * u2)
+        out.append(z[:count])
+    return out
+
+
+def reference_normals(seed: int, stream: int, count: int) -> np.ndarray:
+    """The first `count` normals of NormalStream(seed, stream), per the contract."""
+    return reference_draws(seed, stream, [("normals", count)])[0]

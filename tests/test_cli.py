@@ -296,6 +296,25 @@ class TestPriorFlags:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("key", ["latent_dim", "output_dim"])
+    def test_model_missing_dimension(self, tmp_path, capsys, command, key):
+        model = model_to_json(random_mlp(16, 4, hidden=(8,), seed=3))
+        del model[key]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(model))
+        if command == "solve":
+            argv = ["solve", "--solver", "prfm", "--in", str(_generate(tmp_path))]
+        else:
+            argv = ["sweep", "--kind", "spiked", "--n", "16", "--m-values", "40",
+                    "--trials", "1"]
+        out = tmp_path / "out"
+        assert main([*argv, "--prior", "range", "--model", str(path), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"model JSON is missing {key!r}" in lines[0]
+        assert not out.exists()
+
     def test_k_prior_needs_truth(self, tmp_path, capsys):
         # Sweep instances always carry their truth; a bundle may not.
         bare = ProblemInstance(

@@ -1,8 +1,29 @@
-"""Random-stream contract: determinism, prefix stability, distribution sanity."""
+"""Random-stream contract: determinism, prefix stability, distribution sanity.
+
+The property tests pin every draw, byte for byte, to `oracles.reference_draws`,
+which restates the module docstring's Philox/Box-Muller formulas in one
+unchunked pass, including request sizes on both sides of a chunk boundary.
+"""
+
+import tracemalloc
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gepflow.rng import NormalStream
+from gepflow.rng import _CHUNK_PAIRS, NormalStream
+
+from oracles import reference_draws, reference_normals
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+_CHUNK = 2 * _CHUNK_PAIRS  # normals per full chunk
+counts = st.one_of(
+    st.sampled_from((1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)),
+    st.integers(0, 100).map(lambda c: 2 * c + 1),
+    st.integers(0, 300),
+)
+seeds = st.integers(-(2**65), 2**65)
 
 
 def test_determinism():
@@ -71,3 +92,41 @@ def test_matrix_row_major_order():
     m = NormalStream(3).matrix(4, 5)
     flat = NormalStream(3).normals(20)
     assert np.array_equal(m.reshape(-1), flat)
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, stream=seeds, count=counts)
+def test_normals_match_contract(seed, stream, count):
+    s = NormalStream(seed, stream=stream)
+    assert s.normals(count).tobytes() == reference_normals(seed, stream, count).tobytes()
+    # The same words were consumed: the next draw is the oracle's next draw.
+    expected = reference_draws(seed, stream, [("normals", count), ("uniforms", 3)])[1]
+    assert s.uniforms(3).tobytes() == expected.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=seeds,
+    stream=seeds,
+    calls=st.lists(st.tuples(st.sampled_from(("normals", "uniforms")), counts), max_size=6),
+)
+def test_interleaved_draws_match_contract(seed, stream, calls):
+    s = NormalStream(seed, stream=stream)
+    got = [getattr(s, kind)(count) for kind, count in calls]
+    got.append(s.uniforms(2))
+    expected = reference_draws(seed, stream, [*calls, ("uniforms", 2)])
+    assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+
+
+def test_normals_peak_memory_near_output_size():
+    # Chunked evaluation keeps only cache-sized temporaries alive next to the
+    # output; whole-request temporaries would peak at several output sizes.
+    count = 2_000_000
+    stream = NormalStream(11)
+    tracemalloc.start()
+    try:
+        stream.normals(count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= count * 8 + 4 * 2**20
