@@ -194,7 +194,7 @@ def reference_draws(seed: int, stream: int, calls) -> list[np.ndarray]:
     """
     sizes = [c if kind == "uniforms" else 2 * ((c + 1) // 2) for kind, c in calls]
     key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
-    words = np.random.Philox(key=key).random_raw(max(sum(sizes), 1))
+    words = np.random.Philox(key=key).random_raw(sum(sizes))
     shift, scale = np.uint64(11), 2.0**-53
     out, pos = [], 0
     for (kind, count), size in zip(calls, sizes):
