@@ -15,6 +15,7 @@ draws restart i's latent start from NormalStream(cfg.seed, stream=i).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -58,6 +59,10 @@ class LatentClampWarning(UserWarning):
     """Raised (as a warning) when a latent input is clamped to the ball."""
 
 
+def _positive(x) -> bool:
+    return math.isfinite(x) and x > 0
+
+
 def default_latent_radius(latent_dim: int) -> float:
     """Desk-scale latent-radius convention r = 3 * sqrt(k)."""
     return 3.0 * math.sqrt(latent_dim)
@@ -82,6 +87,8 @@ class Layer:
             )
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            raise ValueError("layer weight and bias must be finite")
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "bias", b)
 
@@ -110,8 +117,8 @@ class MlpGenerator:
             dims.append(layer.weight.shape[0])
         if dims[0] >= dims[-1]:
             raise ValueError("latent_dim must be smaller than output_dim")
-        if self.latent_radius <= 0 or self.min_norm <= 0:
-            raise ValueError("latent_radius and min_norm must be positive")
+        if not (_positive(self.latent_radius) and _positive(self.min_norm)):
+            raise ValueError("latent_radius and min_norm must be finite and positive")
         object.__setattr__(self, "layers", tuple(self.layers))
 
     @property
@@ -134,11 +141,13 @@ class SubspaceGenerator:
         q = np.asarray(self.basis, dtype=np.float64)
         if q.ndim != 2 or q.shape[0] < q.shape[1]:
             raise ValueError("basis must be n x k with k <= n")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("basis must be finite")
         gram = q.T @ q
         if np.max(np.abs(gram - np.eye(q.shape[1]))) > 1e-10:
             raise ValueError("basis columns are not orthonormal within 1e-10")
-        if self.latent_radius <= 0:
-            raise ValueError("latent_radius must be positive")
+        if not _positive(self.latent_radius):
+            raise ValueError("latent_radius must be finite and positive")
         object.__setattr__(self, "basis", q)
 
     @property
@@ -192,7 +201,7 @@ def _clamp_latent(gen: Generator, z) -> NDArray[np.float64]:
     zv = np.asarray(z, dtype=np.float64).ravel()
     if zv.shape[0] != gen.latent_dim:
         raise ValueError(f"latent has length {zv.shape[0]}, expected {gen.latent_dim}")
-    norm = math.sqrt(float(zv @ zv))
+    norm = math.sqrt(float(zv.dot(zv)))
     if norm > gen.latent_radius:
         # Rescaling-induced 1-ulp overshoots are silent; real violations warn.
         if norm > gen.latent_radius * (1.0 + 1e-9):
@@ -225,7 +234,7 @@ def _mlp_trace(gen: MlpGenerator, z: NDArray[np.float64]):
     h = z
     cache = []
     for layer in gen.layers:
-        pre = layer.weight @ h + layer.bias
+        pre = layer.weight.dot(h) + layer.bias
         post = _activate(layer.activation, pre)
         cache.append((pre, post))
         h = post
@@ -234,7 +243,7 @@ def _mlp_trace(gen: MlpGenerator, z: NDArray[np.float64]):
 
 def _raw_forward(gen: Generator, z: NDArray[np.float64]) -> NDArray[np.float64]:
     if isinstance(gen, SubspaceGenerator):
-        return gen.basis @ z
+        return gen.basis.dot(z)
     return _mlp_trace(gen, z)[0]
 
 
@@ -251,7 +260,7 @@ def forward(gen: Generator, z) -> NDArray[np.float64]:
     if isinstance(gen, MlpGenerator) and not gen.normalized:
         return raw
     floor = gen.min_norm if isinstance(gen, MlpGenerator) else MIN_NORM_DEFAULT
-    norm = math.sqrt(float(raw @ raw))
+    norm = math.sqrt(float(raw.dot(raw)))
     if norm <= floor:
         raise DegenerateOutput(f"raw output norm {norm:.6g} <= {floor:.6g}")
     return raw / norm
@@ -272,27 +281,27 @@ def backward(gen: Generator, z, cotangent) -> NDArray[np.float64]:
         )
 
     if isinstance(gen, SubspaceGenerator):
-        raw = gen.basis @ zv
-        norm = math.sqrt(float(raw @ raw))
+        raw = gen.basis.dot(zv)
+        norm = math.sqrt(float(raw.dot(raw)))
         if norm <= MIN_NORM_DEFAULT:
             raise DegenerateOutput(f"raw output norm {norm:.6g} too small")
         out = raw / norm
-        grad_raw = (cot - float(out @ cot) * out) / norm
-        return gen.basis.T @ grad_raw
+        grad_raw = (cot - float(out.dot(cot)) * out) / norm
+        return gen.basis.T.dot(grad_raw)
 
     raw, cache = _mlp_trace(gen, zv)
     if gen.normalized:
-        norm = math.sqrt(float(raw @ raw))
+        norm = math.sqrt(float(raw.dot(raw)))
         if norm <= gen.min_norm:
             raise DegenerateOutput(f"raw output norm {norm:.6g} <= {gen.min_norm:.6g}")
         out = raw / norm
-        grad = (cot - float(out @ cot) * out) / norm
+        grad = (cot - float(out.dot(cot)) * out) / norm
     else:
         grad = cot
     for layer, (pre, post) in zip(reversed(gen.layers), reversed(cache)):
         if layer.activation != "identity":
             grad = grad * _activate_grad(layer.activation, pre, post)
-        grad = layer.weight.T @ grad
+        grad = layer.weight.T.dot(grad)
     return grad
 
 
@@ -315,17 +324,17 @@ def subspace_project(gen: SubspaceGenerator, x) -> NDArray[np.float64]:
     xv = np.asarray(x, dtype=np.float64).reshape(-1)
     if xv.shape[0] != gen.output_dim:
         raise ValueError(f"target has length {xv.shape[0]}, expected {gen.output_dim}")
-    coeff = gen.basis.T @ xv
-    norm = math.sqrt(float(coeff @ coeff))  # equals ||QQ^T x|| for orthonormal Q
+    coeff = gen.basis.T.dot(xv)
+    norm = math.sqrt(float(coeff.dot(coeff)))  # equals ||QQ^T x|| for orthonormal Q
     if norm <= 1e-12:
         raise DegenerateProjection("target is orthogonal to the subspace")
-    return gen.basis @ (coeff / norm)
+    return gen.basis.dot(coeff / norm)
 
 
 def _objective_and_grad(gen: Generator, z: NDArray[np.float64], x: NDArray[np.float64]):
     point = forward(gen, z)
     diff = point - x
-    value = float(diff @ diff)
+    value = float(diff.dot(diff))
     grad = 2.0 * backward(gen, z, diff)
     return value, grad, point
 
@@ -349,7 +358,8 @@ def project_to_range(
     (lowest restart, earliest step) candidate.
 
     Raises AllRestartsDegenerate only if every restart dies with
-    DegenerateOutput before recording a candidate.
+    DegenerateOutput before recording a candidate, and ValueError on a
+    non-finite target or warm start.
     """
     xv = np.asarray(x, dtype=np.float64).reshape(-1)
     if xv.shape[0] != gen.output_dim:
@@ -360,61 +370,63 @@ def project_to_range(
     k = gen.latent_dim
     radius = gen.latent_radius
     total = max(cfg.restarts, len(warm_starts))
-    best: RangeProjection | None = None
     beta1, beta2, lr, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.learning_rate, cfg.adam_eps
     keep1, keep2 = 1.0 - beta1, 1.0 - beta2
+    # NaN compares false, so the first candidate is always taken; a later one
+    # replaces the best unless its distance is >= the best's.
+    best_distance, best_point, best_z, best_restart = math.nan, None, None, -1
 
     for restart in range(total):
         if restart < len(warm_starts):
             z = np.asarray(warm_starts[restart], dtype=np.float64).reshape(-1)
             if z.shape[0] != k:
                 raise ValueError("warm start has wrong latent dimension")
+            if not np.all(np.isfinite(z)):
+                raise ValueError("warm start has non-finite entries")
             norm = float(np.linalg.norm(z))
             if norm > radius:
                 z = z * (radius / norm)
         else:
-            z = NormalStream(cfg.seed, stream=restart).ball_point(k, 0.9 * radius)
+            z = _random_start(cfg.seed, restart, k, radius)
 
         m = np.zeros(k)
         v = np.zeros(k)
-        try:
-            value, grad, point = _objective_and_grad(gen, z, xv)
-        except DegenerateOutput:
-            continue
-        best = _candidate(point, z, value, restart, best)
-        for step in range(1, cfg.steps + 1):
-            m = beta1 * m + keep1 * grad
-            v = beta2 * v + keep2 * grad * grad
-            m_hat = m / (1.0 - beta1**step)
-            v_hat = v / (1.0 - beta2**step)
-            z = z - lr * m_hat / (np.sqrt(v_hat) + eps)
-            norm = math.sqrt(float(z @ z))
-            if norm > radius:
-                z = z * (radius / norm)
+        for step in range(cfg.steps + 1):  # step 0 evaluates the start
+            if step:
+                m = beta1 * m + keep1 * grad
+                v = beta2 * v + keep2 * grad * grad
+                m_hat = m / (1.0 - beta1**step)
+                v_hat = v / (1.0 - beta2**step)
+                z = z - lr * m_hat / (np.sqrt(v_hat) + eps)
+                norm = math.sqrt(float(z.dot(z)))
+                if norm > radius:
+                    z = z * (radius / norm)
             try:
                 value, grad, point = _objective_and_grad(gen, z, xv)
             except DegenerateOutput:
                 break
-            best = _candidate(point, z, value, restart, best)
+            distance = math.sqrt(max(value, 0.0))
+            if not distance >= best_distance:
+                best_distance, best_point, best_z, best_restart = distance, point, z, restart
 
-    if best is None:
+    if best_point is None:
         raise AllRestartsDegenerate(f"all {total} restarts hit degenerate outputs")
-    return best
-
-
-def _candidate(
-    point: NDArray[np.float64],
-    z: NDArray[np.float64],
-    value: float,
-    restart: int,
-    best: RangeProjection | None,
-) -> RangeProjection:
-    distance = math.sqrt(max(value, 0.0))
-    if best is not None and distance >= best.distance:
-        return best
     return RangeProjection(
-        point=point.copy(), latent=z.copy(), distance=distance, restart_index=restart
+        point=best_point.copy(),
+        latent=best_z.copy(),
+        distance=best_distance,
+        restart_index=best_restart,
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _random_start(seed: int, stream: int, k: int, radius: float) -> NDArray[np.float64]:
+    """Restart `stream`'s random Adam start: uniform in the ball of radius
+    0.9 * radius. A pure function of its arguments, so drawn once and
+    cached; read-only, so no caller can change a cached start."""
+    z = NormalStream(seed, stream=stream).ball_point(k, 0.9 * radius)
+    z.flags.writeable = False
+    return z
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ def sparse_truncate(x, s: int) -> NDArray[np.float64]:
     keep = (-np.abs(xv)).argsort(kind="stable")[:s]
     out = np.zeros(xv.shape[0])
     out[keep] = xv[keep]
-    norm = math.sqrt(float(out @ out))
+    norm = math.sqrt(float(out.dot(out)))
     if norm <= 1e-12:
         raise ZeroVector("nothing left after sparse truncation")
     return out / norm
@@ -117,7 +117,7 @@ def project(p: Projector, x) -> NDArray[np.float64]:
     # as np.linalg.norm does
     xv = np.asarray(x, dtype=np.float64).ravel()
     if isinstance(p, SphereProjector):
-        norm = math.sqrt(float(xv @ xv))
+        norm = math.sqrt(float(xv.dot(xv)))
         if norm <= 1e-12:
             raise ZeroVector("cannot normalize a (near-)zero vector")
         return xv / norm

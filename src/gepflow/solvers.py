@@ -86,6 +86,8 @@ class SolverConfig:
             raise ValueError("denominator_floor must be positive")
         if self.init is not None:
             u = np.asarray(self.init, dtype=np.float64).reshape(-1)
+            if not np.all(np.isfinite(u)):
+                raise ValueError("init has non-finite entries")
             if abs(_norm(u) - 1.0) > 1e-10:
                 raise ValueError("init must be a unit vector within 1e-10")
             object.__setattr__(self, "init", u)
@@ -141,17 +143,17 @@ def _resolve_init(cfg: SolverConfig, n: int) -> NDArray[np.float64]:
 def _norm(x: NDArray[np.float64]) -> float:
     # np.linalg.norm's dot-then-sqrt without its dispatch; bit-equal to it
     # for the contiguous 1-D float64 arrays the solvers pass
-    return math.sqrt(float(x @ x))
+    return math.sqrt(float(x.dot(x)))
 
 
 def _rho(u, au, bu, floor: float, t: int) -> float:
     """Rayleigh quotient from the iterate's matvecs; with bu None, u'Au."""
     if bu is None:
-        return float(u @ au)
-    den = float(u @ bu)
+        return float(u.dot(au))
+    den = float(u.dot(bu))
     if den <= floor:
         raise DenominatorNonPositive(t, den)
-    return float(u @ au) / den
+    return float(u.dot(au)) / den
 
 
 def _row(t: int, rho: float, u, v) -> TraceRow:
@@ -178,8 +180,11 @@ def _flow(a, b, cfg: SolverConfig, v_star, step) -> tuple[NDArray[np.float64], R
     iterations = 0
     stop_reason = "max_iters"
     for t in range(cfg.max_iters):
-        au = a @ u
-        bu = None if b is None else b @ u
+        # ndarray.dot, here, in _rho and in the projections, not @: both reach
+        # the same BLAS call, but @'s ufunc dispatch adds up to a microsecond
+        # to each of these per-iterate products.
+        au = a.dot(u)
+        bu = None if b is None else b.dot(u)
         rho = _rho(u, au, bu, cfg.denominator_floor, t)
         if record:
             rows.append(_row(t, rho, u, v))
@@ -191,7 +196,7 @@ def _flow(a, b, cfg: SolverConfig, v_star, step) -> tuple[NDArray[np.float64], R
             stop_reason = "converged"
             break
 
-    rho = _rho(u, a @ u, None if b is None else b @ u, cfg.denominator_floor, iterations)
+    rho = _rho(u, a.dot(u), None if b is None else b.dot(u), cfg.denominator_floor, iterations)
     if record:
         rows.append(_row(iterations, rho, u, v))
     return u, RunTrace(

@@ -6,21 +6,28 @@ routes that stay independent of it are sign-change bisection on the
 determinant (here), the characteristic-polynomial roots frozen in
 test_linalg.py, and the eigen-residual and B-orthonormality checks, which
 test a solution by its defining equations. `reference_flow` restates the
-three iterative solvers from their update rules alone, and `reference_draws`
+three iterative solvers from their update rules alone, `reference_draws`
 restates the Philox/Box-Muller contract of `gepflow.rng` in one unchunked
-pass.
+pass, and `reference_project_to_range` restates the latent Adam descent of
+the range prior with its decoder's forward and backward passes inline.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from gepflow.errors import (
+    AllRestartsDegenerate,
+    DegenerateOutput,
     DegenerateProjection,
     DenominatorNonPositive,
     NonPositiveRho,
     ZeroVector,
 )
+from gepflow.generative import MIN_NORM_DEFAULT, SubspaceGenerator
+from gepflow.rng import NormalStream
 
 
 def det_poly_roots(a: np.ndarray, b: np.ndarray, *, points: int = 200_001) -> list[float]:
@@ -216,3 +223,105 @@ def reference_draws(seed: int, stream: int, calls) -> list[np.ndarray]:
 def reference_normals(seed: int, stream: int, count: int) -> np.ndarray:
     """The first `count` normals of NormalStream(seed, stream), per the contract."""
     return reference_draws(seed, stream, [("normals", count)])[0]
+
+
+def reference_project_to_range(gen, x, cfg, warm_starts=()):
+    """`project_to_range` restated restart by restart, for byte comparison.
+
+    Every product is written with @; each random start is a fresh
+    NormalStream(cfg.seed, stream=restart).ball_point(k, 0.9 r); the
+    decoder's forward and backward passes are inline (the latent is clamped
+    to the radius-r ball, the output normalized unless the MLP opts out,
+    ReLU's subgradient at 0 taken as 0). The best candidate is replaced
+    after every objective evaluation whose distance is not >= the best's.
+    Returns (point, latent, distance, restart_index); raises
+    AllRestartsDegenerate when every restart dies with DegenerateOutput
+    before recording a candidate.
+    """
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    subspace = isinstance(gen, SubspaceGenerator)
+    normalized = subspace or gen.normalized
+    floor = MIN_NORM_DEFAULT if subspace else gen.min_norm
+    r = gen.latent_radius
+
+    def objective_and_grad(z):
+        zc = np.array(z, dtype=np.float64)
+        norm = math.sqrt(float(zc @ zc))
+        if norm > r:
+            zc = zc * (r / norm)
+        if subspace:
+            raw = gen.basis @ zc
+        else:
+            h, cache = zc, []
+            for layer in gen.layers:
+                pre = layer.weight @ h + layer.bias
+                if layer.activation == "relu":
+                    post = np.maximum(pre, 0.0)
+                elif layer.activation == "sigmoid":
+                    post = 1.0 / (1.0 + np.exp(-pre))
+                else:
+                    post = pre
+                cache.append((pre, post))
+                h = post
+            raw = h
+        if normalized:
+            raw_norm = math.sqrt(float(raw @ raw))
+            if raw_norm <= floor:
+                raise DegenerateOutput("raw output norm at or below the floor")
+            point = raw / raw_norm
+        else:
+            point = raw
+        diff = point - x
+        grad = (diff - float(point @ diff) * point) / raw_norm if normalized else diff
+        if subspace:
+            grad = gen.basis.T @ grad
+        else:
+            for layer, (pre, post) in zip(reversed(gen.layers), reversed(cache)):
+                if layer.activation == "relu":
+                    grad = grad * (pre > 0.0).astype(np.float64)
+                elif layer.activation == "sigmoid":
+                    grad = grad * (post * (1.0 - post))
+                grad = layer.weight.T @ grad
+        return float(diff @ diff), 2.0 * grad, point
+
+    def candidate(best, point, z, value, restart):
+        distance = math.sqrt(max(value, 0.0))
+        if best is not None and distance >= best[2]:
+            return best
+        return (point.copy(), z.copy(), distance, restart)
+
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    best = None
+    for restart in range(max(cfg.restarts, len(warm_starts))):
+        if restart < len(warm_starts):
+            z = np.asarray(warm_starts[restart], dtype=np.float64).reshape(-1)
+            norm = float(np.linalg.norm(z))
+            if norm > r:
+                z = z * (r / norm)
+        else:
+            z = NormalStream(cfg.seed, stream=restart).ball_point(gen.latent_dim, 0.9 * r)
+        m = np.zeros(z.shape[0])
+        v = np.zeros(z.shape[0])
+        try:
+            value, grad, point = objective_and_grad(z)
+        except DegenerateOutput:
+            continue
+        best = candidate(best, point, z, value, restart)
+        for step in range(1, cfg.steps + 1):
+            m = b1 * m + (1.0 - b1) * grad
+            v = b2 * v + (1.0 - b2) * grad * grad
+            m_hat = m / (1.0 - b1**step)
+            v_hat = v / (1.0 - b2**step)
+            z = z - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            norm = math.sqrt(float(z @ z))
+            if norm > r:
+                z = z * (r / norm)
+            try:
+                value, grad, point = objective_and_grad(z)
+            except DegenerateOutput:
+                break
+            best = candidate(best, point, z, value, restart)
+    if best is None:
+        raise AllRestartsDegenerate("every restart hit a degenerate output")
+    return best
+

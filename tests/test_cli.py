@@ -315,6 +315,39 @@ class TestPriorFlags:
         assert f"model JSON is missing {key!r}" in lines[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("entry", ["weight", "bias", "latent_radius", "basis"])
+    def test_model_with_nan_rejected(self, tmp_path, capsys, command, entry):
+        # json.load accepts NaN; such a model used to load, and its
+        # projections returned NaN points.
+        nan = float("nan")
+        if entry == "basis":
+            model = model_to_json(random_subspace(16, 4, seed=3))
+            model["basis"][2][1] = nan
+        else:
+            model = model_to_json(random_mlp(16, 4, hidden=(8,), seed=3))
+            if entry == "weight":
+                model["layers"][0]["weight"][0][1] = nan
+            elif entry == "bias":
+                model["layers"][0]["bias"][0] = nan
+            else:
+                model["latent_radius"] = nan
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(model))
+        assert "NaN" in path.read_text()
+        if command == "solve":
+            argv = ["solve", "--solver", "prfm", "--in", str(_generate(tmp_path))]
+        else:
+            argv = ["sweep", "--kind", "spiked", "--n", "16", "--m-values", "40",
+                    "--trials", "1"]
+        out = tmp_path / "out"
+        assert main([*argv, "--prior", "range", "--model", str(path), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        # The model is refused when it loads, not when a NaN iterate appears.
+        assert "must be finite" in lines[0]
+        assert not out.exists()
+
     def test_k_prior_needs_truth(self, tmp_path, capsys):
         # Sweep instances always carry their truth; a bundle may not.
         bare = ProblemInstance(

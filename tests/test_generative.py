@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from gepflow.errors import AllRestartsDegenerate, DegenerateOutput, DegenerateProjection
 from gepflow.generative import (
+    _random_start,
     LatentClampWarning,
     LatentProjectionConfig,
     Layer,
@@ -28,6 +29,7 @@ from gepflow.generative import (
     subspace_containing,
     subspace_project,
 )
+from gepflow.priors import RangeProjector, project
 from gepflow.rng import NormalStream
 
 from oracles import finite_difference_gradient
@@ -57,6 +59,31 @@ class TestConstruction:
     def test_subspace_requires_orthonormal_basis(self):
         with pytest.raises(ValueError):
             SubspaceGenerator(basis=np.ones((4, 2)), latent_radius=1.0)
+
+    @pytest.mark.parametrize("field", ["weight", "bias"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_layer_rejected(self, field, bad):
+        params = {"weight": np.ones((3, 2)), "bias": np.zeros(3)}
+        params[field].flat[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Layer(**params, activation="relu")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_basis_rejected(self, bad):
+        basis = np.eye(4)[:, :2].copy()
+        basis[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SubspaceGenerator(basis=basis, latent_radius=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_radius_and_floor_rejected(self, bad):
+        layer = Layer(weight=np.ones((3, 2)), bias=np.zeros(3), activation="relu")
+        with pytest.raises(ValueError, match="finite"):
+            MlpGenerator(layers=(layer,), latent_radius=bad)
+        with pytest.raises(ValueError, match="finite"):
+            MlpGenerator(layers=(layer,), latent_radius=1.0, min_norm=bad)
+        with pytest.raises(ValueError, match="finite"):
+            SubspaceGenerator(basis=np.eye(4)[:, :2], latent_radius=bad)
 
     def test_random_mlp_shapes(self):
         gen = random_mlp(16, 4, hidden=(8,), seed=3)
@@ -339,6 +366,14 @@ class TestProjectToRange:
         assert_allclose(gen.basis @ coeff, result.point, atol=1e-9)
         assert_allclose(np.linalg.norm(result.point), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_warm_start_rejected(self, bad):
+        gen = random_subspace(6, 2, seed=16)
+        with pytest.raises(ValueError, match="non-finite"):
+            project_to_range(
+                gen, np.ones(6), LatentProjectionConfig(seed=1), warm_starts=([0.5, bad],)
+            )
+
     def test_all_restarts_degenerate(self):
         dead = Layer(
             weight=np.array([[1.0], [1.0]]),
@@ -348,6 +383,50 @@ class TestProjectToRange:
         gen = MlpGenerator(layers=(dead,), latent_radius=5.0)
         with pytest.raises(AllRestartsDegenerate):
             project_to_range(gen, [1.0, 0.0], LatentProjectionConfig(seed=1))
+
+
+class TestRandomStarts:
+    """Random Adam starts are drawn once per (seed, restart, k, radius)."""
+
+    def test_cached_start_equals_fresh_draw(self):
+        for seed, stream, k, radius in [(0, 0, 4, 6.0), (7, 2, 1, 0.5), (2**40, 5, 9, 9.0)]:
+            fresh = NormalStream(seed, stream=stream).ball_point(k, 0.9 * radius)
+            assert _random_start(seed, stream, k, radius).tobytes() == fresh.tobytes()
+
+    def test_cached_start_is_read_only(self):
+        z = _random_start(3, 1, 4, 6.0)
+        with pytest.raises(ValueError):
+            z[0] = 0.0
+        with pytest.raises(ValueError):
+            z *= 2.0
+        result = project_to_range(
+            random_mlp(8, 4, seed=3), np.ones(8), LatentProjectionConfig(steps=1, seed=3)
+        )
+        result.latent[0] = 0.0  # what a projection returns is the caller's own
+
+    def test_repeated_projection_is_identical_and_reuses_starts(self):
+        gen = random_mlp(12, 3, hidden=(6,), activation="sigmoid", seed=8)
+        projector = RangeProjector(model=gen, config=LatentProjectionConfig(steps=6, seed=91))
+        x = NormalStream(92, stream=0).unit_vector(12)
+        first = project_to_range(gen, x, projector.config)
+        hits = _random_start.cache_info().hits
+        second = project_to_range(gen, x, projector.config)
+        assert _random_start.cache_info().hits == hits + projector.config.restarts
+        for a, b in [(first.point, second.point), (first.latent, second.latent)]:
+            assert a.tobytes() == b.tobytes()
+        assert (first.distance, first.restart_index) == (second.distance, second.restart_index)
+        assert project(projector, x).tobytes() == project(projector, x).tobytes()
+
+    def test_other_seed_gets_other_starts(self):
+        gen = random_mlp(12, 3, hidden=(6,), seed=8)
+        x = NormalStream(92, stream=0).unit_vector(12)
+        a, b = (
+            RangeProjector(model=gen, config=LatentProjectionConfig(steps=1, restarts=1, seed=s))
+            for s in (91, 92)
+        )
+        r = gen.latent_radius
+        assert _random_start(91, 0, 3, r).tobytes() != _random_start(92, 0, 3, r).tobytes()
+        assert project(a, x).tobytes() != project(b, x).tobytes()
 
 
 class TestSerialization:

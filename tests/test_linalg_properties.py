@@ -5,6 +5,10 @@ not against another eigensolver: eigen-residuals (the bound of acceptance
 check 01), orthonormality, descending order, the sign convention, and the
 leading-vector scaling. Inputs are random symmetric A and B = M M^T + I
 with n in 1..12, given to the solvers in both C and Fortran memory order.
+
+The solver and range-projection hot loops call ndarray.dot where they once
+used @, on the premise that both give the same bytes; the last property
+checks that premise for the layouts those loops use.
 """
 
 import numpy as np
@@ -67,3 +71,31 @@ def test_generalized_eig_properties(ab, order):
     np.testing.assert_allclose(spec.leading_unit, spec.scale_d * vecs[:, 0], rtol=0, atol=1e-15)
     assert abs(np.linalg.norm(spec.leading_unit) - 1.0) <= 1e-12
     assert spec.gap == (lam[0] - lam[1] if n > 1 else np.inf)
+
+
+@st.composite
+def product_operands(draw):
+    """A float64 matrix (C order, F order, or the transpose view of a C
+    array, as in `backward`) with a vector to multiply and a second vector
+    for the inner product; each vector contiguous or strided."""
+    rows, cols = draw(st.integers(1, 130)), draw(st.integers(1, 130))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from((1e-3, 1.0, 1e3)))
+    layout = draw(st.sampled_from(("C", "F", "T")))
+    if layout == "T":
+        m = (rng.standard_normal((cols, rows)) * scale).T
+    else:
+        m = np.array(rng.standard_normal((rows, cols)) * scale, order=layout)
+    vectors = []
+    for _ in range(2):
+        step = draw(st.sampled_from((1, 2, 3)))
+        vectors.append(rng.standard_normal(cols * step)[::step])
+    return m, vectors[0], vectors[1]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(ops=product_operands())
+def test_dot_method_matches_matmul_bytes(ops):
+    m, v, w = ops
+    assert m.dot(v).tobytes() == (m @ v).tobytes()
+    assert np.float64(v.dot(w)).tobytes() == np.float64(v @ w).tobytes()

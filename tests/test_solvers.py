@@ -74,6 +74,13 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(step_size=0.1, max_iters=10, init=np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("init", [[np.nan] * 4, [np.nan, 1.0, 0.0, 0.0]])
+    def test_non_finite_init_rejected(self, init):
+        # The unit-norm check alone is False for NaN, so a NaN start used to
+        # be accepted and win run_with_restarts as an all-NaN estimate.
+        with pytest.raises(ValueError, match="non-finite"):
+            SolverConfig(step_size=0.1, max_iters=10, init=np.array(init))
+
     def test_default_init_vector(self):
         assert_allclose(default_init(4), np.full(4, 0.5), atol=1e-15)
 
