@@ -53,7 +53,7 @@ from .linalg import generalized_eig
 from .priors import PRIOR_NAMES, projector_from_spec
 from .problems import instance_from_json, instance_to_json, verify_perturbation
 from .rng import NormalStream
-from .solvers import SOLVER_NAMES, SolverConfig, run_with_restarts, trace_to_json
+from .solvers import DENOMINATOR_FLOOR, SOLVER_NAMES, SolverConfig, run_with_restarts, trace_to_json
 from .theory import compute_conditions, run_lemma_suites
 
 
@@ -77,7 +77,10 @@ def _parse_step(text) -> float:
     s = str(text).strip()
     if "/" in s:
         num, den = s.split("/", 1)
-        return int(num) / int(den)
+        try:
+            return int(num) / int(den)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"step size {s!r}: {exc}") from exc
     return float(s)
 
 
@@ -269,7 +272,7 @@ def _cmd_solve(args) -> int:
     eta_prime = r.get("eta_prime", 35.0 / 32.0, _parse_step)
     max_iters = r.get("max_iters", 300, int)
     stop_tol = _parse_stop_tol(r.get("stop_tol", "1e-9"))
-    floor = r.get("denominator_floor", 1e-10, float)
+    floor = r.get("denominator_floor", DENOMINATOR_FLOOR, float)
     restarts = r.get("restarts", 10, int)
     s = r.get("s", None, int)
     prior = _prior_spec(r)
@@ -364,14 +367,10 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    opts = {
-        "cmd": "sweep", "kind": spec.kind, "m_values": list(spec.m_values),
-        "n": spec.n, "solvers": list(spec.solvers), "trials": spec.trials,
-        "prior": prior_spec, "restarts": spec.restarts, "eta": spec.eta,
-        "eta_prime": spec.eta_prime, "s": spec.s, "max_iters": spec.max_iters,
-        "stop_tol": spec.stop_tol, "seed": seed, "timing": timing,
-    }
-    prov = _provenance(seed, opts)
+    # every spec field is hashed, base_seed under its flag's name
+    fields = dataclasses.asdict(spec)
+    del fields["base_seed"]
+    prov = _provenance(seed, {"cmd": "sweep", **fields, "seed": seed, "timing": timing})
 
     try:
         rows = run_sweep(spec, jobs=jobs, timing=timing)

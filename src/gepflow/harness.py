@@ -131,8 +131,8 @@ class SweepSpec:
             raise ValueError("trials must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if not (self.eta > 0 and self.eta_prime > 0):
-            raise ValueError("eta and eta_prime must be positive")
+        if not (0 < self.eta < math.inf and 0 < self.eta_prime < math.inf):
+            raise ValueError("eta and eta_prime must be finite and positive")
         if "rifle" in sv and (self.s is None or self.s < 1):
             raise ValueError("rifle requires a positive sparsity level s")
         if self.max_iters < 1:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -83,7 +84,8 @@ class MatrixPair:
 
     Construction validates symmetry, matching dimensions, and positive
     definiteness of `b` (Cholesky with all pivots > 1e-12); the lower
-    Cholesky factor computed during validation is cached on the instance.
+    Cholesky factor computed during validation is cached on the instance,
+    and so are B's extreme eigenvalues once `b_extremes` is first read.
     """
 
     a: NDArray[np.float64]
@@ -102,6 +104,12 @@ class MatrixPair:
     @property
     def dim(self) -> int:
         return self.a.shape[0]
+
+    @cached_property
+    def b_extremes(self) -> tuple[float, float]:
+        """(lambda_min(B), lambda_max(B)), from one ``eigvalsh`` per pair."""
+        eigs = np.linalg.eigvalsh(self.b)  # ascending
+        return float(eigs[0]), float(eigs[-1])
 
 
 @dataclass(frozen=True, eq=False)

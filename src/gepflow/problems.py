@@ -130,18 +130,21 @@ def _gram(x: NDArray[np.float64], m: int) -> NDArray[np.float64]:
     return (g + g.T) / 2.0
 
 
-def gen_spiked(v_star, m: int, seed: int) -> ProblemInstance:
-    """Spiked-covariance model: truth A = 4 v* v*' + I, B = I (eigs 5 and 1)."""
-    v = _unit_v(v_star)
-    n = v.shape[0]
+def _spiked_draws(v, m: int, seed: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """A_hat of x_i = 2 gamma_i v + z_i, and the raw B-side samples W (m x n)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     stream = NormalStream(seed, stream=0)
     gamma = stream.normals(m)
-    z = stream.matrix(m, n)
-    x = 2.0 * np.outer(gamma, v) + z
-    a_hat = _gram(x, m)
-    w = stream.matrix(m, n)
+    x = 2.0 * np.outer(gamma, v) + stream.matrix(m, v.shape[0])
+    return _gram(x, m), stream.matrix(m, v.shape[0])
+
+
+def gen_spiked(v_star, m: int, seed: int) -> ProblemInstance:
+    """Spiked-covariance model: truth A = 4 v* v*' + I, B = I (eigs 5 and 1)."""
+    v = _unit_v(v_star)
+    n = v.shape[0]
+    a_hat, w = _spiked_draws(v, m, seed)
     b_hat = _gram(w, m)
     truth = Truth(
         pair=MatrixPair(a=4.0 * np.outer(v, v) + np.eye(n), b=np.eye(n)),
@@ -183,14 +186,7 @@ def gen_diag_b(v_star, m: int, seed: int) -> ProblemInstance:
     n = v.shape[0]
     if n < 2:
         raise ValueError("diag-B model needs dimension >= 2")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    stream = NormalStream(seed, stream=0)
-    gamma = stream.normals(m)
-    z = stream.matrix(m, n)
-    x = 2.0 * np.outer(gamma, v) + z
-    a_hat = _gram(x, m)
-    w = stream.matrix(m, n)
+    a_hat, w = _spiked_draws(v, m, seed)
     w[:, 0] *= math.sqrt(2.0)
     b_hat = _gram(w, m)
     b_true = np.diag([2.0] + [1.0] * (n - 1))

@@ -52,6 +52,10 @@ __all__ = [
 
 SOLVER_NAMES = ("prfm", "rifle", "ppower")
 
+#: Default guard on the quotient denominator u'Bu: at or below it an
+#: iterate is treated as having a nonpositive denominator.
+DENOMINATOR_FLOOR = 1e-10
+
 
 def default_init(n: int) -> NDArray[np.float64]:
     """The all-ones direction, normalized."""
@@ -73,17 +77,17 @@ class SolverConfig:
     step_size: float
     max_iters: int
     init: NDArray[np.float64] | None = None
-    denominator_floor: float = 1e-10
+    denominator_floor: float = DENOMINATOR_FLOOR
     record_trace: bool = True
     stop_tol: float | None = 1e-9
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError("step_size must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.denominator_floor <= 0:
-            raise ValueError("denominator_floor must be positive")
+        if not 0 < self.denominator_floor < math.inf:
+            raise ValueError("denominator_floor must be finite and positive")
         if self.init is not None:
             u = np.asarray(self.init, dtype=np.float64).reshape(-1)
             if not np.all(np.isfinite(u)):
@@ -111,12 +115,15 @@ class RunTrace:
     """Per-iteration records for one solver run.
 
     When recording is enabled, rows has iterations_run + 1 entries: one per
-    visited iterate, including the final one. stop_reason is "converged"
-    when an update moved the iterate by at most stop_tol, else "max_iters".
+    visited iterate, including the final one. final_rho is the guarded
+    quotient at final_vector (u'Au for ppower), recorded or not. stop_reason
+    is "converged" when an update moved the iterate by at most stop_tol,
+    else "max_iters".
     """
 
     rows: tuple[TraceRow, ...]
     final_vector: NDArray[np.float64]
+    final_rho: float
     iterations_run: int
     stop_reason: str
 
@@ -202,6 +209,7 @@ def _flow(a, b, cfg: SolverConfig, v_star, step) -> tuple[NDArray[np.float64], R
     return u, RunTrace(
         rows=tuple(rows),
         final_vector=u,
+        final_rho=rho,
         iterations_run=iterations,
         stop_reason=stop_reason,
     )
@@ -252,8 +260,8 @@ def rifle(
     quotient raises NonPositiveRho at the offending iteration.
     """
     a, b = _pair(a_hat, b_hat)
-    if eta_prime <= 0:
-        raise ValueError("eta_prime must be positive")
+    if not 0 < eta_prime < math.inf:
+        raise ValueError("eta_prime must be finite and positive")
 
     def step(t, u, au, bu, rho):
         if rho <= cfg.denominator_floor:
@@ -303,9 +311,9 @@ def run_with_restarts(
     Restart 0 uses the configured start vector; restart j >= 1 starts from a
     uniform random unit vector pushed into the nonnegative orthant (absolute
     value), drawn from NormalStream(seed, stream=j). The winner maximizes
-    the empirical quotient (u'Au)/(u'Bu), or u'Au for the B-blind power
-    baseline; individual failures are collected and only a full wipeout
-    raises AllRunsFailed.
+    its run's final quotient (u'Au)/(u'Bu), or u'Au for the B-blind power
+    baseline (RunTrace.final_rho); individual failures are collected and
+    only a full wipeout raises AllRunsFailed.
     """
     if solver not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {solver!r}")
@@ -336,17 +344,11 @@ def run_with_restarts(
         except GepflowError as exc:
             failures.append(f"restart {j}: {type(exc).__name__}: {exc}")
             continue
-        if solver == "ppower":
-            objective = float(estimate @ (a @ estimate))
-        else:
-            objective = float(estimate @ (a @ estimate)) / float(
-                estimate @ (b @ estimate)
-            )
-        if best is None or objective > best.objective:
+        if best is None or trace.final_rho > best.objective:
             best = RestartResult(
                 estimate=estimate,
                 trace=trace,
-                objective=objective,
+                objective=trace.final_rho,
                 restart_index=j,
                 failures=(),
             )

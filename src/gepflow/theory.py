@@ -34,6 +34,7 @@ from .errors import DegenerateGap, NonPositiveAlignment, RhoOutOfRange
 from .linalg import GeneralizedSpectrum, MatrixPair, as_sym_matrix, generalized_eig
 from .problems import ProblemInstance
 from .rng import NormalStream
+from .solvers import DENOMINATOR_FLOOR
 
 __all__ = [
     "ConvergenceConditions",
@@ -52,10 +53,6 @@ __all__ = [
 ]
 
 LEMMA_SLACK = 1e-9
-
-#: Denominators at or below this are treated as effectively nonpositive,
-#: matching the solvers' default runtime guard.
-DENOMINATOR_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -126,8 +123,8 @@ def compute_conditions(
     `b` is the population B whose extreme eigenvalues enter the gammas.
     nu0 may come out negative: the report flags it rather than erroring.
     """
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
+    if not 0 <= eta < math.inf:
+        raise ValueError("eta must be finite and >= 0")
     lam = spectrum.eigenvalues
     if lam.shape[0] < 2:
         raise DegenerateGap("need at least two eigenvalues")
@@ -177,13 +174,13 @@ class DenominatorCheck:
     positive: bool
 
 
-def _spectrum_of(pair: MatrixPair, spectrum: GeneralizedSpectrum | None):
-    return generalized_eig(pair) if spectrum is None else spectrum
-
-
-def _b_extremes(pair: MatrixPair) -> tuple[float, float]:
-    eigs = np.linalg.eigvalsh(pair.b)  # ascending
-    return float(eigs[0]), float(eigs[-1])  # (min, max)
+def _prepare(pair: MatrixPair, spectrum: GeneralizedSpectrum | None, x):
+    """The checkers' shared start: the spectrum (solved here when not
+    given), x as a flat float64 vector, and its leading coefficient
+    f1 = v1' B x."""
+    spec = generalized_eig(pair) if spectrum is None else spectrum
+    xv = np.asarray(x, dtype=np.float64).reshape(-1)
+    return spec, xv, float(spec.eigenvectors[:, 0] @ (pair.b @ xv))
 
 
 def _check_rho(rho: float, lam) -> None:
@@ -208,12 +205,10 @@ def check_lemma_sandwich(
           <= x'(rho B - A) x <=
         (rho - lambda_n) lambda_max(B) ||x||^2 - (lambda_1 - lambda_n) f1^2
     """
-    spec = _spectrum_of(pair, spectrum)
+    spec, xv, f1 = _prepare(pair, spectrum, x)
     lam = spec.eigenvalues
     _check_rho(rho, lam)
-    b_min, b_max = _b_extremes(pair)
-    xv = np.asarray(x, dtype=np.float64).reshape(-1)
-    f1 = float(spec.eigenvectors[:, 0] @ (pair.b @ xv))
+    b_min, b_max = pair.b_extremes
     nsq = float(xv @ xv)
     middle = float(xv @ (rho * (pair.b @ xv) - pair.a @ xv))
     lower = (rho - float(lam[1])) * b_min * nsq - (float(lam[0]) - float(lam[1])) * f1**2
@@ -240,15 +235,11 @@ def check_lemma_inner(
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    spec = _spectrum_of(pair, spectrum)
+    spec, xv, f1 = _prepare(pair, spectrum, x)
+    _, yv, g1 = _prepare(pair, spec, y)
     lam = spec.eigenvalues
     _check_rho(rho, lam)
-    b_min, b_max = _b_extremes(pair)
-    xv = np.asarray(x, dtype=np.float64).reshape(-1)
-    yv = np.asarray(y, dtype=np.float64).reshape(-1)
-    v1 = spec.eigenvectors[:, 0]
-    f1 = float(v1 @ (pair.b @ xv))
-    g1 = float(v1 @ (pair.b @ yv))
+    b_min, b_max = pair.b_extremes
     tau1 = eta * (rho - float(lam[1])) * b_min
     tau2 = eta * (rho - float(lam[-1])) * b_max
     lhs = eta * float(yv @ (rho * (pair.b @ xv) - pair.a @ xv))
@@ -271,16 +262,14 @@ def check_lemma_coefficient(
 
         (f1 - d)^2 <= (lambda_max(B) - (1 + nu) lambda_min(B) / 2) ||h||^2
     """
-    spec = _spectrum_of(pair, spectrum)
-    xv = np.asarray(x, dtype=np.float64).reshape(-1)
+    spec, xv, f1 = _prepare(pair, spectrum, x)
     if abs(float(np.linalg.norm(xv)) - 1.0) > 1e-10:
         raise ValueError("x must be a unit vector")
     v_star = spec.leading_unit
     nu = float(xv @ v_star)
     if nu <= 0:
         raise NonPositiveAlignment(f"x'v* = {nu:.6g} <= 0")
-    b_min, b_max = _b_extremes(pair)
-    f1 = float(spec.eigenvectors[:, 0] @ (pair.b @ xv))
+    b_min, b_max = pair.b_extremes
     h = xv - v_star
     lhs = (f1 - spec.scale_d) ** 2
     rhs = (b_max - (1.0 + nu) * b_min / 2.0) * float(h @ h)
@@ -339,9 +328,14 @@ def run_lemma_suites(
     if draws < 1:
         raise ValueError("draws must be >= 1")
     pairs = (draws + draws_per_pair - 1) // draws_per_pair
-    counts = {"sandwich": 0, "inner": 0, "coefficient": 0}
-    fails = {"sandwich": 0, "inner": 0, "coefficient": 0}
-    worst = {"sandwich": math.inf, "inner": math.inf, "coefficient": math.inf}
+    # per suite: [draws, failures, worst slack]
+    tally = {name: [0, 0, math.inf] for name in ("sandwich", "inner", "coefficient")}
+
+    def record(name: str, holds: bool, *slacks: float) -> None:
+        t = tally[name]
+        t[0] += 1
+        t[1] += 0 if holds else 1
+        t[2] = min(t[2], *slacks)
 
     done = 0
     for i in range(pairs):
@@ -361,35 +355,18 @@ def run_lemma_suites(
             eta = 0.5 * stream.uniforms(1)[0]
 
             s = check_lemma_sandwich(pair, rho, x, spectrum=spectrum)
-            counts["sandwich"] += 1
-            fails["sandwich"] += 0 if s.holds else 1
-            worst["sandwich"] = min(
-                worst["sandwich"], s.middle - s.lower, s.upper - s.middle
-            )
-
+            record("sandwich", s.holds, s.middle - s.lower, s.upper - s.middle)
             r = check_lemma_inner(pair, rho, eta, x, y, spectrum=spectrum)
-            counts["inner"] += 1
-            fails["inner"] += 0 if r.holds else 1
-            worst["inner"] = min(worst["inner"], r.lhs - r.rhs)
+            record("inner", r.holds, r.lhs - r.rhs)
 
             xu = x / float(np.linalg.norm(x))
             if float(xu @ spectrum.leading_unit) < 0:
                 xu = -xu
             if float(xu @ spectrum.leading_unit) > 0:
                 c = check_lemma_coefficient(pair, xu, spectrum=spectrum)
-                counts["coefficient"] += 1
-                fails["coefficient"] += 0 if c.holds else 1
-                worst["coefficient"] = min(worst["coefficient"], c.rhs - c.lhs)
+                record("coefficient", c.holds, c.rhs - c.lhs)
         done += todo
         if done >= draws:
             break
 
-    return tuple(
-        LemmaSuiteResult(
-            name=name,
-            draws=counts[name],
-            failures=fails[name],
-            worst_slack=worst[name],
-        )
-        for name in ("sandwich", "inner", "coefficient")
-    )
+    return tuple(LemmaSuiteResult(name, *t) for name, t in tally.items())

@@ -6,6 +6,7 @@ here shells out.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -205,6 +206,102 @@ class TestSweep:
         argv[argv.index("--m-values") + 1] = "80,40"
         assert main(argv) == 1
         assert "ascending" in capsys.readouterr().err
+
+
+#: one flag change per SweepSpec field; base_seed is set by --seed
+SPEC_FIELD_CHANGES = {
+    "kind": ("--kind", "diag_b"),
+    "m_values": ("--m-values", "40,50"),
+    "n": ("--n", "9"),
+    "solvers": ("--solvers", "prfm"),
+    "trials": ("--trials", "2"),
+    "prior": ("--prior", "sparse"),
+    "restarts": ("--restarts", "2"),
+    "eta": ("--eta", "1/4"),
+    "eta_prime": ("--eta-prime", "3/2"),
+    "s": ("--s", "4"),
+    "max_iters": ("--max-iters", "6"),
+    "stop_tol": ("--stop-tol", "none"),
+    "base_seed": ("--seed", "6"),
+}
+
+
+class TestSweepHash:
+    BASE = {
+        "--kind": "spiked", "--n": "8", "--m-values": "40", "--solvers": "prfm,rifle",
+        "--s": "3", "--trials": "1", "--restarts": "1", "--max-iters": "5",
+        "--seed": "5", "--timing": "zero", "--prior": "sphere",
+    }
+
+    def _hash_line(self, tmp_path, name, flag=None, value=None):
+        flags = {**self.BASE, **({flag: value} if flag else {})}
+        out = tmp_path / name
+        argv = ["sweep", "--out", str(out)]
+        for key, val in flags.items():
+            argv.extend([key, val])
+        assert main(argv) == 0
+        return out.read_text().splitlines()[0]
+
+    def test_every_spec_field_has_a_change(self):
+        assert set(SPEC_FIELD_CHANGES) == {f.name for f in dataclasses.fields(SweepSpec)}
+
+    @pytest.mark.parametrize("field", sorted(SPEC_FIELD_CHANGES))
+    def test_changing_one_field_changes_the_hash(self, tmp_path, field):
+        flag, value = SPEC_FIELD_CHANGES[field]
+        assert self._hash_line(tmp_path, "changed.csv", flag, value) != self._hash_line(
+            tmp_path, "base.csv"
+        )
+
+
+class TestStepValidation:
+    """Step sizes that divide by zero or are not finite end in one error line."""
+
+    def _argv(self, tmp_path, command):
+        inst = str(_generate(tmp_path))
+        out = str(tmp_path / "out")
+        return {
+            "solve": ["solve", "--solver", "rifle", "--s", "4", "--in", inst,
+                      "--restarts", "1", "--max-iters", "5", "--out", out],
+            "sweep": ["sweep", "--kind", "spiked", "--n", "8", "--m-values", "40",
+                      "--solvers", "prfm,rifle", "--s", "3", "--trials", "1",
+                      "--restarts", "1", "--max-iters", "5", "--out", out],
+            "theory-check": ["theory-check", "--in", inst, "--draws", "20"],
+        }[command]
+
+    def _assert_one_error_line(self, capsys):
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("solve", "--eta"), ("solve", "--eta-prime"), ("sweep", "--eta"),
+         ("sweep", "--eta-prime"), ("theory-check", "--eta")],
+    )
+    @pytest.mark.parametrize("value", ["7/0", "1/0"])
+    def test_zero_denominator(self, tmp_path, capsys, command, flag, value):
+        argv = self._argv(tmp_path, command)
+        capsys.readouterr()
+        assert main(argv + [flag, value]) == 1
+        self._assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("solve", "--eta"), ("solve", "--eta-prime"), ("sweep", "--eta"),
+         ("sweep", "--eta-prime")],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_step(self, tmp_path, capsys, command, flag, value):
+        argv = self._argv(tmp_path, command)
+        capsys.readouterr()
+        assert main(argv + [flag, value]) == 1
+        self._assert_one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_eta_fails_the_condition_table(self, tmp_path, capsys, value):
+        argv = self._argv(tmp_path, "theory-check")
+        assert main(argv + ["--eta", value]) == 2
+        assert "eta must be finite" in capsys.readouterr().err
 
 
 def _prior_case(name, tmp_path):

@@ -2,21 +2,22 @@
 
 prfm, rifle and ppower must reproduce, bit for bit, the oracle that
 restates their update rules with fresh matvecs at every use: the same final
-vector, iteration count, stop reason and trace rows, or the same error
-class. Inputs come from seeded NormalStream draws: n in 2..16, sphere,
-sparse and subspace priors, stop_tol None and 1e-9, and positive- or
-negative-definite B.
+vector, final quotient, iteration count, stop reason and trace rows, or the
+same error class. A one-restart `run_with_restarts` must report that final
+quotient as its objective. Inputs come from seeded NormalStream draws: n in
+2..16, sphere, sparse and subspace priors, stop_tol None and 1e-9, and
+positive- or negative-definite B.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gepflow.errors import DenominatorNonPositive, GepflowError
+from gepflow.errors import AllRunsFailed, DenominatorNonPositive, GepflowError
 from gepflow.generative import random_subspace
 from gepflow.priors import SparseProjector, SphereProjector, SubspaceProjector
 from gepflow.rng import NormalStream
-from gepflow.solvers import SolverConfig, ppower, prfm, rifle
+from gepflow.solvers import SolverConfig, ppower, prfm, rifle, run_with_restarts
 
 from oracles import reference_flow
 
@@ -118,12 +119,24 @@ def test_solvers_match_reference_flow(case):
         assert not isinstance(expected, type), f"expected {expected.__name__}"
         ref_u, ref_iterations, ref_rows, ref_stop = expected
         assert np.array_equal(u, ref_u) and np.array_equal(trace.final_vector, ref_u)
+        assert trace.final_rho.hex() == ref_rows[-1][1].hex()
         assert trace.iterations_run == ref_iterations
         assert trace.stop_reason == ref_stop
         if record:
             assert [(r.t, r.rho, r.cos_sim, r.dist) for r in trace.rows] == ref_rows
         else:
             assert trace.rows == ()
+
+    try:  # cfg is the loop's last, record_trace=False
+        result = run_with_restarts(
+            case["solver"], a, b, cfg, 1, case["seed"], p=projector,
+            s=case["level"], eta_prime=35.0 / 32.0, v_star=v_star,
+        )
+    except AllRunsFailed:
+        assert isinstance(expected, type)
+    else:
+        assert result.objective is result.trace.final_rho
+        assert result.objective.hex() == expected[2][-1][1].hex()
 
     if case["negative_b"] and case["solver"] != "ppower":
         assert expected is DenominatorNonPositive

@@ -313,6 +313,15 @@ class TestValidationAndSerialization:
         with pytest.raises(NotPositiveDefinite):
             MatrixPair(np.eye(2), np.diag([1.0, -2.0]))
 
+    def test_b_extremes_are_eigvalsh_extremes(self):
+        rng = np.random.default_rng(15)
+        for n in (1, 2, 5, 9):
+            a, b = random_definite_pair(rng, n)
+            pair = MatrixPair(a, b)
+            w = np.linalg.eigvalsh(pair.b)
+            assert pair.b_extremes == (float(w[0]), float(w[-1]))
+            assert pair.b_extremes is pair.b_extremes  # solved once, then cached
+
     def test_json_round_trip_bit_stable(self):
         rng = np.random.default_rng(14)
         a = rng.standard_normal((5, 5))

@@ -28,7 +28,9 @@ from gepflow.priors import (
     SubspaceProjector,
 )
 from gepflow.rng import NormalStream
+from gepflow import theory
 from gepflow.solvers import (
+    DENOMINATOR_FLOOR,
     RestartResult,
     SolverConfig,
     default_init,
@@ -62,7 +64,7 @@ class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig(step_size=7 / 32, max_iters=50)
         assert cfg.init is None
-        assert cfg.denominator_floor == 1e-10
+        assert cfg.denominator_floor == 1e-10 == DENOMINATOR_FLOOR
         assert cfg.record_trace is True
         assert cfg.stop_tol == 1e-9
 
@@ -73,6 +75,18 @@ class TestSolverConfig:
             SolverConfig(step_size=0.1, max_iters=0)
         with pytest.raises(ValueError):
             SolverConfig(step_size=0.1, max_iters=10, init=np.array([1.0, 1.0]))
+
+    def test_one_denominator_floor(self):
+        # theory's advisory check judges u'Bu against the solvers' own guard
+        assert theory.DENOMINATOR_FLOOR is DENOMINATOR_FLOOR
+
+    @pytest.mark.parametrize("field", ["step_size", "denominator_floor"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_settings_rejected(self, field, value):
+        # `value <= 0` is False for NaN, so a NaN step size used to pass and
+        # every restart ended as an all-NaN estimate
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverConfig(**{"step_size": 0.1, "max_iters": 10, field: value})
 
     @pytest.mark.parametrize("init", [[np.nan] * 4, [np.nan, 1.0, 0.0, 0.0]])
     def test_non_finite_init_rejected(self, init):
@@ -208,6 +222,12 @@ class TestRifle:
             rifle(-np.eye(4), np.eye(4), 2, 35 / 32, cfg)
         assert exc.value.t == 0
 
+    @pytest.mark.parametrize("eta_prime", [math.nan, math.inf, 0.0, -1.0])
+    def test_step_scale_must_be_finite_and_positive(self, eta_prime):
+        cfg = SolverConfig(step_size=0.1, max_iters=5)
+        with pytest.raises(ValueError, match="eta_prime must be finite and positive"):
+            rifle(np.eye(4), np.eye(4), 2, eta_prime, cfg)
+
     def test_trace_length_invariant(self):
         a, b, v = _spiked_pair(12, seed=17)
         cfg = SolverConfig(step_size=0.1, max_iters=60)
@@ -306,6 +326,16 @@ class TestRunWithRestarts:
                 run_cfg = SolverConfig(step_size=7 / 32, max_iters=60, init=u0)
             est, _ = prfm(a, b, SPHERE, run_cfg, v_star=v)
             assert result.objective >= rayleigh_quotient(a, b, est) - 1e-12
+
+    @pytest.mark.parametrize("solver", ["prfm", "rifle", "ppower"])
+    def test_objective_is_the_winning_runs_final_rho(self, solver):
+        a, b, v = _spiked_pair(12, seed=41)
+        cfg = SolverConfig(step_size=7 / 32, max_iters=30)
+        result = run_with_restarts(
+            solver, a, b, cfg, 4, seed=3, p=SPHERE, s=12, eta_prime=35 / 32, v_star=v
+        )
+        assert result.objective is result.trace.final_rho
+        assert result.objective == result.trace.rows[-1].rho
 
     def test_ppower_objective_ignores_b(self):
         a, _, _ = _spiked_pair(8, seed=37)

@@ -113,8 +113,9 @@ class TestComputeConditions:
 
     def test_validation(self):
         pair, v, spec = _spiked_population(6)
-        with pytest.raises(ValueError):
-            compute_conditions(spec, pair.b, -0.1, v)
+        for eta in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="eta must be finite"):
+                compute_conditions(spec, pair.b, eta, v)
         with pytest.raises(ValueError):
             compute_conditions(spec, np.diag([1.0, -1.0, 1, 1, 1, 1]), 0.1, v)
         with pytest.raises(ValueError):
@@ -339,6 +340,21 @@ class TestSuites:
         first = run_lemma_suites(draws=200, seed=9)
         second = run_lemma_suites(draws=200, seed=9)
         assert first == second
+
+    def test_b_spectrum_solved_once_per_pair(self, monkeypatch):
+        # 200 draws at 20 per pair build 10 pairs; the 600 checker calls
+        # share each pair's cached b_extremes
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(m, *args, **kwargs):
+            calls.append(m.shape)
+            return eigvalsh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        results = run_lemma_suites(draws=200, seed=9, draws_per_pair=20)
+        assert results[0].draws == 200
+        assert 1 <= len(calls) <= 10
 
 
 class TestContractionConsistency:
