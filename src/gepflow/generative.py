@@ -208,7 +208,7 @@ def _clamp_latent(gen: Generator, z) -> NDArray[np.float64]:
             warnings.warn(
                 f"latent norm {norm:.6g} clamped to radius {gen.latent_radius:.6g}",
                 LatentClampWarning,
-                stacklevel=3,
+                stacklevel=4,  # here <- _decode <- forward/backward <- caller
             )
         zv = zv * (gen.latent_radius / norm)
     return zv
@@ -241,10 +241,13 @@ def _mlp_trace(gen: MlpGenerator, z: NDArray[np.float64]):
     return h, cache
 
 
-def _raw_forward(gen: Generator, z: NDArray[np.float64]) -> NDArray[np.float64]:
+def _decode(gen: Generator, z):
+    """Clamp z into the latent ball and decode it, before normalization:
+    (raw output, per-layer MLP activations; None for a subspace decoder)."""
+    zv = _clamp_latent(gen, z)
     if isinstance(gen, SubspaceGenerator):
-        return gen.basis.dot(z)
-    return _mlp_trace(gen, z)[0]
+        return gen.basis.dot(zv), None
+    return _mlp_trace(gen, zv)
 
 
 def forward(gen: Generator, z) -> NDArray[np.float64]:
@@ -255,8 +258,7 @@ def forward(gen: Generator, z) -> NDArray[np.float64]:
     DegenerateOutput is raised when the raw output norm is at or below the
     generator's floor, since no direction can be assigned.
     """
-    zv = _clamp_latent(gen, z)
-    raw = _raw_forward(gen, zv)
+    raw, _ = _decode(gen, z)
     if isinstance(gen, MlpGenerator) and not gen.normalized:
         return raw
     floor = gen.min_norm if isinstance(gen, MlpGenerator) else MIN_NORM_DEFAULT
@@ -273,31 +275,24 @@ def backward(gen: Generator, z, cotangent) -> NDArray[np.float64]:
     subgradient 0 at kinks. Evaluated at the clamped latent, mirroring
     `forward`.
     """
-    zv = _clamp_latent(gen, z)
+    raw, cache = _decode(gen, z)
     cot = np.asarray(cotangent, dtype=np.float64).reshape(-1)
     if cot.shape[0] != gen.output_dim:
         raise ValueError(
             f"cotangent has length {cot.shape[0]}, expected {gen.output_dim}"
         )
 
-    if isinstance(gen, SubspaceGenerator):
-        raw = gen.basis.dot(zv)
+    if cache is None or gen.normalized:
+        floor = MIN_NORM_DEFAULT if cache is None else gen.min_norm
         norm = math.sqrt(float(raw.dot(raw)))
-        if norm <= MIN_NORM_DEFAULT:
-            raise DegenerateOutput(f"raw output norm {norm:.6g} too small")
-        out = raw / norm
-        grad_raw = (cot - float(out.dot(cot)) * out) / norm
-        return gen.basis.T.dot(grad_raw)
-
-    raw, cache = _mlp_trace(gen, zv)
-    if gen.normalized:
-        norm = math.sqrt(float(raw.dot(raw)))
-        if norm <= gen.min_norm:
-            raise DegenerateOutput(f"raw output norm {norm:.6g} <= {gen.min_norm:.6g}")
+        if norm <= floor:
+            raise DegenerateOutput(f"raw output norm {norm:.6g} <= {floor:.6g}")
         out = raw / norm
         grad = (cot - float(out.dot(cot)) * out) / norm
     else:
         grad = cot
+    if cache is None:
+        return gen.basis.T.dot(grad)
     for layer, (pre, post) in zip(reversed(gen.layers), reversed(cache)):
         if layer.activation != "identity":
             grad = grad * _activate_grad(layer.activation, pre, post)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from time import perf_counter
 
 import numpy as np
@@ -42,8 +42,6 @@ __all__ = [
     "summary_to_json",
     "CSV_HEADER",
 ]
-
-CSV_HEADER = "solver,m,trial,cos_sim,abs_cos_sim,dist,signed_dist_min,iterations,wall_ms,status"
 
 GENERATORS = {
     "spiked": gen_spiked,
@@ -157,6 +155,9 @@ class ResultRow:
     status: str
 
 
+CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
+
+
 def _cell_key(spec: SweepSpec, m_index: int, trial: int) -> int:
     idx = m_index * spec.trials + trial
     return (spec.base_seed << 32) + (idx << 4)
@@ -202,26 +203,21 @@ def _run_cell(
             )
         except GepflowError as exc:
             wall = (perf_counter() - start) * 1000.0
-            rows.append(
-                ResultRow(
-                    solver=solver, m=m, trial=trial,
-                    cos_sim=math.nan, abs_cos_sim=math.nan,
-                    dist=math.nan, signed_dist_min=math.nan,
-                    iterations=0, wall_ms=wall, status=type(exc).__name__,
-                )
-            )
-            continue
-        wall = (perf_counter() - start) * 1000.0
-        u = result.estimate
-        cos = cosine_similarity(truth_v, u)
+            cos = dist = signed = math.nan
+            iterations, status = 0, type(exc).__name__
+        else:
+            wall = (perf_counter() - start) * 1000.0
+            u = result.estimate
+            cos = cosine_similarity(truth_v, u)
+            dist = float(np.linalg.norm(u - truth_v))
+            signed = signed_distance(u, truth_v)
+            iterations, status = result.trace.iterations_run, "ok"
         rows.append(
             ResultRow(
                 solver=solver, m=m, trial=trial,
                 cos_sim=cos, abs_cos_sim=abs(cos),
-                dist=float(np.linalg.norm(u - truth_v)),
-                signed_dist_min=signed_distance(u, truth_v),
-                iterations=result.trace.iterations_run,
-                wall_ms=wall, status="ok",
+                dist=dist, signed_dist_min=signed,
+                iterations=iterations, wall_ms=wall, status=status,
             )
         )
     return rows
@@ -308,14 +304,12 @@ def summarize(rows) -> list[SummaryCell]:
     Cells whose every run failed still appear, with count 0 and NaN stats,
     so silent data loss is impossible.
     """
-    keys: list[tuple[str, int]] = []
+    groups: dict[tuple[str, int], list[ResultRow]] = {}
     for row in rows:
-        if (row.solver, row.m) not in keys:
-            keys.append((row.solver, row.m))
-    keys.sort()
+        groups.setdefault((row.solver, row.m), []).append(row)
     cells = []
-    for solver, m in keys:
-        ok = [r for r in rows if r.solver == solver and r.m == m and r.status == "ok"]
+    for (solver, m), group in sorted(groups.items()):
+        ok = [r for r in group if r.status == "ok"]
         cos_mean, cos_std = _mean_std([r.abs_cos_sim for r in ok])
         d_mean, d_std = _mean_std([r.signed_dist_min for r in ok])
         median = float(np.median([r.signed_dist_min for r in ok])) if ok else math.nan
@@ -330,16 +324,19 @@ def summarize(rows) -> list[SummaryCell]:
     return cells
 
 
+def _csv_field(name: str, value) -> str:
+    if name == "wall_ms":
+        return f"{value:.3f}"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def rows_to_csv(rows) -> str:
-    """Render rows as CSV text (shortest-round-trip float formatting, so
-    identical rows always produce identical bytes)."""
+    """Render rows as CSV text, one column per ResultRow field in order
+    (shortest-round-trip float formatting, so identical rows always
+    produce identical bytes; wall_ms to the microsecond)."""
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            f"{r.solver},{r.m},{r.trial},{r.cos_sim!r},{r.abs_cos_sim!r},"
-            f"{r.dist!r},{r.signed_dist_min!r},{r.iterations},"
-            f"{r.wall_ms:.3f},{r.status}"
-        )
+        lines.append(",".join(_csv_field(f.name, getattr(r, f.name)) for f in fields(r)))
     return "\n".join(lines) + "\n"
 
 
@@ -361,23 +358,8 @@ def summary_to_text(cells) -> str:
 
 
 def summary_to_json(cells) -> list[dict]:
-    """JSON-safe summary (NaN becomes null)."""
-
-    def _safe(x: float):
-        return None if isinstance(x, float) and math.isnan(x) else x
-
-    out = []
-    for c in cells:
-        out.append(
-            {
-                "solver": c.solver,
-                "m": c.m,
-                "count": c.count,
-                "mean_abs_cos": _safe(c.mean_abs_cos),
-                "std_abs_cos": _safe(c.std_abs_cos),
-                "mean_signed_dist": _safe(c.mean_signed_dist),
-                "std_signed_dist": _safe(c.std_signed_dist),
-                "median_signed_dist": _safe(c.median_signed_dist),
-            }
-        )
-    return out
+    """JSON-safe summary, one key per SummaryCell field (NaN becomes null)."""
+    return [
+        {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in asdict(c).items()}
+        for c in cells
+    ]

@@ -19,7 +19,7 @@ the configured start vector), so parallel and serial execution agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -370,16 +370,11 @@ def exact_solve(pair: MatrixPair) -> NDArray[np.float64]:
 
 
 def trace_to_json(solver: str, cfg: SolverConfig, trace: RunTrace, status: str) -> dict:
-    """Serialize one run in the external trace schema."""
+    """Serialize one run in the external trace schema; "config" holds every
+    SolverConfig field but `init`."""
     return {
         "solver": solver,
-        "config": {
-            "step_size": cfg.step_size,
-            "max_iters": cfg.max_iters,
-            "denominator_floor": cfg.denominator_floor,
-            "stop_tol": cfg.stop_tol,
-            "record_trace": cfg.record_trace,
-        },
+        "config": {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "init"},
         "rows": [
             {"t": r.t, "rho": r.rho, "cos_sim": r.cos_sim, "dist": r.dist}
             for r in trace.rows

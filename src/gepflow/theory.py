@@ -176,11 +176,12 @@ class DenominatorCheck:
 
 def _prepare(pair: MatrixPair, spectrum: GeneralizedSpectrum | None, x):
     """The checkers' shared start: the spectrum (solved here when not
-    given), x as a flat float64 vector, and its leading coefficient
+    given), x as a flat float64 vector, B x, and the leading coefficient
     f1 = v1' B x."""
     spec = generalized_eig(pair) if spectrum is None else spectrum
     xv = np.asarray(x, dtype=np.float64).reshape(-1)
-    return spec, xv, float(spec.eigenvectors[:, 0] @ (pair.b @ xv))
+    bx = pair.b @ xv
+    return spec, xv, bx, float(spec.eigenvectors[:, 0] @ bx)
 
 
 def _check_rho(rho: float, lam) -> None:
@@ -205,12 +206,12 @@ def check_lemma_sandwich(
           <= x'(rho B - A) x <=
         (rho - lambda_n) lambda_max(B) ||x||^2 - (lambda_1 - lambda_n) f1^2
     """
-    spec, xv, f1 = _prepare(pair, spectrum, x)
+    spec, xv, bx, f1 = _prepare(pair, spectrum, x)
     lam = spec.eigenvalues
     _check_rho(rho, lam)
     b_min, b_max = pair.b_extremes
     nsq = float(xv @ xv)
-    middle = float(xv @ (rho * (pair.b @ xv) - pair.a @ xv))
+    middle = float(xv @ (rho * bx - pair.a @ xv))
     lower = (rho - float(lam[1])) * b_min * nsq - (float(lam[0]) - float(lam[1])) * f1**2
     upper = (rho - float(lam[-1])) * b_max * nsq - (float(lam[0]) - float(lam[-1])) * f1**2
     holds = (lower - LEMMA_SLACK) <= middle <= (upper + LEMMA_SLACK)
@@ -235,14 +236,14 @@ def check_lemma_inner(
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    spec, xv, f1 = _prepare(pair, spectrum, x)
-    _, yv, g1 = _prepare(pair, spec, y)
+    spec, xv, bx, f1 = _prepare(pair, spectrum, x)
+    _, yv, _, g1 = _prepare(pair, spec, y)
     lam = spec.eigenvalues
     _check_rho(rho, lam)
     b_min, b_max = pair.b_extremes
     tau1 = eta * (rho - float(lam[1])) * b_min
     tau2 = eta * (rho - float(lam[-1])) * b_max
-    lhs = eta * float(yv @ (rho * (pair.b @ xv) - pair.a @ xv))
+    lhs = eta * float(yv @ (rho * bx - pair.a @ xv))
     rhs = (
         ((tau1 + tau2) / 2.0) * float(xv @ yv)
         - ((tau2 - tau1) / 4.0) * (float(xv @ xv) + float(yv @ yv))
@@ -262,7 +263,7 @@ def check_lemma_coefficient(
 
         (f1 - d)^2 <= (lambda_max(B) - (1 + nu) lambda_min(B) / 2) ||h||^2
     """
-    spec, xv, f1 = _prepare(pair, spectrum, x)
+    spec, xv, _, f1 = _prepare(pair, spectrum, x)
     if abs(float(np.linalg.norm(xv)) - 1.0) > 1e-10:
         raise ValueError("x must be a unit vector")
     v_star = spec.leading_unit

@@ -95,6 +95,8 @@ class TestSolve:
         obj = json.loads(out.read_text())
         assert obj["solver"] == "prfm"
         assert obj["config"]["step_size"] == 0.21875  # 7/32 parsed exactly
+        fields = {f.name for f in dataclasses.fields(SolverConfig)} - {"init"}
+        assert set(obj["config"]) == fields
         assert obj["status"] == "ok"
         assert obj["stop_reason"] in ("converged", "max_iters")
         assert len(obj["rows"]) >= 2
@@ -297,11 +299,13 @@ class TestStepValidation:
         self._assert_one_error_line(capsys)
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_eta_fails_the_condition_table(self, tmp_path, capsys, value):
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_theory_check_rejects_invalid_eta(self, tmp_path, capsys, value):
         argv = self._argv(tmp_path, "theory-check")
-        assert main(argv + ["--eta", value]) == 2
-        assert "eta must be finite" in capsys.readouterr().err
+        capsys.readouterr()
+        assert main(argv + ["--eta", value]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("error:") and "eta must be finite" in line
 
 
 def _prior_case(name, tmp_path):
@@ -553,6 +557,29 @@ class TestTheoryCheck:
         assert obj["conditions"]["gamma1"] == pytest.approx(0.875, abs=1e-9)
         assert len(obj["suites"]) == 3
         assert all(s["failures"] == 0 for s in obj["suites"])
+
+    def test_condition_table_golden_lines(self, tmp_path, capsys):
+        inst = tmp_path / "diag.json"
+        assert main(["generate", "--kind", "diag_b", "--n", "12", "--m", "150",
+                     "--seed", "4", "--out", str(inst)]) == 0
+        capsys.readouterr()
+        assert main(["theory-check", "--in", str(inst), "--eta", "0.3",
+                     "--draws", "20", "--seed", "2"]) == 0
+        table = capsys.readouterr().out.splitlines()[:12]
+        assert table == [
+            "eta          0.3",
+            "gamma1       1.175721141",
+            "gamma2       2.646506623",
+            "nu0          0.7685118596",
+            "kappa_b      2",
+            "b0           11.60585346",
+            "c0           0.7353927408",
+            "contraction  45.52776579",
+            "step sum     gamma1+gamma2 = 3.822227765 < 2: NOT satisfied",
+            "contraction  < 1: NOT satisfied",
+            "step floor   3*gamma1+gamma2 = 6.173670047 > 3: satisfied",
+            "nu0 > 0:     satisfied",
+        ]
 
     def test_fraction_eta_accepted(self, tmp_path, capsys):
         inst = _generate(tmp_path)

@@ -137,6 +137,16 @@ class TestForward:
             boundary = forward(gen, [1e6, 0.0])
         assert_allclose(out, boundary, atol=1e-12)
 
+    def test_clamp_warning_points_at_the_caller(self):
+        for gen in (random_subspace(6, 2, seed=2, latent_radius=1.0),
+                    random_mlp(6, 2, hidden=(4,), seed=3)):
+            z = np.full(2, 10.0 * gen.latent_radius)
+            with pytest.warns(LatentClampWarning) as fwd:
+                forward(gen, z)
+            with pytest.warns(LatentClampWarning) as bwd:
+                backward(gen, z, np.ones(6))
+            assert fwd[0].filename == bwd[0].filename == __file__
+
     def test_interior_latent_does_not_warn(self):
         gen = random_subspace(6, 2, seed=2, latent_radius=1.0)
         import warnings as _warnings

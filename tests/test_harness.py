@@ -7,6 +7,7 @@ determinism is checked bytes-against-bytes across parallelism degrees.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from gepflow.errors import AllRunsFailed, DegenerateFit, ZeroVector
 from gepflow.harness import (
     CSV_HEADER,
     ResultRow,
+    SummaryCell,
     SweepSpec,
     cosine_similarity,
     fit_loglog_slope,
@@ -384,6 +386,31 @@ class TestOutputs:
         assert float(fields[3]) == 0.9
         assert fields[-1] == "ok"
 
+    def test_csv_header_is_the_row_fields(self):
+        names = [f.name for f in dataclasses.fields(ResultRow)]
+        assert CSV_HEADER == ",".join(names)
+        assert CSV_HEADER == (
+            "solver,m,trial,cos_sim,abs_cos_sim,dist,signed_dist_min,"
+            "iterations,wall_ms,status"
+        )
+
+    def test_csv_golden_bytes(self):
+        ok = ResultRow(
+            solver="prfm", m=250, trial=3, cos_sim=-0.1, abs_cos_sim=0.1,
+            dist=1 / 3, signed_dist_min=2 / 3, iterations=17, wall_ms=12.3456,
+            status="ok",
+        )
+        failed = ResultRow(
+            solver="ppower", m=250, trial=0, cos_sim=math.nan, abs_cos_sim=math.nan,
+            dist=math.nan, signed_dist_min=math.nan, iterations=0, wall_ms=0.0,
+            status="AllRunsFailed",
+        )
+        assert rows_to_csv([ok, failed]) == (
+            "solver,m,trial,cos_sim,abs_cos_sim,dist,signed_dist_min,iterations,wall_ms,status\n"
+            "prfm,250,3,-0.1,0.1,0.3333333333333333,0.6666666666666666,17,12.346,ok\n"
+            "ppower,250,0,nan,nan,nan,nan,0,0.000,AllRunsFailed\n"
+        )
+
     def test_csv_nan_rendering(self):
         text = rows_to_csv([_row(cos=math.nan, dist=math.nan, status="AllRunsFailed")])
         assert "nan" in text.splitlines()[1]
@@ -399,5 +426,6 @@ class TestOutputs:
 
         cells = summarize([_row(cos=math.nan, dist=math.nan, status="boom")])
         payload = summary_to_json(cells)
+        assert list(payload[0]) == [f.name for f in dataclasses.fields(SummaryCell)]
         assert payload[0]["mean_abs_cos"] is None
         json.dumps(payload)  # strict-JSON serializable
