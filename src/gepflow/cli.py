@@ -19,7 +19,8 @@ Conventions
   semantic flag change shows up in it; --jobs and output paths are
   excluded (parallelism must not change output bytes).
 * Option precedence: command-line flag > --config JSON file > GEP_SEED
-  environment variable (seed only) > built-in default.
+  environment variable (seed only) > built-in default. A --config file is
+  read as the flags it stands for, placed before the command line.
 * Step sizes accept exact fractions ("7/32") as well as decimals.
 """
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .errors import GepflowError
-from .generative import model_from_json
+from .generative import LatentProjectionConfig, model_from_json
 from .harness import (
     GENERATORS,
     SweepSpec,
@@ -53,12 +54,36 @@ from .linalg import generalized_eig
 from .priors import PRIOR_NAMES, projector_from_spec
 from .problems import instance_from_json, instance_to_json, verify_perturbation
 from .rng import NormalStream
-from .solvers import DENOMINATOR_FLOOR, SOLVER_NAMES, SolverConfig, run_with_restarts, trace_to_json
+from .solvers import (
+    DENOMINATOR_FLOOR,
+    SOLVER_NAMES,
+    SolverConfig,
+    default_init,
+    run_with_restarts,
+    trace_to_json,
+)
 from .theory import compute_conditions, run_lemma_suites
+
+#: parsed options that never change an output's content, and argparse plumbing
+_UNHASHED = frozenset({"config", "out", "summary_out", "jobs", "handler", "subcommand"})
 
 
 class _CliParser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract here is exit 1."""
+    """Exits 1 on usage errors (argparse's own code is 2).
+
+    `flags` maps each valued option's dest to its flag, the form in which
+    a --config key is read.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.flags: dict[str, str] = {}  # first: the base __init__ adds --help
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.option_strings and action.nargs != 0:
+            self.flags[action.dest] = action.option_strings[0]
+        return action
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -70,11 +95,9 @@ class CliError(Exception):
     """Validation failure (maps to exit code 1)."""
 
 
-def _parse_step(text) -> float:
+def _parse_step(text: str) -> float:
     """Parse a step size; 'a/b' is computed from exact integers."""
-    if isinstance(text, (int, float)):
-        return float(text)
-    s = str(text).strip()
+    s = text.strip()
     if "/" in s:
         num, den = s.split("/", 1)
         try:
@@ -84,74 +107,64 @@ def _parse_step(text) -> float:
     return float(s)
 
 
-def _parse_stop_tol(text):
-    if text is None:
-        return None
-    if isinstance(text, (int, float)):
-        return float(text)
-    s = str(text).strip().lower()
-    if s in ("none", "off"):
-        return None
-    return float(s)
+def _parse_stop_tol(text: str) -> float | None:
+    s = text.strip().lower()
+    return None if s in ("none", "off") else float(s)
 
 
-def _parse_int_list(value) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    return tuple(int(part) for part in str(value).split(",") if part.strip())
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-def _parse_str_list(value) -> tuple[str, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(str(v) for v in value)
-    return tuple(part.strip() for part in str(value).split(",") if part.strip())
+def _parse_str_list(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-class _Resolver:
-    """flag > config file > default, with shared coercion."""
+def _config_flags(path: str, command: _CliParser) -> list[str]:
+    """The flags a --config JSON object stands for in `command`.
 
-    def __init__(self, args: argparse.Namespace, config: dict):
-        self.args = args
-        self.config = config
-
-    def get(self, dest: str, default=None, coerce=None):
-        value = getattr(self.args, dest, None)
-        if value is None:
-            value = self.config.get(dest, default)
-        if value is not None and coerce is not None:
-            return coerce(value)
-        return value
-
-    def require(self, dest: str, coerce=None):
-        value = self.get(dest, None, coerce)
-        if value is None:
-            raise CliError(f"missing required option --{dest.replace('_', '-')}")
-        return value
-
-    def seed(self) -> int:
-        value = self.get("seed", None)
-        if value is None:
-            env = os.environ.get("GEP_SEED")
-            if env is not None:
-                try:
-                    return int(env)
-                except ValueError as exc:
-                    raise CliError(f"GEP_SEED must be an integer, got {env!r}") from exc
-            return 0
-        return int(value)
-
-
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read config file {path}: {exc}") from exc
+    Each key is an option's dest (`m_values`, `in_path`). A list value is
+    comma-joined and any other value is str(value), so a config value
+    means exactly what the same flag text means.
+    """
+    obj = _load(path, lambda obj: obj, "config")
     if not isinstance(obj, dict):
         raise CliError("config file must contain a JSON object")
-    return obj
+    argv = []
+    for key, value in obj.items():
+        if key == "config" or key not in command.flags:
+            raise CliError(f"config key {key!r} names no option of {command.prog}")
+        if value is None:
+            raise CliError(f"config key {key!r} is null")
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        argv.append(f"{command.flags[key]}={text}")
+    return argv
+
+
+def _resolve_seed(seed: int | None) -> int:
+    """--seed, else the GEP_SEED environment variable, else 0."""
+    if seed is not None:
+        return seed
+    env = os.environ.get("GEP_SEED", "0")
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise CliError(f"GEP_SEED must be an integer, got {env!r}") from exc
+
+
+def _require(args: argparse.Namespace, *dests: str) -> None:
+    for dest in dests:
+        if getattr(args, dest) is None:
+            raise CliError(f"missing required option --{dest.replace('_', '-')}")
+
+
+def _options(args: argparse.Namespace) -> dict:
+    """Every parsed option that can change an output, in_path under "in"."""
+    opts = {"cmd": args.subcommand}
+    for dest, value in vars(args).items():
+        if dest not in _UNHASHED:
+            opts["in" if dest == "in_path" else dest] = value
+    return opts
 
 
 def _provenance(seed: int, opts: dict) -> dict:
@@ -203,28 +216,26 @@ def _load(path: str, from_json, what: str):
         raise CliError(f"invalid {what} file {path}: {exc}") from exc
 
 
-def _prior_spec(r: _Resolver) -> dict:
+def _prior_spec(args: argparse.Namespace) -> dict:
     """The `projector_from_spec` dict described by the prior flags."""
-    name = r.get("prior", "sphere")
-    spec: dict = {"prior": name}
-    if name == "sparse":
-        spec["s"] = r.get("s", None, int)
-        if spec["s"] is None:
+    spec: dict = {"prior": args.prior}
+    if args.prior == "sparse":
+        if args.s is None:
             raise CliError("sparse prior requires --s")
-    elif name == "subspace":
-        k, model = r.get("k", None, int), r.get("model")
-        if (k is None) == (model is None):
+        spec["s"] = args.s
+    elif args.prior == "subspace":
+        if (args.k is None) == (args.model is None):
             raise CliError("subspace prior requires one of --k or --model")
-        spec.update({"k": k} if model is None else {"model_path": model})
-    elif name == "range":
-        spec["model_path"] = r.get("model")
-        if spec["model_path"] is None:
+        spec.update({"k": args.k} if args.model is None else {"model_path": args.model})
+    elif args.prior == "range":
+        if args.model is None:
             raise CliError("range prior requires --model")
+        spec["model_path"] = args.model
         spec["projection"] = {
-            "steps": r.get("proj_steps", 100, int),
-            "learning_rate": r.get("proj_lr", 0.1, float),
-            "restarts": r.get("proj_restarts", 3, int),
-            "seed": r.get("proj_seed", 0, int),
+            "steps": args.proj_steps,
+            "learning_rate": args.proj_lr,
+            "restarts": args.proj_restarts,
+            "seed": args.proj_seed,
         }
     return spec
 
@@ -234,89 +245,52 @@ def _prior_spec(r: _Resolver) -> dict:
 
 
 def _cmd_generate(args) -> int:
-    r = _Resolver(args, _load_config_file(args.config))
-    kind = r.require("kind")
-    if kind not in GENERATORS:
-        raise CliError(f"unknown kind {kind!r}")
-    n = r.require("n", int)
-    m = r.require("m", int)
-    vstar = r.get("vstar", "nonneg")
-    if vstar not in ("nonneg", "raw"):
-        raise CliError('--vstar must be "nonneg" or "raw"')
-    out = r.require("out")
-    seed = r.seed()
-    opts = {"cmd": "generate", "kind": kind, "n": n, "m": m, "seed": seed, "vstar": vstar}
-    prov = _provenance(seed, opts)
+    _require(args, "kind", "n", "m", "out")
+    prov = _provenance(args.seed, _options(args))
 
-    raw = NormalStream(seed + 1, stream=0).unit_vector(n)
-    v = np.abs(raw) if vstar == "nonneg" else raw
+    raw = NormalStream(args.seed + 1, stream=0).unit_vector(args.n)
+    v = np.abs(raw) if args.vstar == "nonneg" else raw
     v = v / float(np.linalg.norm(v))
     try:
-        instance = GENERATORS[kind](v, m, seed=seed)
-    except (ValueError, GepflowError) as exc:
+        instance = GENERATORS[args.kind](v, args.m, seed=args.seed)
+    except GepflowError as exc:
         raise CliError(str(exc)) from exc
-    _write_json(out, instance_to_json(instance), prov)
-    print(f"wrote {kind} instance n={n} m={m} to {out} [{prov['config']}]")
+    _write_json(args.out, instance_to_json(instance), prov)
+    print(f"wrote {args.kind} instance n={args.n} m={args.m} to {args.out} [{prov['config']}]")
     return 0
 
 
 def _cmd_solve(args) -> int:
-    r = _Resolver(args, _load_config_file(args.config))
-    solver = r.require("solver")
-    if solver not in SOLVER_NAMES:
-        raise CliError(f"unknown solver {solver!r}")
-    in_path = r.require("in_path")
-    out = r.require("out")
-    seed = r.seed()
-    eta = r.get("eta", 7.0 / 32.0, _parse_step)
-    eta_prime = r.get("eta_prime", 35.0 / 32.0, _parse_step)
-    max_iters = r.get("max_iters", 300, int)
-    stop_tol = _parse_stop_tol(r.get("stop_tol", "1e-9"))
-    floor = r.get("denominator_floor", DENOMINATOR_FLOOR, float)
-    restarts = r.get("restarts", 10, int)
-    s = r.get("s", None, int)
-    prior = _prior_spec(r)
+    _require(args, "solver", "in_path", "out")
+    args.eta, args.eta_prime = _parse_step(args.eta), _parse_step(args.eta_prime)
+    args.stop_tol = _parse_stop_tol(args.stop_tol)
+    prior = _prior_spec(args)
+    prov = _provenance(args.seed, _options(args))
 
-    opts = {
-        "cmd": "solve", "solver": solver, "in": in_path, "seed": seed,
-        "prior": r.get("prior", "sphere"), "model": r.get("model"),
-        "k": r.get("k", None, int), "s": s, "eta": eta, "eta_prime": eta_prime,
-        "max_iters": max_iters, "stop_tol": stop_tol,
-        "denominator_floor": floor, "restarts": restarts,
-        "proj_steps": r.get("proj_steps", 100, int),
-        "proj_lr": r.get("proj_lr", 0.1, float),
-        "proj_restarts": r.get("proj_restarts", 3, int),
-        "proj_seed": r.get("proj_seed", 0, int),
-    }
-    prov = _provenance(seed, opts)
-
-    instance = _load(in_path, instance_from_json, "instance")
+    instance = _load(args.in_path, instance_from_json, "instance")
     # Reference = population GEP optimum (equals the planted vector for B = I).
     truth_v = instance.truth.v_lead if instance.truth is not None else None
     try:
-        p = projector_from_spec(prior, truth=truth_v, seed=seed)
+        p = projector_from_spec(prior, truth=truth_v, seed=args.seed)
     except (OSError, ValueError, KeyError, GepflowError) as exc:
-        raise CliError(f"cannot build the {prior['prior']} prior: {exc}") from exc
-    if solver == "rifle" and s is None:
+        raise CliError(f"cannot build the {args.prior} prior: {exc}") from exc
+    if args.solver == "rifle" and args.s is None:
         raise CliError("rifle requires --s")
-    try:
-        cfg = SolverConfig(
-            step_size=eta, max_iters=max_iters, stop_tol=stop_tol,
-            denominator_floor=floor,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    cfg = SolverConfig(
+        step_size=args.eta, max_iters=args.max_iters, stop_tol=args.stop_tol,
+        denominator_floor=args.denominator_floor,
+    )
 
     try:
         result = run_with_restarts(
-            solver, instance.a_hat, instance.b_hat, cfg, restarts, seed,
-            p=p, s=s, eta_prime=eta_prime, v_star=truth_v,
+            args.solver, instance.a_hat, instance.b_hat, cfg, args.restarts, args.seed,
+            p=p, s=args.s, eta_prime=args.eta_prime, v_star=truth_v,
         )
     except GepflowError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
 
-    payload = trace_to_json(solver, cfg, result.trace, "ok")
+    payload = trace_to_json(args.solver, cfg, result.trace, "ok")
     payload["restart_index"] = result.restart_index
     payload["objective"] = result.objective
     payload["estimate"] = [float(x) for x in result.estimate]
@@ -329,59 +303,49 @@ def _cmd_solve(args) -> int:
             "signed_dist_min": signed_distance(result.estimate, truth_v),
         }
         print(
-            f"{solver}: restart {result.restart_index} objective "
+            f"{args.solver}: restart {result.restart_index} objective "
             f"{result.objective:.6g} |cos| {abs(cos):.4f}"
         )
     else:
         print(
-            f"{solver}: restart {result.restart_index} objective "
+            f"{args.solver}: restart {result.restart_index} objective "
             f"{result.objective:.6g}"
         )
-    _write_json(out, payload, prov)
+    _write_json(args.out, payload, prov)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    r = _Resolver(args, _load_config_file(args.config))
-    seed = r.seed()
-    prior_spec = _prior_spec(r)
-    timing = r.get("timing", "real")
-    jobs = r.get("jobs", 1, int)
-    out = r.require("out")
-    try:
-        spec = SweepSpec(
-            kind=r.require("kind"),
-            m_values=r.require("m_values", _parse_int_list),
-            n=r.require("n", int),
-            solvers=r.get("solvers", ("prfm",), _parse_str_list),
-            trials=r.get("trials", 20, int),
-            prior=prior_spec,
-            restarts=r.get("restarts", 10, int),
-            eta=r.get("eta", 7.0 / 32.0, _parse_step),
-            eta_prime=r.get("eta_prime", 35.0 / 32.0, _parse_step),
-            s=r.get("s", None, int),
-            max_iters=r.get("max_iters", 300, int),
-            stop_tol=_parse_stop_tol(r.get("stop_tol", "1e-9")),
-            base_seed=seed,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    prior = _prior_spec(args)
+    _require(args, "out", "kind", "m_values", "n")
+    spec = SweepSpec(
+        kind=args.kind,
+        m_values=_parse_int_list(args.m_values),
+        n=args.n,
+        solvers=_parse_str_list(args.solvers),
+        trials=args.trials,
+        prior=prior,
+        restarts=args.restarts,
+        eta=_parse_step(args.eta),
+        eta_prime=_parse_step(args.eta_prime),
+        s=args.s,
+        max_iters=args.max_iters,
+        stop_tol=_parse_stop_tol(args.stop_tol),
+        base_seed=args.seed,
+    )
 
     # every spec field is hashed, base_seed under its flag's name
     fields = dataclasses.asdict(spec)
     del fields["base_seed"]
-    prov = _provenance(seed, {"cmd": "sweep", **fields, "seed": seed, "timing": timing})
+    prov = _provenance(args.seed, {"cmd": "sweep", **fields, "seed": args.seed,
+                                   "timing": args.timing})
 
-    try:
-        rows = run_sweep(spec, jobs=jobs, timing=timing)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    _write_text(out, rows_to_csv(rows), prov)
+    rows = run_sweep(spec, jobs=args.jobs, timing=args.timing)
+    _write_text(args.out, rows_to_csv(rows), prov)
     cells = summarize(rows)
     sys.stdout.write(summary_to_text(cells))
-    summary_out = r.get("summary_out")
-    if summary_out is not None:
-        _write_json(summary_out, {"cells": summary_to_json(cells)}, prov)
+    if args.summary_out is not None:
+        _write_json(args.summary_out, {"cells": summary_to_json(cells)}, prov)
     failed = sum(1 for row in rows if row.status != "ok")
     if failed:
         print(f"note: {failed}/{len(rows)} runs failed; see status column")
@@ -389,21 +353,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    r = _Resolver(args, _load_config_file(args.config))
-    in_path = r.require("in_path")
-    set_size = r.get("set_size", 50, int)
-    seed = r.seed()
-    model = r.get("model")
-    opts = {
-        "cmd": "verify", "in": in_path, "set_size": set_size,
-        "seed": seed, "model": model,
-    }
-    prov = _provenance(seed, opts)
+    _require(args, "in_path")
+    prov = _provenance(args.seed, _options(args))
 
-    instance = _load(in_path, instance_from_json, "instance")
-    generator = _load(model, model_from_json, "model") if model is not None else None
+    instance = _load(args.in_path, instance_from_json, "instance")
+    generator = None if args.model is None else _load(args.model, model_from_json, "model")
     try:
-        report = verify_perturbation(instance, set_size, seed, generator=generator)
+        report = verify_perturbation(instance, args.set_size, args.seed, generator=generator)
     except GepflowError as exc:
         raise CliError(str(exc)) from exc
     print(
@@ -411,33 +367,23 @@ def _cmd_verify(args) -> int:
         f"max|s1'Fs2| {report.max_f_bilinear:.6g} (c_hat {report.c_hat_f:.4g})  "
         f"n/m {report.n_over_m:.4g}"
     )
-    out = r.get("out")
-    if out is not None:
-        _write_json(out, dataclasses.asdict(report), prov)
+    if args.out is not None:
+        _write_json(args.out, dataclasses.asdict(report), prov)
     return 0
 
 
 def _cmd_theory_check(args) -> int:
-    r = _Resolver(args, _load_config_file(args.config))
-    in_path = r.require("in_path")
-    eta = r.get("eta", 7.0 / 32.0, _parse_step)
-    draws = r.get("draws", 10_000, int)
-    seed = r.seed()
-    opts = {
-        "cmd": "theory-check", "in": in_path, "eta": eta,
-        "draws": draws, "seed": seed,
-    }
-    prov = _provenance(seed, opts)
+    _require(args, "in_path")
+    args.eta = _parse_step(args.eta)
+    prov = _provenance(args.seed, _options(args))
 
-    instance = _load(in_path, instance_from_json, "instance")
+    instance = _load(args.in_path, instance_from_json, "instance")
     if instance.truth is None:
         raise CliError("theory-check needs an instance with recorded truth")
     pair = instance.truth.pair
-    n = pair.a.shape[0]
-    u0 = np.ones(n) / math.sqrt(n)
     try:
         spectrum = generalized_eig(pair)
-        cond = compute_conditions(spectrum, pair.b, eta, u0)
+        cond = compute_conditions(spectrum, pair.b, args.eta, default_init(pair.a.shape[0]))
     except GepflowError as exc:
         print(f"condition computation failed: {exc}", file=sys.stderr)
         return 2
@@ -445,7 +391,7 @@ def _cmd_theory_check(args) -> int:
     def flag(ok: bool) -> str:
         return "satisfied" if ok else "NOT satisfied"
 
-    print(f"eta          {eta:.10g}")
+    print(f"eta          {args.eta:.10g}")
     for field in dataclasses.fields(cond):
         value = getattr(cond, field.name)
         if not isinstance(value, bool):
@@ -457,7 +403,7 @@ def _cmd_theory_check(args) -> int:
           f"{flag(cond.step_floor_ok)}")
     print(f"nu0 > 0:     {flag(cond.nu0_positive)}")
 
-    suites = run_lemma_suites(draws=draws, seed=seed)
+    suites = run_lemma_suites(draws=args.draws, seed=args.seed)
     failed = False
     for suite in suites:
         status = "ok" if suite.failures == 0 else "FAILED"
@@ -466,13 +412,12 @@ def _cmd_theory_check(args) -> int:
             f"suite {suite.name:<12} draws {suite.draws:>6} "
             f"failures {suite.failures} worst_slack {suite.worst_slack:.3e} {status}"
         )
-    out = r.get("out")
-    if out is not None:
+    if args.out is not None:
         payload = {
             "conditions": dataclasses.asdict(cond),
             "suites": [dataclasses.asdict(s) for s in suites],
         }
-        _write_json(out, payload, prov)
+        _write_json(args.out, payload, prov)
     return 2 if failed else 0
 
 
@@ -481,38 +426,42 @@ def _cmd_theory_check(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file of option defaults (flags win)")
+    p.add_argument("--config", help="JSON object of options, read as flags before the others")
     p.add_argument("--seed", type=int, help="integer seed (GEP_SEED is the fallback)")
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     """Prior, step and restart options shared by solve and sweep."""
-    p.add_argument("--prior", choices=PRIOR_NAMES)
+    proj = LatentProjectionConfig
+    p.add_argument("--prior", choices=PRIOR_NAMES, default="sphere")
     p.add_argument("--model", help="generator model JSON (subspace/range priors)")
     p.add_argument("--k", type=int, help="latent dim for a truth-containing subspace prior")
     p.add_argument("--s", type=int, help="sparsity level (rifle / sparse prior)")
-    p.add_argument("--eta", help='step size, e.g. "0.21875" or "7/32"')
-    p.add_argument("--eta-prime", dest="eta_prime", help="rifle step scale")
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--stop-tol", dest="stop_tol", help='tolerance or "none"')
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--proj-steps", dest="proj_steps", type=int)
-    p.add_argument("--proj-lr", dest="proj_lr", type=float)
-    p.add_argument("--proj-restarts", dest="proj_restarts", type=int)
-    p.add_argument("--proj-seed", dest="proj_seed", type=int)
+    p.add_argument("--eta", default=str(SweepSpec.eta),
+                   help='step size, e.g. "0.21875" or "7/32"')
+    p.add_argument("--eta-prime", default=str(SweepSpec.eta_prime), help="rifle step scale")
+    p.add_argument("--max-iters", type=int, default=SweepSpec.max_iters)
+    p.add_argument("--stop-tol", default=str(SweepSpec.stop_tol), help='tolerance or "none"')
+    p.add_argument("--restarts", type=int, default=SweepSpec.restarts)
+    p.add_argument("--proj-steps", type=int, default=proj.steps)
+    p.add_argument("--proj-lr", type=float, default=proj.learning_rate)
+    p.add_argument("--proj-restarts", type=int, default=proj.restarts)
+    p.add_argument("--proj-seed", type=int, default=proj.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _CliParser(prog="gepflow", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"gepflow {__version__}")
     sub = parser.add_subparsers(dest="subcommand", parser_class=_CliParser)
+    #: name -> subcommand parser, whose flags read a --config file
+    parser.commands = sub.choices
 
     g = sub.add_parser("generate", help="write a synthetic instance bundle")
     _add_common(g)
     g.add_argument("--kind", choices=sorted(GENERATORS))
     g.add_argument("--n", type=int)
     g.add_argument("--m", type=int)
-    g.add_argument("--vstar", choices=("nonneg", "raw"))
+    g.add_argument("--vstar", choices=("nonneg", "raw"), default="nonneg")
     g.add_argument("--out")
     g.set_defaults(handler=_cmd_generate)
 
@@ -521,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--in", dest="in_path")
     s.add_argument("--solver", choices=SOLVER_NAMES)
     _add_run_options(s)
-    s.add_argument("--denominator-floor", dest="denominator_floor", type=float)
+    s.add_argument("--denominator-floor", type=float, default=DENOMINATOR_FLOOR)
     s.add_argument("--out")
     s.set_defaults(handler=_cmd_solve)
 
@@ -529,21 +478,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(w)
     w.add_argument("--kind", choices=sorted(GENERATORS))
     w.add_argument("--n", type=int)
-    w.add_argument("--m-values", dest="m_values", help="comma list, e.g. 250,500,1000")
-    w.add_argument("--solvers", help=f"comma list from {','.join(SOLVER_NAMES)}")
-    w.add_argument("--trials", type=int)
+    w.add_argument("--m-values", help="comma list, e.g. 250,500,1000")
+    w.add_argument("--solvers", default="prfm",
+                   help=f"comma list from {','.join(SOLVER_NAMES)}")
+    w.add_argument("--trials", type=int, default=20)
     _add_run_options(w)
-    w.add_argument("--jobs", type=int, help="worker threads; never changes output "
-                   "(cells hold the interpreter lock, so more than 1 runs slower)")
-    w.add_argument("--timing", choices=("real", "zero"))
-    w.add_argument("--summary-out", dest="summary_out")
+    w.add_argument("--jobs", type=int, default=1, help="worker threads; never changes "
+                   "output (cells hold the interpreter lock, so more than 1 runs slower)")
+    w.add_argument("--timing", choices=("real", "zero"), default="real")
+    w.add_argument("--summary-out")
     w.add_argument("--out")
     w.set_defaults(handler=_cmd_sweep)
 
     v = sub.add_parser("verify", help="empirical perturbation magnitudes")
     _add_common(v)
     v.add_argument("--in", dest="in_path")
-    v.add_argument("--set-size", dest="set_size", type=int)
+    v.add_argument("--set-size", type=int, default=50)
     v.add_argument("--model", help="probe with range points of this generator")
     v.add_argument("--out")
     v.set_defaults(handler=_cmd_verify)
@@ -551,8 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("theory-check", help="condition table + inequality suites")
     _add_common(t)
     t.add_argument("--in", dest="in_path")
-    t.add_argument("--eta", help='step size, e.g. "7/32"')
-    t.add_argument("--draws", type=int, help="randomized draws per suite")
+    t.add_argument("--eta", default=str(SweepSpec.eta), help='step size, e.g. "7/32"')
+    t.add_argument("--draws", type=int, default=10_000, help="randomized draws per suite")
     t.add_argument("--out")
     t.set_defaults(handler=_cmd_theory_check)
 
@@ -561,16 +511,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if getattr(args, "handler", None) is None:
         parser.print_help(sys.stderr)
         return 1
     try:
+        if args.config is not None:
+            # the config's flags go first, so a command-line flag wins
+            cut = argv.index(args.subcommand) + 1
+            flags = _config_flags(args.config, parser.commands[args.subcommand])
+            args = parser.parse_args([*argv[:cut], *flags, *argv[cut:]])
+        args.seed = _resolve_seed(args.seed)
         return args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -177,8 +177,12 @@ class LatentProjectionConfig:
     def __post_init__(self):
         if self.steps < 1 or self.restarts < 1:
             raise ValueError("steps and restarts must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive")
+        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
+            raise ValueError("adam_beta1 and adam_beta2 must be in [0, 1)")
+        if not 0 < self.adam_eps < math.inf:
+            raise ValueError("adam_eps must be finite and positive")
 
 
 @dataclass(frozen=True, eq=False)

@@ -137,7 +137,9 @@ class SweepSpec:
             raise ValueError("max_iters must be >= 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be >= 0")
-        if self.prior is not None and self.prior.get("prior") not in PRIOR_NAMES:
+        if self.prior is not None and (
+            not isinstance(self.prior, dict) or self.prior.get("prior") not in PRIOR_NAMES
+        ):
             raise ValueError("unrecognized prior spec")
 
 

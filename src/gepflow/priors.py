@@ -167,6 +167,9 @@ def projector_from_spec(
             if not isinstance(model, SubspaceGenerator):
                 raise ValueError("subspace prior requires a basis-form model")
             return SubspaceProjector(basis=model.basis)
-        cfg = LatentProjectionConfig(**spec.get("projection", {}))
+        try:
+            cfg = LatentProjectionConfig(**spec.get("projection", {}))
+        except TypeError as exc:  # an unknown key, or not an object
+            raise ValueError(f"bad 'projection' object: {exc}") from exc
         return RangeProjector(model=model, config=cfg)
     raise ValueError(f"unknown prior {kind!r}")

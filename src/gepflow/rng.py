@@ -103,7 +103,9 @@ class NormalStream:
         return self.normals(rows * cols).reshape(rows, cols)
 
     def unit_vector(self, n: int) -> NDArray[np.float64]:
-        """Return a uniform point on the unit sphere in R^n."""
+        """Return a uniform point on the unit sphere in R^n (n >= 1)."""
+        if n < 1:
+            raise ValueError(f"unit vector dimension must be >= 1, got {n}")
         # A zero draw has probability ~0 but the retry keeps the map total.
         while True:
             v = self.normals(n)

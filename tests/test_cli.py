@@ -7,17 +7,25 @@ here shells out.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from gepflow.cli import main
+from gepflow.cli import build_parser, main
 from gepflow.harness import CSV_HEADER, SweepSpec, rows_to_csv, run_sweep
-from gepflow.generative import model_to_json, random_mlp, random_subspace
+from gepflow.generative import (
+    LatentProjectionConfig,
+    model_to_json,
+    random_mlp,
+    random_subspace,
+)
 from gepflow.priors import projector_from_spec
 from gepflow.problems import ProblemInstance, instance_from_json, instance_to_json
-from gepflow.solvers import SolverConfig, run_with_restarts
+from gepflow.solvers import DENOMINATOR_FLOOR, SolverConfig, run_with_restarts
+from gepflow.theory import run_lemma_suites
 
 
 def _generate(tmp_path, name="inst.json", **overrides):
@@ -76,6 +84,16 @@ class TestGenerate:
             main(["generate", "--kind", "mystery", "--n", "8", "--m", "10",
                   "--out", str(tmp_path / "x.json")])
         assert info.value.code == 1
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_empty_dimension_refused(self, tmp_path, capsys, n):
+        # This used to hang: an empty draw has norm 0 and was redrawn forever.
+        out = tmp_path / "x.json"
+        assert main(["generate", "--kind", "spiked", "--n", n, "--m", "10",
+                     "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("error:") and "dimension" in line
+        assert not out.exists()
 
     def test_no_subcommand_prints_help(self, capsys):
         assert main([]) == 1
@@ -449,6 +467,26 @@ class TestPriorFlags:
         assert "must be finite" in lines[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_bad_projection_learning_rate(self, tmp_path, capsys, command, value):
+        # --proj-lr nan used to give NaN range points (and an "ok" solve).
+        flags, _ = _prior_case("range", tmp_path)
+        if command == "solve":
+            argv = ["solve", "--solver", "prfm", "--in", str(_generate(tmp_path)),
+                    "--max-iters", "1"]
+        else:
+            argv = ["sweep", "--kind", "spiked", "--n", "16", "--m-values", "40",
+                    "--trials", "1", "--max-iters", "1"]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([*argv, *flags, "--proj-lr", value, "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("error:") and "learning_rate must be finite" in line
+        if command == "solve":
+            assert "cannot build the range prior" in line
+        assert not out.exists()
+
     def test_k_prior_needs_truth(self, tmp_path, capsys):
         # Sweep instances always carry their truth; a bundle may not.
         bare = ProblemInstance(
@@ -489,6 +527,75 @@ class TestConfigLayer:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")
         assert main(["generate", "--config", str(cfg), "--out", "x"]) == 1
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("generate", {"kind": "spiked", "n": 8, "m": 40, "max_iters": 2}),
+            ("sweep", {"kind": "spiked", "n": 8, "m_values": [40], "max-iters": 2}),
+            ("sweep", {"kind": "spiked", "n": 8, "m_values": [40], "config": "x.json"}),
+        ],
+        ids=["not-an-option-of-generate", "misspelled", "nested-config"],
+    )
+    def test_unknown_key_refused(self, tmp_path, capsys, command, config):
+        # Such keys used to be dropped without a word.
+        (key,) = set(config) - {"kind", "n", "m", "m_values"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("error:") and repr(key) in line
+        assert not out.exists()
+
+    def test_null_value_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "spiked", "n": 8, "m": 40, "vstar": None}))
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("error:") and "'vstar'" in line and "null" in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", [{"n": 8.5}, {"kind": "bogus"}],
+                             ids=["non-integer", "bad-choice"])
+    def test_config_values_are_checked_like_flags(self, tmp_path, capsys, config):
+        # "n": 8.5 was truncated to 8; both now fail as the same flag text does.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "spiked", "n": 8, "m": 40, **config}))
+        with pytest.raises(SystemExit) as info:
+            main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.json")])
+        assert info.value.code == 1
+        assert f"argument --{next(iter(config))}:" in capsys.readouterr().err
+
+    def test_sweep_from_config_equals_the_same_flags(self, tmp_path, capsys):
+        model = tmp_path / "mlp.json"
+        model.write_text(json.dumps(model_to_json(random_mlp(16, 4, hidden=(8,), seed=3))))
+        options = {
+            "kind": "spiked", "n": 16, "m_values": [40, 80], "solvers": ["prfm", "rifle"],
+            "trials": 1, "prior": "range", "model": str(model), "k": 4, "s": 3,
+            "eta": "7/32", "eta_prime": 1.5, "max_iters": 4, "stop_tol": "none",
+            "restarts": 1, "proj_steps": 3, "proj_lr": 0.05, "proj_restarts": 1,
+            "proj_seed": 2, "jobs": 2, "timing": "zero", "seed": 3,
+        }
+        unread = {"config", "out", "summary_out"}
+        assert set(options) == set(build_parser().commands["sweep"].flags) - unread
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(options))
+        flags = [
+            "--kind", "spiked", "--n", "16", "--m-values", "40,80", "--solvers", "prfm,rifle",
+            "--trials", "1", "--prior", "range", "--model", str(model), "--k", "4",
+            "--s", "3", "--eta", "7/32", "--eta-prime", "1.5", "--max-iters", "4",
+            "--stop-tol", "none", "--restarts", "1", "--proj-steps", "3", "--proj-lr", "0.05",
+            "--proj-restarts", "1", "--proj-seed", "2", "--jobs", "2", "--timing", "zero",
+            "--seed", "3",
+        ]
+        outputs = []
+        for name, argv in [("config", ["--config", str(cfg)]), ("flags", flags)]:
+            csv, summary = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            assert main(["sweep", *argv, "--out", str(csv), "--summary-out", str(summary)]) == 0
+            outputs.append((csv.read_bytes(), summary.read_bytes(), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
 
     def test_gep_seed_fallback_and_flag_priority(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GEP_SEED", "9")
@@ -596,3 +703,122 @@ class TestTheoryCheck:
         path = tmp_path / "bare.json"
         path.write_text(json.dumps(instance_to_json(bare)))
         assert main(["theory-check", "--in", str(path), "--draws", "40"]) == 1
+
+
+class TestFlagDefaults:
+    """Where the library owns a default, the flag's default is that value."""
+
+    def _defaults(self, command):
+        return vars(build_parser().parse_args([command]))
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_run_options(self, command):
+        d = self._defaults(command)
+        assert float(d["eta"]) == SweepSpec.eta
+        assert float(d["eta_prime"]) == SweepSpec.eta_prime
+        assert float(d["stop_tol"]) == SweepSpec.stop_tol
+        assert d["max_iters"] == SweepSpec.max_iters
+        assert d["restarts"] == SweepSpec.restarts
+        cfg = LatentProjectionConfig()
+        assert (d["proj_steps"], d["proj_lr"], d["proj_restarts"], d["proj_seed"]) == (
+            cfg.steps, cfg.learning_rate, cfg.restarts, cfg.seed,
+        )
+
+    def test_solver_and_theory_options(self):
+        assert self._defaults("solve")["denominator_floor"] == DENOMINATOR_FLOOR
+        assert float(self._defaults("theory-check")["eta"]) == SweepSpec.eta
+        draws = inspect.signature(run_lemma_suites).parameters["draws"].default
+        assert self._defaults("theory-check")["draws"] == draws
+
+
+#: the provenance hash of one fixed argv per subcommand, as recorded before the
+#: options were declared in the parser alone; a change here changes every hash
+GOLDEN_HASHES = {
+    "generate": (["generate", "--kind", "spiked", "--n", "16", "--m", "300",
+                  "--seed", "7"], "1ac5c68719b620d3"),
+    "solve": (["solve", "--solver", "rifle", "--in", "inst.json", "--s", "5", "--seed", "3",
+               "--restarts", "2", "--max-iters", "20", "--eta", "1/4", "--stop-tol", "none"],
+              "91ad18fd9e322124"),
+    "sweep": (["sweep", "--kind", "spiked", "--n", "8", "--m-values", "40,80", "--solvers",
+               "prfm", "--trials", "2", "--restarts", "1", "--max-iters", "20", "--seed", "5",
+               "--timing", "zero"], "c8f8302bc20f4a4d"),
+    "verify": (["verify", "--in", "inst.json", "--set-size", "10", "--seed", "2"],
+               "4fb81a6deaec88d8"),
+    "theory-check": (["theory-check", "--in", "inst.json", "--eta", "7/32", "--draws", "20",
+                      "--seed", "1"], "4f65c6a0b5b3430e"),
+}
+
+#: one flag change per hashed option of each subcommand (the sweep's are above)
+HASHED_OPTION_CHANGES = {
+    "generate": {
+        "kind": ("--kind", "diag_b"), "n": ("--n", "9"), "m": ("--m", "41"),
+        "seed": ("--seed", "6"), "vstar": ("--vstar", "raw"),
+    },
+    "solve": {
+        "solver": ("--solver", "ppower"), "in_path": ("--in", "copy.json"),
+        "seed": ("--seed", "6"), "prior": ("--prior", "sparse"),
+        "model": ("--model", "mlp.json"), "k": ("--k", "2"), "s": ("--s", "4"),
+        "eta": ("--eta", "1/4"), "eta_prime": ("--eta-prime", "3/2"),
+        "max_iters": ("--max-iters", "6"), "stop_tol": ("--stop-tol", "none"),
+        "restarts": ("--restarts", "2"), "denominator_floor": ("--denominator-floor", "1e-8"),
+        "proj_steps": ("--proj-steps", "7"), "proj_lr": ("--proj-lr", "0.2"),
+        "proj_restarts": ("--proj-restarts", "2"), "proj_seed": ("--proj-seed", "1"),
+    },
+    "verify": {
+        "in_path": ("--in", "copy.json"), "set_size": ("--set-size", "5"),
+        "seed": ("--seed", "6"), "model": ("--model", "mlp.json"),
+    },
+    "theory-check": {
+        "in_path": ("--in", "copy.json"), "eta": ("--eta", "1/4"),
+        "draws": ("--draws", "21"), "seed": ("--seed", "6"),
+    },
+}
+
+HASH_BASES = {
+    "generate": ["generate", "--kind", "spiked", "--n", "8", "--m", "40", "--seed", "5"],
+    "solve": ["solve", "--solver", "prfm", "--in", "inst.json", "--s", "3", "--seed", "5",
+              "--restarts", "1", "--max-iters", "5"],
+    "verify": ["verify", "--in", "inst.json", "--set-size", "4", "--seed", "5"],
+    "theory-check": ["theory-check", "--in", "inst.json", "--draws", "20", "--seed", "5"],
+}
+
+
+class TestProvenanceHash:
+    """Each subcommand's hash covers every parsed option but paths and --jobs."""
+
+    @pytest.fixture(autouse=True)
+    def _workdir(self, tmp_path, monkeypatch):
+        # Instance paths are hashed as given, so the runs use relative ones.
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--kind", "spiked", "--n", "16", "--m", "300",
+                     "--seed", "7", "--out", "inst.json"]) == 0
+        shutil.copy("inst.json", "copy.json")
+        model = model_to_json(random_mlp(16, 4, hidden=(8,), seed=3))
+        (tmp_path / "mlp.json").write_text(json.dumps(model))
+
+    def _hash(self, argv):
+        out = "out.csv" if argv[0] == "sweep" else "out.json"
+        assert main([*argv, "--out", out]) == 0
+        with open(out) as fh:
+            if argv[0] == "sweep":
+                return fh.readline().split("config=")[1].strip()
+            return json.load(fh)["provenance"]["config"]
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN_HASHES))
+    def test_golden_hash(self, command):
+        argv, digest = GOLDEN_HASHES[command]
+        assert self._hash(argv) == digest
+
+    @pytest.mark.parametrize("command", sorted(HASHED_OPTION_CHANGES))
+    def test_every_hashed_option_has_a_change(self, command):
+        unhashed = {"config", "out", "summary_out", "jobs", "handler", "subcommand"}
+        parsed = set(vars(build_parser().parse_args([command])))
+        assert set(HASHED_OPTION_CHANGES[command]) == parsed - unhashed
+
+    @pytest.mark.parametrize(
+        "command, dest",
+        [(c, d) for c in sorted(HASHED_OPTION_CHANGES) for d in sorted(HASHED_OPTION_CHANGES[c])],
+    )
+    def test_changing_one_option_changes_the_hash(self, command, dest):
+        base = HASH_BASES[command]
+        assert self._hash([*base, *HASHED_OPTION_CHANGES[command][dest]]) != self._hash(base)

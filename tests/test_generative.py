@@ -85,6 +85,25 @@ class TestConstruction:
         with pytest.raises(ValueError, match="finite"):
             SubspaceGenerator(basis=np.eye(4)[:, :2], latent_radius=bad)
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"learning_rate": 0.0}, {"learning_rate": -0.1},
+            {"learning_rate": math.nan}, {"learning_rate": math.inf},
+            {"adam_beta1": 1.0}, {"adam_beta1": -0.1}, {"adam_beta1": math.nan},
+            {"adam_beta2": 1.0}, {"adam_beta2": math.nan},
+            {"adam_eps": 0.0}, {"adam_eps": math.nan}, {"adam_eps": math.inf},
+        ],
+        ids=lambda setting: "-".join(f"{k}={v}" for k, v in setting.items()),
+    )
+    def test_bad_adam_settings_rejected(self, setting):
+        # Each of these used to build, and projections then returned NaN points.
+        with pytest.raises(ValueError):
+            LatentProjectionConfig(**setting)
+
+    def test_adam_betas_may_be_zero(self):
+        LatentProjectionConfig(adam_beta1=0.0, adam_beta2=0.0, learning_rate=1e300)
+
     def test_random_mlp_shapes(self):
         gen = random_mlp(16, 4, hidden=(8,), seed=3)
         assert gen.latent_dim == 4

@@ -126,6 +126,11 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             self._base(base_seed=-1)
 
+    def test_prior_that_is_not_a_dict_is_a_value_error(self):
+        # It used to raise AttributeError from str.get.
+        with pytest.raises(ValueError, match="prior spec"):
+            self._base(prior="sparse")
+
 
 class TestRunSweep:
     def test_single_cell_single_row(self):

@@ -204,6 +204,15 @@ class TestProjectorFromSpec:
         with pytest.raises(ValueError, match="truth"):
             projector_from_spec({"prior": "subspace", "k": 3})
 
+    @pytest.mark.parametrize("projection", [{"step": 5}, [5]], ids=["unknown-key", "list"])
+    def test_malformed_projection_is_a_value_error(self, tmp_path, projection):
+        # LatentProjectionConfig(**projection) raises TypeError on its own.
+        path = tmp_path / "mlp.json"
+        path.write_text(json.dumps(model_to_json(random_mlp(6, 2, seed=91))))
+        spec = {"prior": "range", "model_path": "mlp.json", "projection": projection}
+        with pytest.raises(ValueError, match="projection"):
+            projector_from_spec(spec, str(tmp_path))
+
     def test_rejections(self, tmp_path):
         with pytest.raises(ValueError):
             projector_from_spec({"prior": "banana"})

@@ -8,6 +8,7 @@ unchunked pass, including request sizes on both sides of a chunk boundary.
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,6 +87,18 @@ def test_ball_point_inside_radius():
     assert max(radii) <= 2.5 + 1e-12
     # Radii follow r * U^(1/k): the median should sit near 2.5 * 0.5^(1/8).
     assert abs(np.median(radii) - 2.5 * 0.5 ** (1 / 8)) < 0.1
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_unit_vector_refuses_empty_dimension(n):
+    # An empty draw has norm 0, so the retry loop used to spin forever.
+    with pytest.raises(ValueError, match="dimension"):
+        NormalStream(1).unit_vector(n)
+
+
+def test_ball_point_refuses_empty_dimension():
+    with pytest.raises(ValueError, match="dimension"):
+        NormalStream(1).ball_point(0, 1.0)
 
 
 def test_matrix_row_major_order():
