@@ -65,7 +65,9 @@ from .solvers import (
 from .theory import compute_conditions, run_lemma_suites
 
 #: parsed options that never change an output's content, and argparse plumbing
-_UNHASHED = frozenset({"config", "out", "summary_out", "jobs", "handler", "subcommand"})
+_UNHASHED = frozenset(
+    {"config", "out", "summary_out", "jobs", "handler", "subcommand", "flags"}
+)
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -155,7 +157,7 @@ def _resolve_seed(seed: int | None) -> int:
 def _require(args: argparse.Namespace, *dests: str) -> None:
     for dest in dests:
         if getattr(args, dest) is None:
-            raise CliError(f"missing required option --{dest.replace('_', '-')}")
+            raise CliError(f"missing required option {args.flags[dest]}")
 
 
 def _options(args: argparse.Namespace) -> dict:
@@ -388,6 +390,9 @@ def _cmd_theory_check(args) -> int:
         print(f"condition computation failed: {exc}", file=sys.stderr)
         return 2
 
+    # run first: a bad --draws is refused before any output
+    suites = run_lemma_suites(draws=args.draws, seed=args.seed)
+
     def flag(ok: bool) -> str:
         return "satisfied" if ok else "NOT satisfied"
 
@@ -403,7 +408,6 @@ def _cmd_theory_check(args) -> int:
           f"{flag(cond.step_floor_ok)}")
     print(f"nu0 > 0:     {flag(cond.nu0_positive)}")
 
-    suites = run_lemma_suites(draws=args.draws, seed=args.seed)
     failed = False
     for suite in suites:
         status = "ok" if suite.failures == 0 else "FAILED"
@@ -506,6 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out")
     t.set_defaults(handler=_cmd_theory_check)
 
+    for command in sub.choices.values():
+        command.set_defaults(flags=command.flags)  # dest -> flag, for messages
     return parser
 
 

@@ -1,11 +1,12 @@
 """Generative decoders mapping a latent ball into the unit sphere.
 
 Two families serve as desk-scale stand-ins for pretrained decoders: a
-feed-forward MLP with explicit forward/backward passes, and a linear
-subspace decoder that admits a closed-form projection oracle. Both expose
-the same surface: `forward`, `backward`, `lipschitz_upper_bound`,
-`project_to_range` (iterative, Adam in latent space), with
-`subspace_project` as the exact oracle for the subspace family.
+feed-forward MLP, and a linear subspace decoder that admits a closed-form
+projection oracle. Both share one decode path (clamp, layers, normalize;
+`backward` runs it in reverse): the subspace decoder is one bias-free
+identity layer over its basis. Both expose `forward`, `backward`,
+`lipschitz_upper_bound` and `project_to_range` (Adam in latent space);
+`subspace_project` is the exact oracle for the subspace family.
 
 Stream usage: `random_mlp`/`random_subspace` draw from
 NormalStream(seed, stream=0) (weights row-major then bias, layer by layer;
@@ -136,6 +137,8 @@ class SubspaceGenerator:
 
     basis: NDArray[np.float64]
     latent_radius: float
+    normalized = True
+    min_norm = MIN_NORM_DEFAULT
 
     def __post_init__(self):
         q = np.asarray(self.basis, dtype=np.float64)
@@ -157,6 +160,11 @@ class SubspaceGenerator:
     @property
     def output_dim(self) -> int:
         return self.basis.shape[0]
+
+    @functools.cached_property
+    def layers(self) -> tuple[Layer, ...]:
+        # bias -0.0, the exact additive identity: the layer yields Qz bit for bit
+        return (Layer(self.basis, np.full(self.output_dim, -0.0), "identity"),)
 
 
 Generator = MlpGenerator | SubspaceGenerator
@@ -233,25 +241,22 @@ def _activate_grad(name: str, pre: NDArray[np.float64], post: NDArray[np.float64
     return post * (1.0 - post)  # sigmoid; identity layers skip the multiply
 
 
-def _mlp_trace(gen: MlpGenerator, z: NDArray[np.float64]):
-    """Forward pass keeping per-layer (pre, post) activations."""
-    h = z
+def _decode(gen: Generator, z):
+    """Clamp z into the latent ball, run the layers and normalize:
+    (output, raw output norm or None when unnormalized, per-layer
+    (pre, post) activations)."""
+    h = _clamp_latent(gen, z)
     cache = []
     for layer in gen.layers:
         pre = layer.weight.dot(h) + layer.bias
-        post = _activate(layer.activation, pre)
-        cache.append((pre, post))
-        h = post
-    return h, cache
-
-
-def _decode(gen: Generator, z):
-    """Clamp z into the latent ball and decode it, before normalization:
-    (raw output, per-layer MLP activations; None for a subspace decoder)."""
-    zv = _clamp_latent(gen, z)
-    if isinstance(gen, SubspaceGenerator):
-        return gen.basis.dot(zv), None
-    return _mlp_trace(gen, zv)
+        h = _activate(layer.activation, pre)
+        cache.append((pre, h))
+    if not gen.normalized:
+        return h, None, cache
+    norm = math.sqrt(float(h.dot(h)))
+    if norm <= gen.min_norm:
+        raise DegenerateOutput(f"raw output norm {norm:.6g} <= {gen.min_norm:.6g}")
+    return h / norm, norm, cache
 
 
 def forward(gen: Generator, z) -> NDArray[np.float64]:
@@ -262,14 +267,7 @@ def forward(gen: Generator, z) -> NDArray[np.float64]:
     DegenerateOutput is raised when the raw output norm is at or below the
     generator's floor, since no direction can be assigned.
     """
-    raw, _ = _decode(gen, z)
-    if isinstance(gen, MlpGenerator) and not gen.normalized:
-        return raw
-    floor = gen.min_norm if isinstance(gen, MlpGenerator) else MIN_NORM_DEFAULT
-    norm = math.sqrt(float(raw.dot(raw)))
-    if norm <= floor:
-        raise DegenerateOutput(f"raw output norm {norm:.6g} <= {floor:.6g}")
-    return raw / norm
+    return _decode(gen, z)[0]
 
 
 def backward(gen: Generator, z, cotangent) -> NDArray[np.float64]:
@@ -279,24 +277,11 @@ def backward(gen: Generator, z, cotangent) -> NDArray[np.float64]:
     subgradient 0 at kinks. Evaluated at the clamped latent, mirroring
     `forward`.
     """
-    raw, cache = _decode(gen, z)
+    out, norm, cache = _decode(gen, z)
     cot = np.asarray(cotangent, dtype=np.float64).reshape(-1)
     if cot.shape[0] != gen.output_dim:
-        raise ValueError(
-            f"cotangent has length {cot.shape[0]}, expected {gen.output_dim}"
-        )
-
-    if cache is None or gen.normalized:
-        floor = MIN_NORM_DEFAULT if cache is None else gen.min_norm
-        norm = math.sqrt(float(raw.dot(raw)))
-        if norm <= floor:
-            raise DegenerateOutput(f"raw output norm {norm:.6g} <= {floor:.6g}")
-        out = raw / norm
-        grad = (cot - float(out.dot(cot)) * out) / norm
-    else:
-        grad = cot
-    if cache is None:
-        return gen.basis.T.dot(grad)
+        raise ValueError(f"cotangent has length {cot.shape[0]}, expected {gen.output_dim}")
+    grad = cot if norm is None else (cot - float(out.dot(cot)) * out) / norm
     for layer, (pre, post) in zip(reversed(gen.layers), reversed(cache)):
         if layer.activation != "identity":
             grad = grad * _activate_grad(layer.activation, pre, post)

@@ -135,6 +135,8 @@ class SweepSpec:
             raise ValueError("rifle requires a positive sparsity level s")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.stop_tol is not None and not 0 <= self.stop_tol < math.inf:
+            raise ValueError("stop_tol must be None or finite and >= 0")
         if self.base_seed < 0:
             raise ValueError("base_seed must be >= 0")
         if self.prior is not None and (

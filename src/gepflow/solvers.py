@@ -88,6 +88,8 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if not 0 < self.denominator_floor < math.inf:
             raise ValueError("denominator_floor must be finite and positive")
+        if self.stop_tol is not None and not 0 <= self.stop_tol < math.inf:
+            raise ValueError("stop_tol must be None or finite and >= 0")
         if self.init is not None:
             u = np.asarray(self.init, dtype=np.float64).reshape(-1)
             if not np.all(np.isfinite(u)):
@@ -319,6 +321,10 @@ def run_with_restarts(
         raise ValueError(f"unknown solver {solver!r}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    given = {"p": p, "s": s, "eta_prime": eta_prime}
+    for name in ("s", "eta_prime") if solver == "rifle" else ("p",):
+        if given[name] is None:
+            raise ValueError(f"{solver} needs {name}")
     a = as_sym_matrix(a_hat, name="a_hat")
     n = a.shape[0]
     b = None if b_hat is None else as_sym_matrix(b_hat, name="b_hat")

@@ -325,6 +325,34 @@ class TestStepValidation:
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert line.startswith("error:") and "eta must be finite" in line
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_stop_tol(self, tmp_path, capsys, command, value):
+        # nan and -1 used to run every iteration and inf to stop after one
+        argv = self._argv(tmp_path, command)
+        capsys.readouterr()
+        assert main(argv + ["--stop-tol", value]) == 1
+        self._assert_one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+
+class TestRequiredOptions:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["verify"], "--in"),
+            (["solve", "--solver", "prfm", "--out", "x.json"], "--in"),
+            (["theory-check"], "--in"),
+            (["sweep", "--kind", "spiked", "--n", "8", "--out", "x.csv"], "--m-values"),
+            (["generate", "--kind", "spiked", "--n", "8", "--m", "20"], "--out"),
+        ],
+    )
+    def test_message_names_the_flag(self, capsys, argv, flag):
+        # `--in` used to be reported by its dest, as --in-path
+        assert main(argv) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == f"error: missing required option {flag}"
+
 
 def _prior_case(name, tmp_path):
     """(CLI flags, the projector_from_spec dict they describe) for n = 16."""
@@ -704,6 +732,17 @@ class TestTheoryCheck:
         path.write_text(json.dumps(instance_to_json(bare)))
         assert main(["theory-check", "--in", str(path), "--draws", "40"]) == 1
 
+    @pytest.mark.parametrize("draws", ["0", "-5"])
+    def test_bad_draws_refused_before_any_output(self, tmp_path, capsys, draws):
+        # the whole condition table used to be printed before the refusal
+        inst = _generate(tmp_path)
+        capsys.readouterr()
+        assert main(["theory-check", "--in", str(inst), "--draws", draws]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith("error:") and "draws" in line
+
 
 class TestFlagDefaults:
     """Where the library owns a default, the flag's default is that value."""
@@ -811,7 +850,7 @@ class TestProvenanceHash:
 
     @pytest.mark.parametrize("command", sorted(HASHED_OPTION_CHANGES))
     def test_every_hashed_option_has_a_change(self, command):
-        unhashed = {"config", "out", "summary_out", "jobs", "handler", "subcommand"}
+        unhashed = {"config", "out", "summary_out", "jobs", "handler", "subcommand", "flags"}
         parsed = set(vars(build_parser().parse_args([command])))
         assert set(HASHED_OPTION_CHANGES[command]) == parsed - unhashed
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,30 @@ class TestForward:
         out = forward(gen, z)
         assert_allclose(np.linalg.norm(out), 1.0, atol=1e-12)
         assert_allclose(out, gen.basis @ z / np.linalg.norm(gen.basis @ z), atol=1e-14)
+
+        # Through the shared layer path, forward and backward equal the
+        # closed forms Qz/||Qz|| and Q'(c - (o.c)o)/||Qz|| bit for bit, at
+        # the clamped latent, inside and outside the ball.
+        stream = NormalStream(5, stream=0)
+        gens = [
+            gen,
+            subspace_containing(stream.normals(8), 3, seed=2),
+            SubspaceGenerator(basis=np.eye(8)[:, 2:5], latent_radius=2.0),
+        ]
+        for gen in gens:
+            for scale in (0.1, 0.5, 0.99, 1.5, 4.0):
+                z = stream.unit_vector(3) * (scale * gen.latent_radius)
+                cot = stream.normals(8)
+                norm_z = math.sqrt(float(z.dot(z)))
+                zc = z if norm_z <= gen.latent_radius else z * (gen.latent_radius / norm_z)
+                raw = gen.basis.dot(zc)
+                norm = math.sqrt(float(raw.dot(raw)))
+                o = raw / norm
+                grad = gen.basis.T.dot((cot - float(o.dot(cot)) * o) / norm)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", LatentClampWarning)
+                    assert forward(gen, z).tobytes() == o.tobytes()
+                    assert backward(gen, z, cot).tobytes() == grad.tobytes()
 
     def test_identity_single_layer_matches_by_hand(self):
         w = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])

@@ -126,6 +126,11 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             self._base(base_seed=-1)
 
+    @pytest.mark.parametrize("stop_tol", [math.nan, -1.0, math.inf])
+    def test_bad_stop_tol_rejected(self, stop_tol):
+        with pytest.raises(ValueError, match="stop_tol"):
+            self._base(stop_tol=stop_tol)
+
     def test_prior_that_is_not_a_dict_is_a_value_error(self):
         # It used to raise AttributeError from str.get.
         with pytest.raises(ValueError, match="prior spec"):

@@ -95,6 +95,17 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="non-finite"):
             SolverConfig(step_size=0.1, max_iters=10, init=np.array(init))
 
+    @pytest.mark.parametrize("stop_tol", [math.nan, -1.0, math.inf, -math.inf])
+    def test_bad_stop_tol_rejected(self, stop_tol):
+        # NaN and negative tolerances never stopped a run, and inf stopped
+        # every run after one step, all without a word
+        with pytest.raises(ValueError, match="stop_tol"):
+            SolverConfig(step_size=0.1, max_iters=10, stop_tol=stop_tol)
+
+    @pytest.mark.parametrize("stop_tol", [None, 0.0, 1e-9])
+    def test_stop_tol_none_or_finite_nonnegative_accepted(self, stop_tol):
+        assert SolverConfig(step_size=0.1, max_iters=10, stop_tol=stop_tol).stop_tol == stop_tol
+
     def test_default_init_vector(self):
         assert_allclose(default_init(4), np.full(4, 0.5), atol=1e-15)
 
@@ -347,6 +358,21 @@ class TestRunWithRestarts:
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError):
             run_with_restarts("newton", np.eye(2), np.eye(2), SolverConfig(0.1, 1), 1, 0)
+
+    @pytest.mark.parametrize(
+        "solver, kwargs, missing",
+        [
+            ("prfm", {}, "p"),
+            ("ppower", {}, "p"),
+            ("rifle", {"eta_prime": 35 / 32}, "s"),
+            ("rifle", {"s": 2}, "eta_prime"),
+        ],
+    )
+    def test_missing_solver_argument_named_before_any_restart(self, solver, kwargs, missing):
+        # these used to escape the first restart as a TypeError
+        cfg = SolverConfig(step_size=0.1, max_iters=5)
+        with pytest.raises(ValueError, match=f"{solver} needs {missing}$"):
+            run_with_restarts(solver, np.eye(3), np.eye(3), cfg, 2, 0, **kwargs)
 
 
 class TestExactSolve:
