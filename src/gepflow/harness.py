@@ -155,6 +155,7 @@ class ResultRow:
     dist: float
     signed_dist_min: float
     iterations: int
+    stop_reason: str
     wall_ms: float
     status: str
 
@@ -208,20 +209,22 @@ def _run_cell(
         except GepflowError as exc:
             wall = (perf_counter() - start) * 1000.0
             cos = dist = signed = math.nan
-            iterations, status = 0, type(exc).__name__
+            iterations, stop_reason, status = 0, "", type(exc).__name__
         else:
             wall = (perf_counter() - start) * 1000.0
             u = result.estimate
             cos = cosine_similarity(truth_v, u)
             dist = float(np.linalg.norm(u - truth_v))
             signed = signed_distance(u, truth_v)
-            iterations, status = result.trace.iterations_run, "ok"
+            trace = result.trace
+            iterations, stop_reason, status = trace.iterations_run, trace.stop_reason, "ok"
         rows.append(
             ResultRow(
                 solver=solver, m=m, trial=trial,
                 cos_sim=cos, abs_cos_sim=abs(cos),
                 dist=dist, signed_dist_min=signed,
-                iterations=iterations, wall_ms=wall, status=status,
+                iterations=iterations, stop_reason=stop_reason,
+                wall_ms=wall, status=status,
             )
         )
     return rows

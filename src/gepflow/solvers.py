@@ -56,6 +56,15 @@ SOLVER_NAMES = ("prfm", "rifle", "ppower")
 #: iterate is treated as having a nonpositive denominator.
 DENOMINATOR_FLOOR = 1e-10
 
+#: A run is in a period-2 orbit once _CYCLE_HOLD consecutive updates each
+#: land within stop_tol of the iterate before last while the single step
+#: still moves more than _CYCLE_STEP_FACTOR * stop_tol. The step guard
+#: leaves a run that is about to converge to the ordinary stop_tol test; one
+#: held update is not enough to keep the returned point within
+#: ((max_iters - iterations_run) / 2 + 1) * stop_tol of the max_iters point.
+_CYCLE_STEP_FACTOR = 1e3
+_CYCLE_HOLD = 2
+
 
 def default_init(n: int) -> NDArray[np.float64]:
     """The all-ones direction, normalized."""
@@ -67,11 +76,11 @@ class SolverConfig:
     """Shared iteration settings.
 
     `init` of None means the all-ones direction, filled in at solve time
-    once the dimension is known. `stop_tol` of None disables early stopping
-    for fixed-iteration-count runs. `record_trace=False` skips the trace
-    rows, and with them the per-iterate truth columns (cos_sim, dist); the
-    iterates, the final vector, iterations_run and stop_reason are the same
-    either way.
+    once the dimension is known. `stop_tol` of None disables early stopping,
+    both the converged and the cycled stop, for fixed-iteration-count runs.
+    `record_trace=False` skips the trace rows, and with them the per-iterate
+    truth columns (cos_sim, dist); the iterates, the final vector,
+    iterations_run and stop_reason are the same either way.
     """
 
     step_size: float
@@ -120,7 +129,8 @@ class RunTrace:
     visited iterate, including the final one. final_rho is the guarded
     quotient at final_vector (u'Au for ppower), recorded or not. stop_reason
     is "converged" when an update moved the iterate by at most stop_tol,
-    else "max_iters".
+    "cycled" when the run settled into a period-2 orbit (see _flow), else
+    "max_iters".
     """
 
     rows: tuple[TraceRow, ...]
@@ -176,8 +186,14 @@ def _flow(a, b, cfg: SolverConfig, v_star, step) -> tuple[NDArray[np.float64], R
     B u_t once (no B u_t when b is None), take rho_t from them, record a
     trace row if asked, and move to step(t, u_t, A u_t, B u_t, rho_t).
 
-    Stops once an update moves u by at most cfg.stop_tol, or after
-    cfg.max_iters updates; rho's guard also covers the final iterate.
+    Stops once an update moves u by at most cfg.stop_tol ("converged"), or
+    after cfg.max_iters updates ("max_iters"). With stop_tol set it also
+    stops as "cycled" once the run is in a period-2 orbit: for the last
+    _CYCLE_HOLD updates, u_{t+1} lies within stop_tol of u_{t-1} while the
+    step from u_t moves more than _CYCLE_STEP_FACTOR * stop_tol. Such a run
+    returns the orbit point it would have ended on at max_iters, u_{t+1} if
+    max_iters - (t+1) is even and u_t otherwise, and reports the true
+    iterations_run. rho's guard also covers the final iterate.
     """
     u = _resolve_init(cfg, a.shape[0])
     record = cfg.record_trace
@@ -188,6 +204,9 @@ def _flow(a, b, cfg: SolverConfig, v_star, step) -> tuple[NDArray[np.float64], R
     rows: list[TraceRow] = []
     iterations = 0
     stop_reason = "max_iters"
+    tol = cfg.stop_tol
+    u_prev = None
+    held = 0
     for t in range(cfg.max_iters):
         # ndarray.dot, here, in _rho and in the projections, not @: both reach
         # the same BLAS call, but @'s ufunc dispatch adds up to a microsecond
@@ -199,10 +218,24 @@ def _flow(a, b, cfg: SolverConfig, v_star, step) -> tuple[NDArray[np.float64], R
             rows.append(_row(t, rho, u, v))
         u_next = step(t, u, au, bu, rho)
         iterations = t + 1
-        moved = _norm(u_next - u)
-        u = u_next
-        if cfg.stop_tol is not None and moved <= cfg.stop_tol:
-            stop_reason = "converged"
+        if tol is not None:
+            moved = _norm(u_next - u)
+            if moved <= tol:
+                stop_reason = "converged"
+            elif (
+                u_prev is not None
+                and moved > _CYCLE_STEP_FACTOR * tol
+                and _norm(u_next - u_prev) <= tol
+            ):
+                held += 1
+                if held == _CYCLE_HOLD:
+                    stop_reason = "cycled"
+                    if (cfg.max_iters - iterations) % 2:
+                        u_next = u
+            else:
+                held = 0
+        u_prev, u = u, u_next
+        if stop_reason != "max_iters":
             break
 
     rho = _rho(u, a.dot(u), None if b is None else b.dot(u), cfg.denominator_floor, iterations)

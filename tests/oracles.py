@@ -138,6 +138,7 @@ def reference_flow(
     eta_prime: float | None = None,
     floor: float = 1e-10,
     v_star: np.ndarray | None = None,
+    cycle_stop: bool = True,
 ):
     """prfm, rifle or ppower written straight from their update rules.
 
@@ -149,6 +150,13 @@ def reference_flow(
     np.linalg.norm. Returns (u, iterations, rows, stop_reason) with rows
     the (t, rho, cos_sim, dist) of each visited iterate, the final one
     included; raises the package's error class for each failure.
+
+    With stop_tol set, the run stops as "converged" once
+    ||u_{t+1} - u_t|| <= stop_tol, and as "cycled" once both u_{t+1} and u_t
+    are in orbit: u_k is when ||u_k - u_{k-2}|| <= stop_tol and
+    ||u_k - u_{k-1}|| > 1e3 stop_tol. A cycled run returns u_{t+1} when
+    max_iters - (t+1) is even, else u_t. cycle_stop=False leaves out the
+    cycled stop.
     """
 
     def rho_at(u, t):
@@ -164,7 +172,15 @@ def reference_flow(
             return (t, rho, None, None)
         return (t, rho, float(u @ v_star), float(np.linalg.norm(u - v_star)))
 
+    def in_orbit(k):
+        return (
+            k >= 2
+            and float(np.linalg.norm(path[k] - path[k - 2])) <= stop_tol
+            and float(np.linalg.norm(path[k] - path[k - 1])) > 1e3 * stop_tol
+        )
+
     u = np.array(u0, dtype=np.float64)
+    path = [u]
     rows, iterations, stop_reason = [], 0, "max_iters"
     for t in range(max_iters):
         rho = rho_at(u, t)
@@ -182,10 +198,17 @@ def reference_flow(
         u_next = _reference_projection(prior, target)
         iterations = t + 1
         moved = float(np.linalg.norm(u_next - u))
-        u = u_next
         if stop_tol is not None and moved <= stop_tol:
+            u = u_next
             stop_reason = "converged"
             break
+        path.append(u_next)
+        if cycle_stop and stop_tol is not None and in_orbit(t + 1) and in_orbit(t):
+            if (max_iters - iterations) % 2 == 0:
+                u = u_next
+            stop_reason = "cycled"
+            break
+        u = u_next
     rows.append(row(iterations, rho_at(u, iterations), u))
     return u, iterations, rows, stop_reason
 

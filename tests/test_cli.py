@@ -172,6 +172,26 @@ class TestSolve:
         assert code == 2
         assert "solver error" in capsys.readouterr().err
 
+    def test_cycled_run_reports_its_stop_reason(self, tmp_path):
+        # From the all-ones start, power iteration on diag(1, -1) alternates
+        # between (1, 1) and (1, -1), normalized.
+        orbit = ProblemInstance(
+            a_hat=np.diag([1.0, -1.0]), b_hat=np.eye(2), truth=None, m=5,
+            kind="custom", seed=0,
+        )
+        path = tmp_path / "orbit.json"
+        path.write_text(json.dumps(instance_to_json(orbit)))
+        out = tmp_path / "t.json"
+        code = main([
+            "solve", "--solver", "ppower", "--in", str(path), "--out", str(out),
+            "--restarts", "1",
+        ])
+        assert code == 0
+        obj = json.loads(out.read_text())
+        assert obj["stop_reason"] == "cycled"
+        assert len(obj["rows"]) == 4
+        assert obj["final"] == [2**-0.5, 2**-0.5]
+
     def test_missing_instance_file(self, tmp_path, capsys):
         code = main([
             "solve", "--solver", "prfm", "--in", str(tmp_path / "absent.json"),

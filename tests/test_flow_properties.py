@@ -10,7 +10,7 @@ positive- or negative-definite B.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gepflow.errors import AllRunsFailed, DenominatorNonPositive, GepflowError
@@ -140,3 +140,40 @@ def test_solvers_match_reference_flow(case):
 
     if case["negative_b"] and case["solver"] != "ppower":
         assert expected is DenominatorNonPositive
+
+
+def _case(**kw):
+    return dict(negative_b=False, stop_tol=1e-9, a_kind="spiked", **kw)
+
+
+@PROPERTY_SETTINGS
+@given(flow_case())
+# Runs that break the bound when one held update is enough to stop.
+@example(_case(seed=2016855498, n=15, solver="prfm", prior="subspace", level=15,
+               random_init=True, max_iters=118, step_size=0.6))
+@example(_case(seed=1915244129, n=11, solver="prfm", prior="sphere", level=3,
+               random_init=False, max_iters=192, step_size=0.6))
+def test_cycled_run_ends_near_its_max_iters_point(case):
+    """A run stopped as cycled returns a point within
+    ((max_iters - iterations_run) / 2 + 1) * stop_tol of the point the same
+    run reaches without the cycled stop."""
+    case = dict(case, stop_tol=1e-9)
+    a, b, u0, v_star, projector, prior = _inputs(case)
+    cfg = SolverConfig(
+        step_size=case["step_size"], max_iters=case["max_iters"], init=u0,
+        stop_tol=case["stop_tol"], record_trace=False,
+    )
+    try:
+        u, trace = _run(case, a, b, projector, cfg, v_star)
+    except GepflowError:
+        return
+    if trace.stop_reason != "cycled":
+        return
+    start = np.ones(case["n"]) / np.sqrt(case["n"]) if u0 is None else u0
+    uncut = reference_flow(
+        case["solver"], a, b, start, prior, step_size=case["step_size"],
+        max_iters=case["max_iters"], stop_tol=case["stop_tol"],
+        eta_prime=35.0 / 32.0, cycle_stop=False,
+    )[0]
+    left = case["max_iters"] - trace.iterations_run
+    assert np.linalg.norm(u - uncut) <= (left / 2 + 1) * case["stop_tol"]

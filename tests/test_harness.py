@@ -333,8 +333,8 @@ class TestSlopeFit:
 def _row(solver="prfm", m=100, trial=0, cos=0.9, dist=0.2, status="ok"):
     return ResultRow(
         solver=solver, m=m, trial=trial, cos_sim=cos, abs_cos_sim=abs(cos),
-        dist=dist, signed_dist_min=dist, iterations=5, wall_ms=1.0,
-        status=status,
+        dist=dist, signed_dist_min=dist, iterations=5, stop_reason="converged",
+        wall_ms=1.0, status=status,
     )
 
 
@@ -401,24 +401,25 @@ class TestOutputs:
         assert CSV_HEADER == ",".join(names)
         assert CSV_HEADER == (
             "solver,m,trial,cos_sim,abs_cos_sim,dist,signed_dist_min,"
-            "iterations,wall_ms,status"
+            "iterations,stop_reason,wall_ms,status"
         )
 
     def test_csv_golden_bytes(self):
         ok = ResultRow(
             solver="prfm", m=250, trial=3, cos_sim=-0.1, abs_cos_sim=0.1,
-            dist=1 / 3, signed_dist_min=2 / 3, iterations=17, wall_ms=12.3456,
-            status="ok",
+            dist=1 / 3, signed_dist_min=2 / 3, iterations=17, stop_reason="cycled",
+            wall_ms=12.3456, status="ok",
         )
         failed = ResultRow(
             solver="ppower", m=250, trial=0, cos_sim=math.nan, abs_cos_sim=math.nan,
-            dist=math.nan, signed_dist_min=math.nan, iterations=0, wall_ms=0.0,
-            status="AllRunsFailed",
+            dist=math.nan, signed_dist_min=math.nan, iterations=0, stop_reason="",
+            wall_ms=0.0, status="AllRunsFailed",
         )
         assert rows_to_csv([ok, failed]) == (
-            "solver,m,trial,cos_sim,abs_cos_sim,dist,signed_dist_min,iterations,wall_ms,status\n"
-            "prfm,250,3,-0.1,0.1,0.3333333333333333,0.6666666666666666,17,12.346,ok\n"
-            "ppower,250,0,nan,nan,nan,nan,0,0.000,AllRunsFailed\n"
+            "solver,m,trial,cos_sim,abs_cos_sim,dist,signed_dist_min,iterations,"
+            "stop_reason,wall_ms,status\n"
+            "prfm,250,3,-0.1,0.1,0.3333333333333333,0.6666666666666666,17,cycled,12.346,ok\n"
+            "ppower,250,0,nan,nan,nan,nan,0,,0.000,AllRunsFailed\n"
         )
 
     def test_csv_nan_rendering(self):

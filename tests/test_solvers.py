@@ -436,6 +436,37 @@ class TestTraceJson:
         blob = json.loads(json.dumps(trace_to_json(solver, fixed, capped, "ok")))
         assert blob["stop_reason"] == "max_iters"
 
+    @pytest.mark.parametrize("max_iters", [10, 11])
+    def test_stop_reason_cycled(self, max_iters):
+        # A swaps e_1 and e_2: power iteration from e_1 alternates between
+        # them, and stops once two updates in a row returned to the iterate
+        # before last. It returns the point it would have ended on at
+        # max_iters.
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        e1, e2 = np.eye(2)
+        cfg = SolverConfig(step_size=7 / 32, max_iters=max_iters, init=e1)
+        est, trace = ppower(a, SPHERE, cfg, v_star=e1)
+        assert trace.stop_reason == "cycled"
+        assert trace.iterations_run == 3
+        expected = e1 if max_iters % 2 == 0 else e2
+        assert np.array_equal(est, expected)
+        assert np.array_equal(trace.final_vector, expected)
+        assert trace.final_rho == float(expected @ a @ expected)
+        # rows: e_1, e_2, e_1, then the returned point
+        rows = [(r.t, r.cos_sim) for r in trace.rows]
+        assert rows == [(0, 1.0), (1, 0.0), (2, 1.0), (3, expected[0])]
+        result = run_with_restarts("ppower", a, None, cfg, 1, 0, p=SPHERE)
+        assert np.array_equal(result.estimate, expected)
+        assert result.objective == trace.final_rho
+        blob = json.loads(json.dumps(trace_to_json("ppower", cfg, trace, "ok")))
+        assert blob["stop_reason"] == "cycled"
+        assert blob["final"] == list(expected)
+        # Without stop_tol the run alternates to the cap and ends there.
+        uncut = ppower(a, SPHERE, SolverConfig(step_size=7 / 32, max_iters=max_iters,
+                                               init=e1, stop_tol=None))
+        assert uncut[1].stop_reason == "max_iters"
+        assert np.array_equal(uncut[0], expected)
+
     def test_unknown_truth_serializes_as_null(self):
         a, b, _ = _spiked_pair(4, seed=53)
         cfg = SolverConfig(step_size=7 / 32, max_iters=5)
