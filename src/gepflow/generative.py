@@ -99,8 +99,8 @@ class MlpGenerator:
     """Feed-forward decoder G: ball of radius r in R^k -> S^(n-1).
 
     When `normalized` is set the raw output is divided by its 2-norm;
-    raw norms at or below `min_norm` raise DegenerateOutput instead of
-    producing a meaningless direction.
+    raw norms at or below `min_norm`, or not finite, raise DegenerateOutput
+    instead of producing a meaningless direction.
     """
 
     layers: tuple[Layer, ...]
@@ -254,8 +254,8 @@ def _decode(gen: Generator, z):
     if not gen.normalized:
         return h, None, cache
     norm = math.sqrt(float(h.dot(h)))
-    if norm <= gen.min_norm:
-        raise DegenerateOutput(f"raw output norm {norm:.6g} <= {gen.min_norm:.6g}")
+    if not gen.min_norm < norm < math.inf:  # NaN fails too
+        raise DegenerateOutput(f"raw output norm {norm:.6g} not in ({gen.min_norm:.6g}, inf)")
     return h / norm, norm, cache
 
 
@@ -265,7 +265,8 @@ def forward(gen: Generator, z) -> NDArray[np.float64]:
     Latents outside the ball are clamped to its boundary (and flagged with a
     LatentClampWarning). For a normalized generator the output has unit norm;
     DegenerateOutput is raised when the raw output norm is at or below the
-    generator's floor, since no direction can be assigned.
+    generator's floor or is not finite (the layers overflowed), since no
+    direction can be assigned.
     """
     return _decode(gen, z)[0]
 

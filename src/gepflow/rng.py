@@ -26,7 +26,12 @@ Draw order
     Consumers draw sequentially from a stream; mixing ``normals`` and
     ``uniforms`` calls consumes words strictly in call order. Matrices fill
     row-major. Each module documents which stream ids it keys and in which
-    order it draws (see e.g. :mod:`gepflow.problems`).
+    order it draws (see e.g. :mod:`gepflow.problems`). Both maps act word by
+    word (or pair by pair), so mapping a block of raw words with
+    :func:`map_words` gives the same values as the sequential calls that
+    would consume those words: ``raw(2 + 2 * m)`` mapped as
+    ``[uniform | m Box-Muller pairs | uniform]`` equals ``uniforms(1)``,
+    ``normals(2 * m)``, ``uniforms(1)``.
 
 Because the word stream is a pure function of (seed, stream, position),
 prefix stability holds: the first k draws of a stream never depend on how
@@ -47,6 +52,37 @@ _SHIFT = _U64(11)
 _SCALE = 2.0**-53
 #: Box-Muller pairs evaluated per chunk in `NormalStream.normals`.
 _CHUNK_PAIRS = 1 << 13
+
+
+def map_words(
+    words: NDArray[np.uint64],
+    normals: tuple[int, int] = (0, 0),
+    out: NDArray[np.float64] | None = None,
+) -> NDArray[np.float64]:
+    """Map raw words to uniforms and Box-Muller normals, per the contract.
+
+    `words` is a 1-D run or a (rows, cols) block; along its last axis the
+    columns ``normals[0]:normals[1]`` (an even count) are Box-Muller pairs
+    and every other column is a uniform. The values go into `out` (same
+    shape; allocated when None), which is returned. The words are shifted
+    in place, so the caller must not reuse them.
+    """
+    lo, hi = normals
+    if out is None:
+        out = np.empty(words.shape, dtype=np.float64)
+    words >>= _SHIFT
+    if lo > 0:
+        np.multiply(words[..., :lo], _SCALE, out[..., :lo])
+    if hi < words.shape[-1]:
+        np.multiply(words[..., hi:], _SCALE, out[..., hi:])
+    if hi > lo:
+        u1 = (words[..., lo:hi:2] + _U64(1)) * _SCALE
+        u2 = words[..., lo + 1 : hi : 2] * _SCALE
+        radius = np.sqrt(-2.0 * np.log(u1))
+        angle = (2.0 * np.pi) * u2
+        np.multiply(radius, np.cos(angle), out[..., lo:hi:2])
+        np.multiply(radius, np.sin(angle), out[..., lo + 1 : hi : 2])
+    return out
 
 
 class NormalStream:
@@ -78,7 +114,7 @@ class NormalStream:
 
     def uniforms(self, count: int) -> NDArray[np.float64]:
         """Return `count` uniforms in [0, 1), one word each."""
-        return (self.raw(count) >> _SHIFT) * _SCALE
+        return map_words(self.raw(count))
 
     def normals(self, count: int) -> NDArray[np.float64]:
         """Return `count` standard normals via Box-Muller."""
@@ -88,14 +124,7 @@ class NormalStream:
         out = np.empty(words, dtype=np.float64)
         for lo in range(0, words, 2 * _CHUNK_PAIRS):
             hi = min(lo + 2 * _CHUNK_PAIRS, words)
-            w = self.raw(hi - lo)
-            w >>= _SHIFT
-            u1 = (w[0::2] + _U64(1)) * _SCALE
-            u2 = w[1::2] * _SCALE
-            radius = np.sqrt(-2.0 * np.log(u1))
-            angle = (2.0 * np.pi) * u2
-            np.multiply(radius, np.cos(angle), out[lo:hi:2])
-            np.multiply(radius, np.sin(angle), out[lo + 1 : hi : 2])
+            map_words(self.raw(hi - lo), (0, hi - lo), out[lo:hi])
         return out[:count]
 
     def matrix(self, rows: int, cols: int) -> NDArray[np.float64]:

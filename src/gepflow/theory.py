@@ -33,7 +33,7 @@ from numpy.typing import NDArray
 from .errors import DegenerateGap, NonPositiveAlignment, RhoOutOfRange
 from .linalg import GeneralizedSpectrum, MatrixPair, as_sym_matrix, generalized_eig
 from .problems import ProblemInstance
-from .rng import NormalStream
+from .rng import NormalStream, map_words
 from .solvers import DENOMINATOR_FLOOR
 
 __all__ = [
@@ -180,8 +180,8 @@ def _prepare(pair: MatrixPair, spectrum: GeneralizedSpectrum | None, x):
     f1 = v1' B x."""
     spec = generalized_eig(pair) if spectrum is None else spectrum
     xv = np.asarray(x, dtype=np.float64).reshape(-1)
-    bx = pair.b @ xv
-    return spec, xv, bx, float(spec.eigenvectors[:, 0] @ bx)
+    bx = pair.b.dot(xv)
+    return spec, xv, bx, float(spec.eigenvectors[:, 0].dot(bx))
 
 
 def _check_rho(rho: float, lam) -> None:
@@ -210,8 +210,8 @@ def check_lemma_sandwich(
     lam = spec.eigenvalues
     _check_rho(rho, lam)
     b_min, b_max = pair.b_extremes
-    nsq = float(xv @ xv)
-    middle = float(xv @ (rho * bx - pair.a @ xv))
+    nsq = float(xv.dot(xv))
+    middle = float(xv.dot(rho * bx - pair.a.dot(xv)))
     lower = (rho - float(lam[1])) * b_min * nsq - (float(lam[0]) - float(lam[1])) * f1**2
     upper = (rho - float(lam[-1])) * b_max * nsq - (float(lam[0]) - float(lam[-1])) * f1**2
     holds = (lower - LEMMA_SLACK) <= middle <= (upper + LEMMA_SLACK)
@@ -243,10 +243,10 @@ def check_lemma_inner(
     b_min, b_max = pair.b_extremes
     tau1 = eta * (rho - float(lam[1])) * b_min
     tau2 = eta * (rho - float(lam[-1])) * b_max
-    lhs = eta * float(yv @ (rho * bx - pair.a @ xv))
+    lhs = eta * float(yv.dot(rho * bx - pair.a.dot(xv)))
     rhs = (
-        ((tau1 + tau2) / 2.0) * float(xv @ yv)
-        - ((tau2 - tau1) / 4.0) * (float(xv @ xv) + float(yv @ yv))
+        ((tau1 + tau2) / 2.0) * float(xv.dot(yv))
+        - ((tau2 - tau1) / 4.0) * (float(xv.dot(xv)) + float(yv.dot(yv)))
         - eta * (float(lam[0]) - float(lam[1])) * f1 * g1
     )
     return InnerCheck(lhs=lhs, rhs=rhs, holds=lhs >= rhs - LEMMA_SLACK)
@@ -264,16 +264,16 @@ def check_lemma_coefficient(
         (f1 - d)^2 <= (lambda_max(B) - (1 + nu) lambda_min(B) / 2) ||h||^2
     """
     spec, xv, _, f1 = _prepare(pair, spectrum, x)
-    if abs(float(np.linalg.norm(xv)) - 1.0) > 1e-10:
+    if abs(math.sqrt(xv.dot(xv)) - 1.0) > 1e-10:
         raise ValueError("x must be a unit vector")
     v_star = spec.leading_unit
-    nu = float(xv @ v_star)
+    nu = float(xv.dot(v_star))
     if nu <= 0:
         raise NonPositiveAlignment(f"x'v* = {nu:.6g} <= 0")
     b_min, b_max = pair.b_extremes
     h = xv - v_star
     lhs = (f1 - spec.scale_d) ** 2
-    rhs = (b_max - (1.0 + nu) * b_min / 2.0) * float(h @ h)
+    rhs = (b_max - (1.0 + nu) * b_min / 2.0) * float(h.dot(h))
     return CoefficientCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + LEMMA_SLACK)
 
 
@@ -310,6 +310,16 @@ def _random_population_pair(stream: NormalStream, n: int) -> MatrixPair:
     return MatrixPair(a=a, b=(b + b.T) / 2.0)
 
 
+def _draw_tuples(stream: NormalStream, n: int, count: int):
+    """(fracs, xs, ys, eta uniforms) of `count` draws for a dimension-n
+    pair, mapped from one block of raw words laid out as in
+    `run_lemma_suites`; x and y come as rows."""
+    half = 2 * ((n + 1) // 2)  # words behind one normals(n) call
+    cols = 2 + 2 * half
+    block = map_words(stream.raw(count * cols).reshape(count, cols), (1, cols - 1))
+    return block[:, 0], block[:, 1 : 1 + n], block[:, 1 + half : 1 + half + n], block[:, -1]
+
+
 def run_lemma_suites(
     draws: int = 10_000,
     n_max: int = 8,
@@ -319,11 +329,21 @@ def run_lemma_suites(
     """Randomized validation of all three inequalities.
 
     Pairs are drawn as (symmetric Gaussian A, Gram-plus-identity B) with
-    dimensions cycling over 2..n_max; each pair is reused for
-    `draws_per_pair` draws of (rho, x, y) so the eigendecomposition cost is
-    amortized. Returns one result per inequality; every failure counts draws
-    whose `holds` flag came back False. worst_slack is the most adverse
-    margin observed (negative slack would mean a violation beyond
+    dimensions cycling over 2..n_max; pair i comes from
+    NormalStream(seed, stream=i) and is reused for `draws_per_pair` draws of
+    (rho, x, y, eta) so the eigendecomposition cost is amortized. After the
+    pair's two matrices, each draw takes one row of ``2 + 4 * ceil(n / 2)``
+    raw words from the stream, ``[frac | x words | y words | eta]``: frac
+    and eta are one uniform each (rho = lambda_2 + max(frac, 1e-12)
+    (lambda_1 - lambda_2), eta = 0.5 u), x and y the words of one normals(n)
+    call each, an odd n leaving its last sine unused. A pair's rows are
+    mapped as one block, with the same values as sequential uniforms(1),
+    normals(n), normals(n), uniforms(1) calls. Pairs with a gap of at most
+    1e-8 are skipped and draw no tuples.
+
+    Returns one result per inequality; every failure counts draws whose
+    `holds` flag came back False. worst_slack is the most adverse margin
+    observed, a float (negative slack would mean a violation beyond
     tolerance).
     """
     if draws < 1:
@@ -347,27 +367,27 @@ def run_lemma_suites(
         lam = spectrum.eigenvalues
         if float(lam[0] - lam[1]) <= 1e-8:
             continue  # skip near-degenerate gaps; rho range would be empty
+        lam1, gap = float(lam[1]), float(lam[0] - lam[1])
+        v_star = spectrum.leading_unit
         todo = min(draws_per_pair, draws - done)
-        for _ in range(todo):
-            frac = stream.uniforms(1)[0]
-            rho = float(lam[1]) + max(frac, 1e-12) * float(lam[0] - lam[1])
-            x = stream.normals(n)
-            y = stream.normals(n)
-            eta = 0.5 * stream.uniforms(1)[0]
+        fracs, xs, ys, etas = _draw_tuples(stream, n, todo)
+        for frac, x, y, u in zip(fracs.tolist(), xs, ys, etas.tolist()):
+            rho = lam1 + max(frac, 1e-12) * gap
+            eta = 0.5 * u
 
             s = check_lemma_sandwich(pair, rho, x, spectrum=spectrum)
             record("sandwich", s.holds, s.middle - s.lower, s.upper - s.middle)
             r = check_lemma_inner(pair, rho, eta, x, y, spectrum=spectrum)
             record("inner", r.holds, r.lhs - r.rhs)
 
-            xu = x / float(np.linalg.norm(x))
-            if float(xu @ spectrum.leading_unit) < 0:
+            xu = x / math.sqrt(x.dot(x))
+            if float(xu.dot(v_star)) < 0:
                 xu = -xu
-            if float(xu @ spectrum.leading_unit) > 0:
+            if float(xu.dot(v_star)) > 0:
                 c = check_lemma_coefficient(pair, xu, spectrum=spectrum)
                 record("coefficient", c.holds, c.rhs - c.lhs)
         done += todo
         if done >= draws:
             break
 
-    return tuple(LemmaSuiteResult(name, *t) for name, t in tally.items())
+    return tuple(LemmaSuiteResult(name, d, f, float(w)) for name, (d, f, w) in tally.items())

@@ -8,8 +8,10 @@ test_linalg.py, and the eigen-residual and B-orthonormality checks, which
 test a solution by its defining equations. `reference_flow` restates the
 three iterative solvers from their update rules alone, `reference_draws`
 restates the Philox/Box-Muller contract of `gepflow.rng` in one unchunked
-pass, and `reference_project_to_range` restates the latent Adam descent of
-the range prior with its decoder's forward and backward passes inline.
+pass, `reference_project_to_range` restates the latent Adam descent of
+the range prior with its decoder's forward and backward passes inline, and
+`reference_lemma_checks` / `reference_lemma_suites` restate the three
+inequality checkers and the randomized suite draw by draw.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from gepflow.errors import (
     ZeroVector,
 )
 from gepflow.generative import MIN_NORM_DEFAULT, SubspaceGenerator
+from gepflow.linalg import MatrixPair, generalized_eig
 from gepflow.rng import NormalStream
+from gepflow.theory import LEMMA_SLACK
 
 
 def det_poly_roots(a: np.ndarray, b: np.ndarray, *, points: int = 200_001) -> list[float]:
@@ -289,8 +293,8 @@ def reference_project_to_range(gen, x, cfg, warm_starts=()):
             raw = h
         if normalized:
             raw_norm = math.sqrt(float(raw @ raw))
-            if raw_norm <= floor:
-                raise DegenerateOutput("raw output norm at or below the floor")
+            if not floor < raw_norm < math.inf:
+                raise DegenerateOutput("raw output norm at or below the floor, or not finite")
             point = raw / raw_norm
         else:
             point = raw
@@ -348,3 +352,97 @@ def reference_project_to_range(gen, x, cfg, warm_starts=()):
         raise AllRestartsDegenerate("every restart hit a degenerate output")
     return best
 
+
+
+def reference_lemma_checks(pair, spec, rho, eta, x, y, xu):
+    """The fields of check_lemma_sandwich(pair, rho, x),
+    check_lemma_inner(pair, rho, eta, x, y) and
+    check_lemma_coefficient(pair, xu), in dataclass field order, written
+    with @ and np.linalg.norm: ((lower, middle, upper, holds),
+    (lhs, rhs, holds), (lhs, rhs, holds))."""
+    lam = spec.eigenvalues
+    l1, l2, ln = float(lam[0]), float(lam[1]), float(lam[-1])
+    b_eigs = np.linalg.eigvalsh(pair.b)
+    b_min, b_max = float(b_eigs[0]), float(b_eigs[-1])
+    v1 = spec.eigenvectors[:, 0]
+    f1 = float(v1 @ (pair.b @ x))
+    g1 = float(v1 @ (pair.b @ y))
+    step = rho * (pair.b @ x) - pair.a @ x
+
+    nsq = float(x @ x)
+    middle = float(x @ step)
+    lower = (rho - l2) * b_min * nsq - (l1 - l2) * f1**2
+    upper = (rho - ln) * b_max * nsq - (l1 - ln) * f1**2
+    sandwich = (lower, middle, upper, (lower - LEMMA_SLACK) <= middle <= (upper + LEMMA_SLACK))
+
+    tau1 = eta * (rho - l2) * b_min
+    tau2 = eta * (rho - ln) * b_max
+    lhs = eta * float(y @ step)
+    rhs = (
+        ((tau1 + tau2) / 2.0) * float(x @ y)
+        - ((tau2 - tau1) / 4.0) * (float(x @ x) + float(y @ y))
+        - eta * (l1 - l2) * f1 * g1
+    )
+    inner = (lhs, rhs, lhs >= rhs - LEMMA_SLACK)
+
+    assert abs(float(np.linalg.norm(xu)) - 1.0) <= 1e-10
+    nu = float(xu @ spec.leading_unit)
+    h = xu - spec.leading_unit
+    lhs = (float(v1 @ (pair.b @ xu)) - spec.scale_d) ** 2
+    rhs = (b_max - (1.0 + nu) * b_min / 2.0) * float(h @ h)
+    coefficient = (lhs, rhs, lhs <= rhs + LEMMA_SLACK)
+    return sandwich, inner, coefficient
+
+
+def reference_lemma_suites(draws=10_000, n_max=8, seed=0, draws_per_pair=20):
+    """run_lemma_suites restated with one sequence of stream calls per draw.
+
+    Pair i is NormalStream(seed, stream=i): A = (G + G')/2 and
+    B = sym(M M' + I) from two n x n matrices, n = 2 + i mod (n_max - 1);
+    pairs with gap <= 1e-8 are skipped. Each draw then calls uniforms(1),
+    normals(n), normals(n), uniforms(1) for frac, x, y and eta/0.5, and
+    is scored by `reference_lemma_checks` (the coefficient check only when
+    x can be aligned to v*). Returns (name, draws, failures, worst slack)
+    per inequality.
+    """
+    tally = {name: [0, 0, math.inf] for name in ("sandwich", "inner", "coefficient")}
+
+    def record(name, holds, *slacks):
+        tally[name][0] += 1
+        tally[name][1] += 0 if holds else 1
+        tally[name][2] = min(tally[name][2], *slacks)
+
+    done = 0
+    for i in range(-(-draws // draws_per_pair)):
+        if done >= draws:
+            break
+        stream = NormalStream(seed, stream=i)
+        n = 2 + i % (n_max - 1)
+        g = stream.matrix(n, n)
+        m = stream.matrix(n, n)
+        b = m @ m.T + np.eye(n)
+        pair = MatrixPair(a=(g + g.T) / 2.0, b=(b + b.T) / 2.0)
+        spec = generalized_eig(pair)
+        lam = spec.eigenvalues
+        if float(lam[0] - lam[1]) <= 1e-8:
+            continue
+        todo = min(draws_per_pair, draws - done)
+        for _ in range(todo):
+            frac = stream.uniforms(1)[0]
+            rho = float(lam[1]) + max(frac, 1e-12) * float(lam[0] - lam[1])
+            x = stream.normals(n)
+            y = stream.normals(n)
+            eta = 0.5 * stream.uniforms(1)[0]
+            xu = x / float(np.linalg.norm(x))
+            if float(xu @ spec.leading_unit) < 0:
+                xu = -xu
+            sandwich, inner, coefficient = reference_lemma_checks(
+                pair, spec, rho, eta, x, y, xu
+            )
+            lower, middle, upper, holds = sandwich
+            record("sandwich", holds, middle - lower, upper - middle)
+            record("inner", inner[2], inner[0] - inner[1])
+            if float(xu @ spec.leading_unit) > 0:
+                record("coefficient", coefficient[2], coefficient[1] - coefficient[0])
+        done += todo
+    return [(name, *t) for name, t in tally.items()]

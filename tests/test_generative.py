@@ -209,6 +209,12 @@ class TestForward:
         with pytest.raises(DegenerateOutput):
             forward(gen, [0.1])
 
+    def test_overflowing_output_raises(self):
+        # Weights scaled by 1e200 overflow the raw output to inf/NaN; the
+        # norm check must reject it rather than return a NaN direction.
+        with np.errstate(all="ignore"), pytest.raises(DegenerateOutput):
+            forward(_overflowing_mlp(), [0.3, -0.2])
+
     def test_unnormalized_returns_raw(self):
         w = np.array([[2.0], [0.0], [1.0]])
         gen = MlpGenerator(
@@ -437,6 +443,19 @@ class TestProjectToRange:
         gen = MlpGenerator(layers=(dead,), latent_radius=5.0)
         with pytest.raises(AllRestartsDegenerate):
             project_to_range(gen, [1.0, 0.0], LatentProjectionConfig(seed=1))
+
+    def test_overflowing_decoder_raises(self):
+        with np.errstate(all="ignore"), pytest.raises(AllRestartsDegenerate):
+            project_to_range(_overflowing_mlp(), np.ones(8), LatentProjectionConfig(seed=1))
+
+
+def _overflowing_mlp() -> MlpGenerator:
+    gen = random_mlp(8, 2, hidden=(4,), seed=1)
+    layers = tuple(
+        Layer(weight=1e200 * layer.weight, bias=layer.bias, activation=layer.activation)
+        for layer in gen.layers
+    )
+    return MlpGenerator(layers=layers, latent_radius=gen.latent_radius)
 
 
 class TestRandomStarts:

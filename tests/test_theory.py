@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gepflow.errors import (
@@ -27,6 +29,7 @@ from gepflow.problems import ProblemInstance, gen_spiked
 from gepflow.rng import NormalStream
 from gepflow.solvers import SolverConfig, prfm
 from gepflow.theory import (
+    _draw_tuples,
     check_denominator_positivity,
     check_lemma_coefficient,
     check_lemma_inner,
@@ -35,7 +38,19 @@ from gepflow.theory import (
     conditions_from_gammas,
     run_lemma_suites,
 )
-from oracles import random_definite_pair
+from oracles import (
+    random_definite_pair,
+    reference_draws,
+    reference_lemma_checks,
+    reference_lemma_suites,
+)
+
+PROPERTY_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
+
+
+def _bits(values):
+    """Floats as hex strings (so -0.0, NaN and last-bit changes show)."""
+    return tuple(float(v).hex() if isinstance(v, float) else v for v in values)
 
 
 def _spiked_population(n: int, seed: int = 3):
@@ -355,6 +370,73 @@ class TestSuites:
         results = run_lemma_suites(draws=200, seed=9, draws_per_pair=20)
         assert results[0].draws == 200
         assert 1 <= len(calls) <= 10
+
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_worst_slack_is_a_float(self, seed):
+        for r in run_lemma_suites(draws=200, seed=seed):
+            assert type(r.worst_slack) is float, r
+
+    @PROPERTY_SETTINGS
+    @given(
+        draws=st.integers(1, 150),
+        n_max=st.integers(2, 8),
+        draws_per_pair=st.integers(1, 25),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_block_draws_match_sequential_draws(self, draws, n_max, draws_per_pair, seed):
+        got = run_lemma_suites(draws, n_max=n_max, seed=seed, draws_per_pair=draws_per_pair)
+        expected = reference_lemma_suites(draws, n_max, seed, draws_per_pair)
+        assert [(r.name, r.draws, r.failures, r.worst_slack.hex()) for r in got] == [
+            (name, d, f, float(w).hex()) for name, d, f, w in expected
+        ]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_draw_block_equals_sequential_calls(n):
+    seed, stream_id, count = 17, 3, 20
+    stream = NormalStream(seed, stream=stream_id)
+    fracs, xs, ys, etas = _draw_tuples(stream, n, count)
+    calls = [("uniforms", 1), ("normals", n), ("normals", n), ("uniforms", 1)] * count
+    expected = reference_draws(seed, stream_id, calls)
+    for j in range(count):
+        frac, x, y, eta = expected[4 * j : 4 * j + 4]
+        assert fracs[j : j + 1].tobytes() == frac.tobytes()
+        assert xs[j].tobytes() == x.tobytes()
+        assert ys[j].tobytes() == y.tobytes()
+        assert etas[j : j + 1].tobytes() == eta.tobytes()
+    # The block consumed exactly the sequential calls' words.
+    used = count * (2 + 4 * ((n + 1) // 2))
+    assert stream.raw(1)[0] == NormalStream(seed, stream=stream_id).raw(used + 1)[-1]
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    frac=st.floats(1e-12, 1.0),
+    eta=st.floats(0.0, 0.5),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_checkers_match_matmul_formulas(seed, n, frac, eta, scale):
+    rng = np.random.default_rng(seed)
+    a, b = random_definite_pair(rng, n, min_gap=1e-6)
+    pair = MatrixPair(a=a, b=b)
+    spec = generalized_eig(pair)
+    lam = spec.eigenvalues
+    rho = float(lam[1]) + frac * float(lam[0] - lam[1])
+    x = scale * rng.standard_normal(n)
+    y = rng.standard_normal(n)
+    xu = x / float(np.linalg.norm(x))
+    if float(xu @ spec.leading_unit) < 0:
+        xu = -xu
+    sandwich, inner, coefficient = reference_lemma_checks(pair, spec, rho, eta, x, y, xu)
+    got = check_lemma_sandwich(pair, rho, x, spectrum=spec)
+    assert _bits(dataclasses.astuple(got)) == _bits(sandwich)
+    got = check_lemma_inner(pair, rho, eta, x, y, spectrum=spec)
+    assert _bits(dataclasses.astuple(got)) == _bits(inner)
+    got = check_lemma_coefficient(pair, xu, spectrum=spec)
+    assert _bits(dataclasses.astuple(got)) == _bits(coefficient)
 
 
 class TestContractionConsistency:
