@@ -385,7 +385,7 @@ def _cmd_theory_check(args) -> int:
     pair = instance.truth.pair
     try:
         spectrum = generalized_eig(pair)
-        cond = compute_conditions(spectrum, pair.b, args.eta, default_init(pair.a.shape[0]))
+        cond = compute_conditions(spectrum, pair, args.eta, default_init(pair.a.shape[0]))
     except GepflowError as exc:
         print(f"condition computation failed: {exc}", file=sys.stderr)
         return 2

@@ -7,6 +7,9 @@ projection oracle. Both share one decode path (clamp, layers, normalize;
 identity layer over its basis. Both expose `forward`, `backward`,
 `lipschitz_upper_bound` and `project_to_range` (Adam in latent space);
 `subspace_project` is the exact oracle for the subspace family.
+Every decoder divides its raw output by its 2-norm; a raw norm at or below
+MIN_NORM_DEFAULT, or not finite, raises DegenerateOutput. Adam runs on the
+fixed constants beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
 
 Stream usage: `random_mlp`/`random_subspace` draw from
 NormalStream(seed, stream=0) (weights row-major then bias, layer by layer;
@@ -49,6 +52,7 @@ __all__ = [
 
 #: Pre-normalization norm floor below which decoding is considered degenerate.
 MIN_NORM_DEFAULT = 1e-6
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 ACTIVATIONS = ("relu", "sigmoid", "identity")
 
@@ -96,17 +100,10 @@ class Layer:
 
 @dataclass(frozen=True, eq=False)
 class MlpGenerator:
-    """Feed-forward decoder G: ball of radius r in R^k -> S^(n-1).
-
-    When `normalized` is set the raw output is divided by its 2-norm;
-    raw norms at or below `min_norm`, or not finite, raise DegenerateOutput
-    instead of producing a meaningless direction.
-    """
+    """Feed-forward decoder G: ball of radius r in R^k -> S^(n-1)."""
 
     layers: tuple[Layer, ...]
     latent_radius: float
-    normalized: bool = True
-    min_norm: float = MIN_NORM_DEFAULT
 
     def __post_init__(self):
         if not self.layers:
@@ -118,8 +115,8 @@ class MlpGenerator:
             dims.append(layer.weight.shape[0])
         if dims[0] >= dims[-1]:
             raise ValueError("latent_dim must be smaller than output_dim")
-        if not (_positive(self.latent_radius) and _positive(self.min_norm)):
-            raise ValueError("latent_radius and min_norm must be finite and positive")
+        if not _positive(self.latent_radius):
+            raise ValueError("latent_radius must be finite and positive")
         object.__setattr__(self, "layers", tuple(self.layers))
 
     @property
@@ -137,8 +134,6 @@ class SubspaceGenerator:
 
     basis: NDArray[np.float64]
     latent_radius: float
-    normalized = True
-    min_norm = MIN_NORM_DEFAULT
 
     def __post_init__(self):
         q = np.asarray(self.basis, dtype=np.float64)
@@ -172,13 +167,10 @@ Generator = MlpGenerator | SubspaceGenerator
 
 @dataclass(frozen=True)
 class LatentProjectionConfig:
-    """Adam settings for the iterative range projection."""
+    """Range-projection settings; Adam's beta1 = 0.9, beta2 = 0.999, eps = 1e-8 are fixed."""
 
     steps: int = 100
     learning_rate: float = 0.1
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     restarts: int = 3
     seed: int = 0
 
@@ -187,10 +179,6 @@ class LatentProjectionConfig:
             raise ValueError("steps and restarts must be >= 1")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and positive")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ValueError("adam_beta1 and adam_beta2 must be in [0, 1)")
-        if not 0 < self.adam_eps < math.inf:
-            raise ValueError("adam_eps must be finite and positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,19 +231,16 @@ def _activate_grad(name: str, pre: NDArray[np.float64], post: NDArray[np.float64
 
 def _decode(gen: Generator, z):
     """Clamp z into the latent ball, run the layers and normalize:
-    (output, raw output norm or None when unnormalized, per-layer
-    (pre, post) activations)."""
+    (output, raw output norm, per-layer (pre, post) activations)."""
     h = _clamp_latent(gen, z)
     cache = []
     for layer in gen.layers:
         pre = layer.weight.dot(h) + layer.bias
         h = _activate(layer.activation, pre)
         cache.append((pre, h))
-    if not gen.normalized:
-        return h, None, cache
     norm = math.sqrt(float(h.dot(h)))
-    if not gen.min_norm < norm < math.inf:  # NaN fails too
-        raise DegenerateOutput(f"raw output norm {norm:.6g} not in ({gen.min_norm:.6g}, inf)")
+    if not MIN_NORM_DEFAULT < norm < math.inf:  # NaN fails too
+        raise DegenerateOutput(f"raw output norm {norm:.6g} not in ({MIN_NORM_DEFAULT:.6g}, inf)")
     return h / norm, norm, cache
 
 
@@ -263,10 +248,9 @@ def forward(gen: Generator, z) -> NDArray[np.float64]:
     """Decode a latent vector to the generator's output sphere.
 
     Latents outside the ball are clamped to its boundary (and flagged with a
-    LatentClampWarning). For a normalized generator the output has unit norm;
-    DegenerateOutput is raised when the raw output norm is at or below the
-    generator's floor or is not finite (the layers overflowed), since no
-    direction can be assigned.
+    LatentClampWarning). The output has unit norm; DegenerateOutput is
+    raised when the raw output norm is at or below MIN_NORM_DEFAULT or is
+    not finite (the layers overflowed), since no direction can be assigned.
     """
     return _decode(gen, z)[0]
 
@@ -282,7 +266,7 @@ def backward(gen: Generator, z, cotangent) -> NDArray[np.float64]:
     cot = np.asarray(cotangent, dtype=np.float64).reshape(-1)
     if cot.shape[0] != gen.output_dim:
         raise ValueError(f"cotangent has length {cot.shape[0]}, expected {gen.output_dim}")
-    grad = cot if norm is None else (cot - float(out.dot(cot)) * out) / norm
+    grad = (cot - float(out.dot(cot)) * out) / norm
     for layer, (pre, post) in zip(reversed(gen.layers), reversed(cache)):
         if layer.activation != "identity":
             grad = grad * _activate_grad(layer.activation, pre, post)
@@ -355,7 +339,7 @@ def project_to_range(
     k = gen.latent_dim
     radius = gen.latent_radius
     total = max(cfg.restarts, len(warm_starts))
-    beta1, beta2, lr, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.learning_rate, cfg.adam_eps
+    beta1, beta2, lr, eps = _ADAM_BETA1, _ADAM_BETA2, cfg.learning_rate, _ADAM_EPS
     keep1, keep2 = 1.0 - beta1, 1.0 - beta2
     # NaN compares false, so the first candidate is always taken; a later one
     # replaces the best unless its distance is >= the best's.
@@ -519,7 +503,6 @@ def model_to_json(gen: Generator) -> dict:
         "latent_dim": gen.latent_dim,
         "output_dim": gen.output_dim,
         "latent_radius": float(gen.latent_radius),
-        "normalized": bool(gen.normalized),
         "layers": [
             {
                 "activation": layer.activation,
@@ -535,6 +518,10 @@ def model_from_json(obj: dict) -> Generator:
     """Load a generator from its JSON form; validates the dimension chain."""
     if not isinstance(obj, dict):
         raise ValueError("model JSON must be an object")
+    if obj.get("normalized", True) is not True:
+        raise ValueError("model JSON 'normalized' must be true: every decoder is normalized")
+    if "min_norm" in obj:
+        raise ValueError(f"model JSON 'min_norm' is refused: the floor is {MIN_NORM_DEFAULT}")
     for key in ("latent_dim", "output_dim"):
         if key not in obj:
             raise ValueError(f"model JSON is missing {key!r}")
@@ -552,12 +539,7 @@ def model_from_json(obj: dict) -> Generator:
             )
             for entry in obj["layers"]
         )
-        gen = MlpGenerator(
-            layers=layers,
-            latent_radius=radius,
-            normalized=bool(obj.get("normalized", True)),
-            min_norm=float(obj.get("min_norm", MIN_NORM_DEFAULT)),
-        )
+        gen = MlpGenerator(layers=layers, latent_radius=radius)
     else:
         raise ValueError("model JSON needs either 'layers' or 'basis'")
     if gen.latent_dim != int(obj["latent_dim"]) or gen.output_dim != int(obj["output_dim"]):

@@ -140,8 +140,9 @@ def projector_from_spec(
     builds a random k-dimensional subspace containing `truth` (the
     oracle-assisted prior of the synthetic protocol) seeded by `seed`;
     "model_path" for the range prior, with an optional "projection" object
-    of LatentProjectionConfig overrides. Model paths are relative to
-    base_dir. Only a "k" spec reads `truth` and `seed`.
+    of LatentProjectionConfig overrides ("steps", "learning_rate",
+    "restarts", "seed"; any other key is refused). Model paths are
+    relative to base_dir. Only a "k" spec reads `truth` and `seed`.
     """
     if not isinstance(spec, dict) or "prior" not in spec:
         raise ValueError("prior spec must be an object with a 'prior' key")

@@ -330,6 +330,11 @@ def verify_perturbation(
         raise TruthMissing("verify_perturbation needs an instance with truth")
     if set_size < 1:
         raise ValueError("set_size must be >= 1")
+    if generator is not None and generator.output_dim != instance.dim:
+        raise ValueError(
+            f"generator output_dim {generator.output_dim} does not match "
+            f"instance dim {instance.dim}"
+        )
     e = instance.a_hat - instance.truth.pair.a
     f = instance.b_hat - instance.truth.pair.b
     n = instance.dim

@@ -31,7 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DegenerateGap, NonPositiveAlignment, RhoOutOfRange
-from .linalg import GeneralizedSpectrum, MatrixPair, as_sym_matrix, generalized_eig
+from .linalg import GeneralizedSpectrum, MatrixPair, generalized_eig
 from .problems import ProblemInstance
 from .rng import NormalStream, map_words
 from .solvers import DENOMINATOR_FLOOR
@@ -86,6 +86,8 @@ def conditions_from_gammas(
         raise ValueError("need 0 <= gamma1 <= gamma2")
     if kappa_b < 1:
         raise ValueError("kappa_b must be >= 1")
+    if not -1.0 <= nu0 <= 1.0:  # NaN fails too
+        raise ValueError(f"nu0 must be in [-1, 1], got {nu0!r}")
     c0 = (gamma2 - gamma1) / 2.0
     b0 = (
         (2.0 - (gamma1 + gamma2))
@@ -115,13 +117,14 @@ def conditions_from_gammas(
 
 
 def compute_conditions(
-    spectrum: GeneralizedSpectrum, b, eta: float, u0
+    spectrum: GeneralizedSpectrum, pair: MatrixPair, eta: float, u0
 ) -> ConvergenceConditions:
     """Evaluate the descent conditions for a population spectrum and start.
 
-    `spectrum` must come from the population pair, not sample estimates;
-    `b` is the population B whose extreme eigenvalues enter the gammas.
-    nu0 may come out negative: the report flags it rather than erroring.
+    `spectrum` must come from the population `pair`, not sample estimates;
+    the pair's cached B extremes enter the gammas. nu0 is clamped into
+    [-1, 1] (a unit start equal to the truth can round just past 1), and may
+    come out negative: the report flags it rather than erroring.
     """
     if not 0 <= eta < math.inf:
         raise ValueError("eta must be finite and >= 0")
@@ -130,13 +133,9 @@ def compute_conditions(
         raise DegenerateGap("need at least two eigenvalues")
     if spectrum.gap <= 1e-10:
         raise DegenerateGap(f"leading gap {spectrum.gap:.3e} <= 1e-10")
-    b = as_sym_matrix(b, name="b")
-    b_eigs = np.linalg.eigvalsh(b)  # ascending
-    b_min, b_max = float(b_eigs[0]), float(b_eigs[-1])
-    if b_min <= 0:
-        raise ValueError("population B must be positive definite")
+    b_min, b_max = pair.b_extremes
     u = np.asarray(u0, dtype=np.float64).reshape(-1)
-    nu0 = float(u @ spectrum.leading_unit)
+    nu0 = min(1.0, max(-1.0, float(u @ spectrum.leading_unit)))
     gamma1 = eta * float(lam[0] - lam[1]) * b_min
     gamma2 = eta * float(lam[0] - lam[-1]) * b_max
     return conditions_from_gammas(gamma1, gamma2, nu0=nu0, kappa_b=b_max / b_min)

@@ -252,54 +252,56 @@ def reference_normals(seed: int, stream: int, count: int) -> np.ndarray:
     return reference_draws(seed, stream, [("normals", count)])[0]
 
 
+def reference_raw_decode(gen, z):
+    """The decoder's raw (pre-norm) map, written with @: the latent clamped
+    to the radius-r ball, then the basis product for a subspace decoder or
+    the MLP's layers. Returns (raw output, per-layer (pre, post) activations;
+    empty for a subspace decoder)."""
+    zc = np.array(z, dtype=np.float64)
+    norm = math.sqrt(float(zc @ zc))
+    if norm > gen.latent_radius:
+        zc = zc * (gen.latent_radius / norm)
+    if isinstance(gen, SubspaceGenerator):
+        return gen.basis @ zc, []
+    h, cache = zc, []
+    for layer in gen.layers:
+        pre = layer.weight @ h + layer.bias
+        if layer.activation == "relu":
+            post = np.maximum(pre, 0.0)
+        elif layer.activation == "sigmoid":
+            post = 1.0 / (1.0 + np.exp(-pre))
+        else:
+            post = pre
+        cache.append((pre, post))
+        h = post
+    return h, cache
+
+
 def reference_project_to_range(gen, x, cfg, warm_starts=()):
     """`project_to_range` restated restart by restart, for byte comparison.
 
     Every product is written with @; each random start is a fresh
     NormalStream(cfg.seed, stream=restart).ball_point(k, 0.9 r); the
-    decoder's forward and backward passes are inline (the latent is clamped
-    to the radius-r ball, the output normalized unless the MLP opts out,
-    ReLU's subgradient at 0 taken as 0). The best candidate is replaced
-    after every objective evaluation whose distance is not >= the best's.
-    Returns (point, latent, distance, restart_index); raises
-    AllRestartsDegenerate when every restart dies with DegenerateOutput
-    before recording a candidate.
+    decoder's forward and backward passes are inline (`reference_raw_decode`,
+    then the output divided by its norm, ReLU's subgradient at 0 taken as
+    0); Adam runs with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8. The best
+    candidate is replaced after every objective evaluation whose distance is
+    not >= the best's. Returns (point, latent, distance, restart_index);
+    raises AllRestartsDegenerate when every restart dies with
+    DegenerateOutput before recording a candidate.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     subspace = isinstance(gen, SubspaceGenerator)
-    normalized = subspace or gen.normalized
-    floor = MIN_NORM_DEFAULT if subspace else gen.min_norm
     r = gen.latent_radius
 
     def objective_and_grad(z):
-        zc = np.array(z, dtype=np.float64)
-        norm = math.sqrt(float(zc @ zc))
-        if norm > r:
-            zc = zc * (r / norm)
-        if subspace:
-            raw = gen.basis @ zc
-        else:
-            h, cache = zc, []
-            for layer in gen.layers:
-                pre = layer.weight @ h + layer.bias
-                if layer.activation == "relu":
-                    post = np.maximum(pre, 0.0)
-                elif layer.activation == "sigmoid":
-                    post = 1.0 / (1.0 + np.exp(-pre))
-                else:
-                    post = pre
-                cache.append((pre, post))
-                h = post
-            raw = h
-        if normalized:
-            raw_norm = math.sqrt(float(raw @ raw))
-            if not floor < raw_norm < math.inf:
-                raise DegenerateOutput("raw output norm at or below the floor, or not finite")
-            point = raw / raw_norm
-        else:
-            point = raw
+        raw, cache = reference_raw_decode(gen, z)
+        raw_norm = math.sqrt(float(raw @ raw))
+        if not MIN_NORM_DEFAULT < raw_norm < math.inf:
+            raise DegenerateOutput("raw output norm at or below the floor, or not finite")
+        point = raw / raw_norm
         diff = point - x
-        grad = (diff - float(point @ diff) * point) / raw_norm if normalized else diff
+        grad = (diff - float(point @ diff) * point) / raw_norm
         if subspace:
             grad = gen.basis.T @ grad
         else:
@@ -317,7 +319,7 @@ def reference_project_to_range(gen, x, cfg, warm_starts=()):
             return best
         return (point.copy(), z.copy(), distance, restart)
 
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2, eps = 0.9, 0.999, 1e-8
     best = None
     for restart in range(max(cfg.restarts, len(warm_starts))):
         if restart < len(warm_starts):
@@ -339,7 +341,7 @@ def reference_project_to_range(gen, x, cfg, warm_starts=()):
             v = b2 * v + (1.0 - b2) * grad * grad
             m_hat = m / (1.0 - b1**step)
             v_hat = v / (1.0 - b2**step)
-            z = z - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            z = z - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
             norm = math.sqrt(float(z @ z))
             if norm > r:
                 z = z * (r / norm)

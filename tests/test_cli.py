@@ -14,7 +14,7 @@ import shutil
 import numpy as np
 import pytest
 
-from gepflow.cli import build_parser, main
+from gepflow.cli import _prior_spec, build_parser, main
 from gepflow.harness import CSV_HEADER, SweepSpec, rows_to_csv, run_sweep
 from gepflow.generative import (
     LatentProjectionConfig,
@@ -686,6 +686,16 @@ class TestVerify:
                      "--seed", "2", "--model", str(model)])
         assert code == 0
 
+    def test_generator_of_wrong_output_dim_rejected(self, tmp_path, capsys):
+        inst = _generate(tmp_path)
+        model = tmp_path / "gen.json"
+        model.write_text(json.dumps(model_to_json(random_mlp(12, 4, seed=3))))
+        code = main(["verify", "--in", str(inst), "--model", str(model)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: generator output_dim 12 does not match instance dim 16\n"
+        )
+
     def test_truthless_instance_rejected(self, tmp_path, capsys):
         bare = ProblemInstance(
             a_hat=np.eye(4), b_hat=np.eye(4), truth=None, m=5,
@@ -782,6 +792,12 @@ class TestFlagDefaults:
         assert (d["proj_steps"], d["proj_lr"], d["proj_restarts"], d["proj_seed"]) == (
             cfg.steps, cfg.learning_rate, cfg.restarts, cfg.seed,
         )
+
+    def test_projection_keys_are_the_config_fields(self):
+        # every LatentProjectionConfig setting has its --proj-* flag, and no more
+        args = build_parser().parse_args(["solve", "--prior", "range", "--model", "gen.json"])
+        fields = {f.name for f in dataclasses.fields(LatentProjectionConfig)}
+        assert set(_prior_spec(args)["projection"]) == fields
 
     def test_solver_and_theory_options(self):
         assert self._defaults("solve")["denominator_floor"] == DENOMINATOR_FLOOR

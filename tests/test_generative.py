@@ -30,10 +30,10 @@ from gepflow.generative import (
     subspace_containing,
     subspace_project,
 )
-from gepflow.priors import RangeProjector, project
+from gepflow.priors import RangeProjector, project, projector_from_spec
 from gepflow.rng import NormalStream
 
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, reference_raw_decode
 
 
 def _unit(v):
@@ -82,8 +82,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="finite"):
             MlpGenerator(layers=(layer,), latent_radius=bad)
         with pytest.raises(ValueError, match="finite"):
-            MlpGenerator(layers=(layer,), latent_radius=1.0, min_norm=bad)
-        with pytest.raises(ValueError, match="finite"):
             SubspaceGenerator(basis=np.eye(4)[:, :2], latent_radius=bad)
 
     @pytest.mark.parametrize(
@@ -91,19 +89,19 @@ class TestConstruction:
         [
             {"learning_rate": 0.0}, {"learning_rate": -0.1},
             {"learning_rate": math.nan}, {"learning_rate": math.inf},
-            {"adam_beta1": 1.0}, {"adam_beta1": -0.1}, {"adam_beta1": math.nan},
-            {"adam_beta2": 1.0}, {"adam_beta2": math.nan},
+            {"adam_beta1": 0.5}, {"adam_beta1": 1.0}, {"adam_beta1": -0.1},
+            {"adam_beta1": math.nan}, {"adam_beta2": 1.0}, {"adam_beta2": math.nan},
             {"adam_eps": 0.0}, {"adam_eps": math.nan}, {"adam_eps": math.inf},
         ],
         ids=lambda setting: "-".join(f"{k}={v}" for k, v in setting.items()),
     )
-    def test_bad_adam_settings_rejected(self, setting):
-        # Each of these used to build, and projections then returned NaN points.
-        with pytest.raises(ValueError):
-            LatentProjectionConfig(**setting)
-
-    def test_adam_betas_may_be_zero(self):
-        LatentProjectionConfig(adam_beta1=0.0, adam_beta2=0.0, learning_rate=1e300)
+    def test_bad_adam_settings_rejected(self, setting, tmp_path):
+        # A bad learning rate used to build, and projections then returned NaN
+        # points; beta1, beta2 and eps are fixed, so a spec naming one is refused.
+        (tmp_path / "gen.json").write_text(json.dumps(model_to_json(random_mlp(6, 2, seed=1))))
+        spec = {"prior": "range", "model_path": "gen.json", "projection": setting}
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            projector_from_spec(spec, str(tmp_path))
 
     def test_random_mlp_shapes(self):
         gen = random_mlp(16, 4, hidden=(8,), seed=3)
@@ -215,15 +213,6 @@ class TestForward:
         with np.errstate(all="ignore"), pytest.raises(DegenerateOutput):
             forward(_overflowing_mlp(), [0.3, -0.2])
 
-    def test_unnormalized_returns_raw(self):
-        w = np.array([[2.0], [0.0], [1.0]])
-        gen = MlpGenerator(
-            layers=(Layer(weight=w, bias=np.zeros(3), activation="identity"),),
-            latent_radius=5.0,
-            normalized=False,
-        )
-        assert_allclose(forward(gen, [2.0]), [4.0, 0.0, 2.0], atol=1e-14)
-
 
 class TestBackward:
     def test_matches_finite_differences_sigmoid_mlp(self):
@@ -300,15 +289,13 @@ class TestLipschitzBound:
 
     def test_bound_dominates_raw_secants(self):
         gen = random_mlp(12, 4, hidden=(8,), activation="relu", seed=17)
-        raw_twin = MlpGenerator(
-            layers=gen.layers, latent_radius=gen.latent_radius, normalized=False
-        )
         bound = lipschitz_upper_bound(gen)
         stream = NormalStream(90, stream=0)
         for _ in range(200):
             z1 = stream.ball_point(4, gen.latent_radius)
             z2 = stream.ball_point(4, gen.latent_radius)
-            lhs = np.linalg.norm(forward(raw_twin, z1) - forward(raw_twin, z2))
+            (raw1, _), (raw2, _) = reference_raw_decode(gen, z1), reference_raw_decode(gen, z2)
+            lhs = np.linalg.norm(raw1 - raw2)
             assert lhs <= bound * np.linalg.norm(z1 - z2) + 1e-12
 
 
@@ -508,7 +495,7 @@ class TestSerialization:
         blob = json.dumps(model_to_json(gen))
         back = model_from_json(json.loads(blob))
         assert isinstance(back, MlpGenerator)
-        assert back.normalized == gen.normalized
+        assert "normalized" not in json.loads(blob)
         assert back.latent_radius == gen.latent_radius
         for la, lb in zip(gen.layers, back.layers):
             assert la.activation == lb.activation
@@ -526,6 +513,21 @@ class TestSerialization:
         obj = model_to_json(random_subspace(7, 2, seed=72))
         obj["latent_dim"] = 3
         with pytest.raises(ValueError):
+            model_from_json(obj)
+
+    def test_older_files_normalized_key_accepted(self):
+        gen = random_mlp(9, 3, hidden=(5,), seed=70)
+        back = model_from_json({**model_to_json(gen), "normalized": True})
+        z = np.array([0.3, -0.2, 0.5])
+        assert forward(back, z).tobytes() == forward(gen, z).tobytes()
+
+    @pytest.mark.parametrize("extra", [{"normalized": False}, {"min_norm": 1e-3}])
+    def test_removed_settings_refused(self, extra):
+        # Every decoder is normalized with the fixed floor; a file asking
+        # for another contract used to load and be served the wrong one.
+        (key,) = extra
+        obj = {**model_to_json(random_mlp(9, 3, seed=70)), **extra}
+        with pytest.raises(ValueError, match=key):
             model_from_json(obj)
 
     def test_missing_body_rejected(self):

@@ -365,6 +365,11 @@ class TestVerifyPerturbation:
         assert r1 == r2
         assert r1.max_e_bilinear > 0.0
 
+    def test_generator_of_wrong_output_dim_rejected(self):
+        inst = gen_spiked(_nonneg_unit(16, 29), 200, seed=5)
+        with pytest.raises(ValueError, match="output_dim 12 does not match instance dim 16"):
+            verify_perturbation(inst, 15, seed=7, generator=random_subspace(12, 4, seed=6))
+
     def test_bilinear_max_shrinks_with_m(self):
         v = _nonneg_unit(32, 30)
         med = []

@@ -5,7 +5,7 @@ its latent Adam descent with @ products, a fresh NormalStream start per
 restart and per call, and the best candidate replaced step by step: the same
 point, latent, distance and restart index, or the same error class when
 every restart dies. Decoders: relu, sigmoid and identity MLPs with 0-2
-hidden layers (normalized or not), subspace decoders, and a ReLU decoder
+hidden layers, subspace decoders, and a ReLU decoder
 whose output vanishes on part of the latent ball, so restarts hit
 DegenerateOutput at their start or mid-descent.
 """
@@ -53,10 +53,7 @@ def decoder(draw):
         return random_subspace(n, k, seed=seed)
     widths = tuple(draw(st.lists(st.integers(2, 10), min_size=0, max_size=2)))
     activation = draw(st.sampled_from(("relu", "sigmoid", "identity")))
-    gen = random_mlp(n, k, hidden=widths, activation=activation, seed=seed)
-    if draw(st.booleans()):
-        return gen
-    return MlpGenerator(layers=gen.layers, latent_radius=gen.latent_radius, normalized=False)
+    return random_mlp(n, k, hidden=widths, activation=activation, seed=seed)
 
 
 @st.composite

@@ -21,13 +21,14 @@ from numpy.testing import assert_allclose
 from gepflow.errors import (
     DegenerateGap,
     NonPositiveAlignment,
+    NotPositiveDefinite,
     RhoOutOfRange,
 )
 from gepflow.linalg import MatrixPair, generalized_eig
 from gepflow.priors import SphereProjector
 from gepflow.problems import ProblemInstance, gen_spiked
 from gepflow.rng import NormalStream
-from gepflow.solvers import SolverConfig, prfm
+from gepflow.solvers import SolverConfig, default_init, prfm
 from gepflow.theory import (
     _draw_tuples,
     check_denominator_positivity,
@@ -68,7 +69,7 @@ def _spiked_population(n: int, seed: int = 3):
 class TestComputeConditions:
     def test_spiked_protocol_step_size(self):
         pair, v, spec = _spiked_population(16)
-        cond = compute_conditions(spec, pair.b, 7.0 / 32.0, v)
+        cond = compute_conditions(spec, pair, 7.0 / 32.0, v)
         assert_allclose(cond.gamma1, 0.875, atol=1e-9)
         assert_allclose(cond.gamma2, 0.875, atol=1e-9)
         assert_allclose(cond.kappa_b, 1.0, atol=1e-12)
@@ -80,7 +81,7 @@ class TestComputeConditions:
         # nu0 = 1 kills both alignment penalty terms: b0 = 2 - 2*gamma,
         # c0 = 0, contraction = b0 = 0.25 at the protocol step size.
         pair, v, spec = _spiked_population(12)
-        cond = compute_conditions(spec, pair.b, 7.0 / 32.0, v)
+        cond = compute_conditions(spec, pair, 7.0 / 32.0, v)
         assert_allclose(cond.nu0, 1.0, atol=1e-12)
         assert_allclose(cond.c0, 0.0, atol=1e-9)
         assert_allclose(cond.b0, 0.25, atol=1e-8)
@@ -90,7 +91,7 @@ class TestComputeConditions:
 
     def test_zero_step_size_is_reported_not_rejected(self):
         pair, v, spec = _spiked_population(8)
-        cond = compute_conditions(spec, pair.b, 0.0, v)
+        cond = compute_conditions(spec, pair, 0.0, v)
         assert cond.gamma1 == 0.0 and cond.gamma2 == 0.0
         assert_allclose(cond.b0, 2.0, atol=1e-12)
         assert_allclose(cond.contraction, 2.0, atol=1e-12)
@@ -116,7 +117,7 @@ class TestComputeConditions:
 
     def test_negative_alignment_is_flagged(self):
         pair, v, spec = _spiked_population(10)
-        cond = compute_conditions(spec, pair.b, 7.0 / 32.0, -v)
+        cond = compute_conditions(spec, pair, 7.0 / 32.0, -v)
         assert_allclose(cond.nu0, -1.0, atol=1e-12)
         assert not cond.nu0_positive
 
@@ -124,21 +125,34 @@ class TestComputeConditions:
         pair = MatrixPair(a=np.eye(6), b=np.eye(6))
         spec = generalized_eig(pair)
         with pytest.raises(DegenerateGap):
-            compute_conditions(spec, pair.b, 0.1, np.ones(6) / math.sqrt(6))
+            compute_conditions(spec, pair, 0.1, np.ones(6) / math.sqrt(6))
 
     def test_validation(self):
         pair, v, spec = _spiked_population(6)
         for eta in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="eta must be finite"):
-                compute_conditions(spec, pair.b, eta, v)
-        with pytest.raises(ValueError):
-            compute_conditions(spec, np.diag([1.0, -1.0, 1, 1, 1, 1]), 0.1, v)
+                compute_conditions(spec, pair, eta, v)
+        with pytest.raises(NotPositiveDefinite):
+            MatrixPair(a=pair.a, b=np.diag([1.0, -1.0, 1, 1, 1, 1]))
         with pytest.raises(ValueError):
             conditions_from_gammas(-0.1, 0.5, nu0=0.5, kappa_b=1.0)
         with pytest.raises(ValueError):
             conditions_from_gammas(0.6, 0.5, nu0=0.5, kappa_b=1.0)
         with pytest.raises(ValueError):
             conditions_from_gammas(0.1, 0.5, nu0=0.5, kappa_b=0.9)
+        for nu0 in (math.nan, 1.5, -1.0000001):
+            with pytest.raises(ValueError, match="nu0"):
+                conditions_from_gammas(0.1, 0.5, nu0=nu0, kappa_b=1.0)
+
+    def test_start_at_the_truth_clamps_nu0(self):
+        # At n = 16 the all-ones start's dot with itself rounds to
+        # 1.0000000000000002, which used to fail sqrt(2 (1 - nu0)).
+        v = default_init(16)
+        inst = gen_spiked(v, 100, seed=0)
+        spec = generalized_eig(inst.truth.pair)
+        assert float(v @ spec.leading_unit) > 1.0
+        cond = compute_conditions(spec, inst.truth.pair, 7.0 / 32.0, v)
+        assert cond.nu0 == 1.0
 
     def test_gamma_lipschitz_in_spectrum(self):
         # The gammas depend on eigenvalue differences only, so shifting the
@@ -154,10 +168,10 @@ class TestComputeConditions:
             spec = generalized_eig(pair)
             b_max = float(np.max(np.linalg.eigvalsh(b)))
             u0 = NormalStream(1, stream=0).unit_vector(6)
-            base = compute_conditions(spec, b, eta, u0)
+            base = compute_conditions(spec, pair, eta, u0)
 
             uniform = dataclasses.replace(spec, eigenvalues=spec.eigenvalues + eps)
-            new = compute_conditions(uniform, b, eta, u0)
+            new = compute_conditions(uniform, pair, eta, u0)
             bound = eta * eps * b_max * (1.0 + 1e-12)
             assert abs(new.gamma1 - base.gamma1) <= bound
             assert abs(new.gamma2 - base.gamma2) <= bound
@@ -168,7 +182,7 @@ class TestComputeConditions:
                 shifted = dataclasses.replace(
                     spec, eigenvalues=lam, gap=float(lam[0] - lam[1])
                 )
-                new = compute_conditions(shifted, b, eta, u0)
+                new = compute_conditions(shifted, pair, eta, u0)
                 bound = eta * eps * b_max * (1.0 + 1e-8)
                 assert abs(new.gamma1 - base.gamma1) <= bound
                 assert abs(new.gamma2 - base.gamma2) <= bound
@@ -451,7 +465,7 @@ class TestContractionConsistency:
         w /= np.linalg.norm(w)
         nu0 = 0.99
         u0 = nu0 * v + math.sqrt(1.0 - nu0**2) * w
-        cond = compute_conditions(spec, pair.b, 7.0 / 32.0, u0)
+        cond = compute_conditions(spec, pair, 7.0 / 32.0, u0)
         assert_allclose(cond.b0, 0.6299810601229374, atol=1e-8)
         assert cond.contraction_ok
 
