@@ -20,7 +20,6 @@ from .errors import (
     DegenerateGap,
     DegenerateOutput,
     DegenerateProjection,
-    DenominatorNearZero,
     DenominatorNonPositive,
     GepflowError,
     NonConvergence,
@@ -38,12 +37,9 @@ from .linalg import (
     GeneralizedSpectrum,
     MatrixPair,
     cholesky,
-    condition_kappa,
-    crawford_number_estimate,
     generalized_eig,
     matrix_from_json,
     matrix_to_json,
-    rayleigh_quotient,
     spectral_norm,
     sym_eig,
 )
@@ -99,7 +95,6 @@ from .problems import (
 )
 from .theory import (
     ConvergenceConditions,
-    check_denominator_positivity,
     check_lemma_coefficient,
     check_lemma_inner,
     check_lemma_sandwich,

@@ -24,10 +24,6 @@ class NotPositiveDefinite(GepflowError):
     """A matrix required to be positive definite failed its pivot check."""
 
 
-class DenominatorNearZero(GepflowError):
-    """A Rayleigh-quotient denominator was too close to zero to trust."""
-
-
 class DegenerateGap(GepflowError):
     """The leading spectral gap is too small for the requested operation."""
 

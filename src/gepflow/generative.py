@@ -531,13 +531,16 @@ def model_from_json(obj: dict) -> Generator:
             basis=np.array(obj["basis"], dtype=np.float64), latent_radius=radius
         )
     elif "layers" in obj:
+        entries = obj["layers"]
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ValueError("model JSON 'layers' must be a list of objects")
         layers = tuple(
             Layer(
                 weight=np.array(entry["weight"], dtype=np.float64),
                 bias=np.array(entry["bias"], dtype=np.float64),
                 activation=str(entry["activation"]),
             )
-            for entry in obj["layers"]
+            for entry in entries
         )
         gen = MlpGenerator(layers=layers, latent_radius=radius)
     else:

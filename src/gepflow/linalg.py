@@ -20,12 +20,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    DenominatorNearZero,
-    NonConvergence,
-    NotPositiveDefinite,
-)
-from .rng import NormalStream
+from .errors import NonConvergence, NotPositiveDefinite
 
 __all__ = [
     "MatrixPair",
@@ -34,10 +29,7 @@ __all__ = [
     "sym_eig",
     "cholesky",
     "generalized_eig",
-    "rayleigh_quotient",
     "spectral_norm",
-    "condition_kappa",
-    "crawford_number_estimate",
     "matrix_to_json",
     "matrix_from_json",
 ]
@@ -69,15 +61,6 @@ def as_sym_matrix(a, *, name: str = "matrix") -> NDArray[np.float64]:
     return arr
 
 
-def _as_vector(u, n: int | None = None, *, name: str = "vector") -> NDArray[np.float64]:
-    v = np.asarray(u, dtype=np.float64).reshape(-1)
-    if n is not None and v.shape[0] != n:
-        raise ValueError(f"{name} has length {v.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} has non-finite entries")
-    return v
-
-
 @dataclass(frozen=True, eq=False)
 class MatrixPair:
     """A symmetric matrix `a` with a symmetric positive definite `b`.
@@ -100,10 +83,6 @@ class MatrixPair:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "chol_lower", cholesky(b))
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
 
     @cached_property
     def b_extremes(self) -> tuple[float, float]:
@@ -245,63 +224,10 @@ def generalized_eig(pair: MatrixPair) -> GeneralizedSpectrum:
 # scalars
 
 
-def rayleigh_quotient(a, b, u) -> float:
-    """Generalized Rayleigh quotient (u^T a u) / (u^T b u).
-
-    Scale-invariant in u. The denominator guard rejects
-    |u^T b u| <= 1e-12 * ||u||^2 * ||b||_F; the Frobenius norm is an upper
-    bound on the spectral norm, so the guard is marginally conservative but
-    avoids an O(n^3) norm computation per call.
-    """
-    am = as_sym_matrix(a, name="a")
-    bm = as_sym_matrix(b, name="b")
-    if am.shape != bm.shape:
-        raise ValueError("a and b must have matching dimensions")
-    v = _as_vector(u, am.shape[0], name="u")
-    den = float(v @ bm @ v)
-    floor = 1e-12 * float(v @ v) * float(np.linalg.norm(bm))
-    if abs(den) <= floor:
-        raise DenominatorNearZero(f"|u^T b u| = {abs(den):.6g} <= {floor:.6g}")
-    return float(v @ am @ v) / den
-
-
 def spectral_norm(s) -> float:
     """Largest absolute eigenvalue of a symmetric matrix."""
     w = np.linalg.eigvalsh(as_sym_matrix(s))
     return max(abs(float(w[0])), abs(float(w[-1])))
-
-
-def condition_kappa(b) -> float:
-    """Condition number lambda_max / lambda_min of a positive definite matrix."""
-    a = as_sym_matrix(b)
-    cholesky(a)  # rejects non-PD inputs with the standard pivot floor
-    w = np.linalg.eigvalsh(a)  # ascending
-    lo = float(w[0])
-    if lo <= 0.0:
-        raise NotPositiveDefinite(f"smallest eigenvalue {lo:.6g} <= 0")
-    return float(w[-1]) / lo
-
-
-def crawford_number_estimate(pair: MatrixPair, samples: int, seed: int) -> float:
-    """Sampled upper estimate of the definiteness measure of (A, B).
-
-    Draws `samples` uniform unit vectors from NormalStream(seed, stream=0),
-    one vector at a time (so a longer run extends a shorter one with the
-    same seed), and returns the minimum of sqrt((u^T A u)^2 + (u^T B u)^2).
-    The exact minimum over the sphere is >= lambda_min(B) for a definite
-    pair; the sampled value only ever overestimates it.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    stream = NormalStream(seed, stream=0)
-    n = pair.dim
-    best = math.inf
-    for _ in range(samples):
-        u = stream.unit_vector(n)
-        qa = float(u @ pair.a @ u)
-        qb = float(u @ pair.b @ u)
-        best = min(best, math.hypot(qa, qb))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +248,10 @@ def matrix_from_json(obj: dict) -> NDArray[np.float64]:
     """Inverse of :func:`matrix_to_json`, with shape validation."""
     if not isinstance(obj, dict) or "dim" not in obj or "rows" not in obj:
         raise ValueError("matrix JSON must have 'dim' and 'rows' keys")
-    n = int(obj["dim"])
+    try:
+        n = int(obj["dim"])
+    except (TypeError, ValueError):
+        raise ValueError(f"matrix JSON 'dim' must be a number, got {obj['dim']!r}") from None
     arr = np.array(obj["rows"], dtype=np.float64)
     if arr.shape != (n, n):
         raise ValueError(f"matrix JSON rows have shape {arr.shape}, expected ({n}, {n})")

@@ -386,6 +386,14 @@ def instance_to_json(instance: ProblemInstance) -> dict:
     }
 
 
+def _number(obj: dict, key: str, cast):
+    """cast(obj[key]), refusing a null or non-numeric value by its key."""
+    try:
+        return cast(obj[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"instance bundle {key!r} must be a number, got {obj[key]!r}") from None
+
+
 def instance_from_json(obj: dict) -> ProblemInstance:
     """Load an instance bundle written by instance_to_json."""
     if not isinstance(obj, dict):
@@ -393,18 +401,20 @@ def instance_from_json(obj: dict) -> ProblemInstance:
     truth = None
     if obj.get("truth") is not None:
         t = obj["truth"]
+        if not isinstance(t, dict):
+            raise ValueError("instance bundle 'truth' must be an object or null")
         truth = Truth(
             pair=MatrixPair(a=matrix_from_json(t["a"]), b=matrix_from_json(t["b"])),
             v_star=np.array(t["v_star"], dtype=np.float64),
-            lambda1=float(t["lambda1"]),
-            lambda2=float(t["lambda2"]),
+            lambda1=_number(t, "lambda1", float),
+            lambda2=_number(t, "lambda2", float),
             v_lead=np.array(t["v_lead"], dtype=np.float64),
         )
     return ProblemInstance(
         a_hat=matrix_from_json(obj["a_hat"]),
         b_hat=matrix_from_json(obj["b_hat"]),
         truth=truth,
-        m=int(obj["m"]),
+        m=_number(obj, "m", int),
         kind=str(obj["kind"]),
-        seed=int(obj["seed"]),
+        seed=_number(obj, "seed", int),
     )

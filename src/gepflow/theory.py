@@ -32,23 +32,19 @@ from numpy.typing import NDArray
 
 from .errors import DegenerateGap, NonPositiveAlignment, RhoOutOfRange
 from .linalg import GeneralizedSpectrum, MatrixPair, generalized_eig
-from .problems import ProblemInstance
 from .rng import NormalStream, map_words
-from .solvers import DENOMINATOR_FLOOR
 
 __all__ = [
     "ConvergenceConditions",
     "SandwichCheck",
     "InnerCheck",
     "CoefficientCheck",
-    "DenominatorCheck",
     "LemmaSuiteResult",
     "compute_conditions",
     "conditions_from_gammas",
     "check_lemma_sandwich",
     "check_lemma_inner",
     "check_lemma_coefficient",
-    "check_denominator_positivity",
     "run_lemma_suites",
 ]
 
@@ -167,12 +163,6 @@ class CoefficientCheck:
     holds: bool
 
 
-@dataclass(frozen=True)
-class DenominatorCheck:
-    value: float
-    positive: bool
-
-
 def _prepare(pair: MatrixPair, spectrum: GeneralizedSpectrum | None, x):
     """The checkers' shared start: the spectrum (solved here when not
     given), x as a flat float64 vector, B x, and the leading coefficient
@@ -274,17 +264,6 @@ def check_lemma_coefficient(
     lhs = (f1 - spec.scale_d) ** 2
     rhs = (b_max - (1.0 + nu) * b_min / 2.0) * float(h.dot(h))
     return CoefficientCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + LEMMA_SLACK)
-
-
-def check_denominator_positivity(instance: ProblemInstance, u) -> DenominatorCheck:
-    """Report u' B_hat u and whether it clears the solver floor.
-
-    Advisory only: positivity for all near-optimal vectors is guaranteed by
-    theory only under sample-size conditions this checker cannot certify.
-    """
-    uv = np.asarray(u, dtype=np.float64).reshape(-1)
-    value = float(uv @ (instance.b_hat @ uv))
-    return DenominatorCheck(value=value, positive=value > DENOMINATOR_FLOOR)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,15 @@ eigensolver is itself numpy/LAPACK, so comparing the two checks little; the
 routes that stay independent of it are sign-change bisection on the
 determinant (here), the characteristic-polynomial roots frozen in
 test_linalg.py, and the eigen-residual and B-orthonormality checks, which
-test a solution by its defining equations. `reference_flow` restates the
-three iterative solvers from their update rules alone, `reference_draws`
-restates the Philox/Box-Muller contract of `gepflow.rng` in one unchunked
-pass, `reference_project_to_range` restates the latent Adam descent of
-the range prior with its decoder's forward and backward passes inline, and
-`reference_lemma_checks` / `reference_lemma_suites` restate the three
-inequality checkers and the randomized suite draw by draw.
+test a solution by its defining equations. `reference_rayleigh_quotient`
+is the generalized quotient with its denominator guard, `reference_flow`
+restates the three iterative solvers from their update rules alone,
+`reference_draws` restates the Philox/Box-Muller contract of `gepflow.rng`
+in one unchunked pass, `reference_project_to_range` restates the latent
+Adam descent of the range prior with its decoder's forward and backward
+passes inline, and `reference_lemma_checks` / `reference_lemma_suites`
+restate the three inequality checkers and the randomized suite draw by
+draw.
 """
 
 from __future__ import annotations
@@ -91,6 +93,20 @@ def random_definite_pair(
         w = np.sort(np.linalg.eigvalsh((c + c.T) / 2.0))
         if n == 1 or np.min(np.diff(w)) > min_gap:
             return a, b
+
+
+def reference_rayleigh_quotient(a: np.ndarray, b: np.ndarray, u) -> float:
+    """Generalized Rayleigh quotient (u' a u) / (u' b u).
+
+    Refuses |u' b u| <= 1e-12 * ||u||^2 * ||b||_F; the Frobenius norm bounds
+    the spectral norm from above, so the guard is marginally conservative.
+    """
+    v = np.asarray(u, dtype=np.float64).reshape(-1)
+    den = float(v @ b @ v)
+    floor = 1e-12 * float(v @ v) * float(np.linalg.norm(b))
+    if abs(den) <= floor:
+        raise ValueError(f"|u' b u| = {abs(den):.6g} <= {floor:.6g}")
+    return float(v @ a @ v) / den
 
 
 def finite_difference_gradient(f, z: np.ndarray, *, h: float = 1e-5) -> np.ndarray:

@@ -192,6 +192,27 @@ class TestSolve:
         assert len(obj["rows"]) == 4
         assert obj["final"] == [2**-0.5, 2**-0.5]
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("truth",), 5), (("m",), None), (("m",), [1]), (("a_hat", "dim"), None)],
+        ids=["truth-int", "m-null", "m-list", "a_hat-dim-null"],
+    )
+    def test_malformed_instance_file(self, tmp_path, capsys, path, value):
+        obj = json.loads(_generate(tmp_path).read_text())
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        out = tmp_path / "t.json"
+        assert main(["solve", "--solver", "prfm", "--in", str(bad), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: invalid instance file {bad}: ")
+        assert f"'{path[-1]}' must be" in lines[0]
+        assert not out.exists()
+
     def test_missing_instance_file(self, tmp_path, capsys):
         code = main([
             "solve", "--solver", "prfm", "--in", str(tmp_path / "absent.json"),
@@ -480,6 +501,28 @@ class TestPriorFlags:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert f"model JSON is missing {key!r}" in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+    @pytest.mark.parametrize("layers", [5, [5]])
+    def test_model_with_malformed_layers(self, tmp_path, capsys, command, layers):
+        model = {**model_to_json(random_mlp(16, 4, hidden=(8,), seed=3)), "layers": layers}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(model))
+        out = tmp_path / "out"
+        if command == "verify":
+            argv = ["verify", "--in", str(_generate(tmp_path)), "--model", str(path)]
+        else:
+            if command == "solve":
+                argv = ["solve", "--solver", "prfm", "--in", str(_generate(tmp_path))]
+            else:
+                argv = ["sweep", "--kind", "spiked", "--n", "16", "--m-values", "40",
+                        "--trials", "1"]
+            argv += ["--prior", "range", "--model", str(path)]
+        assert main([*argv, "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "model JSON 'layers' must be a list of objects" in lines[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "sweep"])

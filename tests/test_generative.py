@@ -533,3 +533,9 @@ class TestSerialization:
     def test_missing_body_rejected(self):
         with pytest.raises(ValueError):
             model_from_json({"latent_dim": 2, "output_dim": 5, "latent_radius": 1.0})
+
+    @pytest.mark.parametrize("layers", [5, [5], [[1.0]], {"weight": [[1.0]]}])
+    def test_malformed_layers_name_the_key(self, layers):
+        obj = {**model_to_json(random_mlp(9, 3, seed=70)), "layers": layers}
+        with pytest.raises(ValueError, match="'layers' must be a list of objects"):
+            model_from_json(obj)

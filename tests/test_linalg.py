@@ -1,4 +1,4 @@
-"""Dense linear algebra: eigensolvers, Cholesky, scalars, serialization.
+"""Dense linear algebra: eigensolvers, Cholesky, spectral norm, serialization.
 
 Reference routes: numpy/LAPACK, exact characteristic-polynomial roots
 (frozen from a rational-arithmetic computation), and determinant bisection.
@@ -9,17 +9,14 @@ import json
 import numpy as np
 import pytest
 
-from gepflow.errors import DenominatorNearZero, NotPositiveDefinite
+from gepflow.errors import NotPositiveDefinite
 from gepflow.linalg import (
     MatrixPair,
     as_sym_matrix,
     cholesky,
-    condition_kappa,
-    crawford_number_estimate,
     generalized_eig,
     matrix_from_json,
     matrix_to_json,
-    rayleigh_quotient,
     spectral_norm,
     sym_eig,
 )
@@ -42,13 +39,6 @@ ORACLE_4X4_EIGS = [
     -0.23886421150769238,
     -1.2625661809215045,
 ]
-
-# Frozen oracle: minimum of sqrt((u^T A u)^2 + (u^T B u)^2) over a 10^4-point
-# angle grid on the circle, for the 2x2 pair below.
-CRAWFORD_A2 = np.array([[1.0, 0.7], [0.7, -0.5]])
-CRAWFORD_B2 = np.array([[2.0, 0.3], [0.3, 1.0]])
-CRAWFORD_GRID_MIN = 1.116543021685848
-
 
 class TestSymEig:
     def test_identity(self):
@@ -190,46 +180,6 @@ class TestGeneralizedEig:
         assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
 
 
-class TestRayleighQuotient:
-    def test_equal_matrices_give_one(self):
-        rng = np.random.default_rng(2)
-        m = rng.standard_normal((4, 4))
-        b = m @ m.T + np.eye(4)
-        assert abs(rayleigh_quotient(b, b, rng.standard_normal(4)) - 1.0) < 1e-12
-
-    def test_spiked_leading_value(self):
-        rng = np.random.default_rng(4)
-        v = rng.standard_normal(12)
-        v /= np.linalg.norm(v)
-        a = 4.0 * np.outer(v, v) + np.eye(12)
-        assert abs(rayleigh_quotient((a + a.T) / 2.0, np.eye(12), v) - 5.0) < 1e-12
-
-    def test_diagonal_arithmetic(self):
-        # (3 + 1) / (1 + 2) computed by hand.
-        value = rayleigh_quotient(np.diag([3.0, 1.0]), np.diag([1.0, 2.0]), [1.0, 1.0])
-        assert abs(value - 4.0 / 3.0) < 1e-14
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(6)
-        a, b = random_definite_pair(rng, 5)
-        u = rng.standard_normal(5)
-        base = rayleigh_quotient(a, b, u)
-        for c in (-3.0, 0.5, 17.0, -1e-3):
-            assert abs(rayleigh_quotient(a, b, c * u) - base) <= 1e-10 * abs(base)
-
-    def test_rayleigh_ritz_upper_bound(self):
-        rng = np.random.default_rng(8)
-        a, b = random_definite_pair(rng, 6)
-        lam1 = generalized_eig(MatrixPair(a, b)).eigenvalues[0]
-        for _ in range(1000):
-            u = rng.standard_normal(6)
-            assert rayleigh_quotient(a, b, u) <= lam1 + 1e-9
-
-    def test_denominator_guard(self):
-        with pytest.raises(DenominatorNearZero):
-            rayleigh_quotient(np.eye(2), np.diag([1.0, -1.0]), [1.0, 1.0])
-
-
 class TestSpectralNorm:
     def test_identity(self):
         assert abs(spectral_norm(np.eye(5)) - 1.0) < 1e-14
@@ -244,60 +194,6 @@ class TestSpectralNorm:
             s = (a + a.T) / 2.0
             expected = float(np.max(np.abs(np.linalg.eigvalsh(s))))
             assert abs(spectral_norm(s) - expected) <= 1e-8 * expected
-
-
-class TestConditionKappa:
-    def test_identity(self):
-        assert abs(condition_kappa(np.eye(6)) - 1.0) < 1e-12
-
-    def test_diag_two(self):
-        b = np.diag([2.0] + [1.0] * 9)
-        assert abs(condition_kappa(b) - 2.0) < 1e-12
-
-    def test_against_numpy(self):
-        rng = np.random.default_rng(10)
-        m = rng.standard_normal((7, 7))
-        b = m @ m.T + np.eye(7)
-        w = np.linalg.eigvalsh(b)
-        assert abs(condition_kappa(b) - w[-1] / w[0]) <= 1e-8 * (w[-1] / w[0])
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            condition_kappa(np.diag([1.0, 0.0]))
-
-
-class TestCrawfordEstimate:
-    def test_zero_a_identity_b(self):
-        pair = MatrixPair(np.zeros((3, 3)), np.eye(3))
-        assert abs(crawford_number_estimate(pair, 50, seed=1) - 1.0) < 1e-12
-
-    def test_identity_pair(self):
-        pair = MatrixPair(np.eye(4), np.eye(4))
-        assert abs(crawford_number_estimate(pair, 50, seed=2) - np.sqrt(2.0)) < 1e-12
-
-    def test_grid_oracle_2x2(self):
-        pair = MatrixPair(CRAWFORD_A2, CRAWFORD_B2)
-        est = crawford_number_estimate(pair, 10_000, seed=3)
-        # Sampling can only overestimate the minimum; with 1e4 draws on the
-        # circle it should land within a small slack of the grid value.
-        assert est >= CRAWFORD_GRID_MIN - 1e-6
-        assert est <= CRAWFORD_GRID_MIN + 0.01
-
-    def test_nested_sampling_monotone(self):
-        rng = np.random.default_rng(12)
-        a, b = random_definite_pair(rng, 4)
-        pair = MatrixPair(a, b)
-        values = [crawford_number_estimate(pair, s, seed=99) for s in (10, 100, 1000)]
-        assert values[0] >= values[1] >= values[2]
-
-    def test_definiteness_lower_bound(self):
-        # For definite pairs the exact Crawford number is >= lambda_min(B);
-        # the sampled estimate sits above the exact minimum.
-        rng = np.random.default_rng(13)
-        a, b = random_definite_pair(rng, 3)
-        pair = MatrixPair(a, b)
-        est = crawford_number_estimate(pair, 2000, seed=5)
-        assert est >= float(np.linalg.eigvalsh(b)[0]) - 1e-9
 
 
 class TestValidationAndSerialization:

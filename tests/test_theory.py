@@ -26,12 +26,11 @@ from gepflow.errors import (
 )
 from gepflow.linalg import MatrixPair, generalized_eig
 from gepflow.priors import SphereProjector
-from gepflow.problems import ProblemInstance, gen_spiked
+from gepflow.problems import gen_spiked
 from gepflow.rng import NormalStream
 from gepflow.solvers import SolverConfig, default_init, prfm
 from gepflow.theory import (
     _draw_tuples,
-    check_denominator_positivity,
     check_lemma_coefficient,
     check_lemma_inner,
     check_lemma_sandwich,
@@ -325,32 +324,6 @@ class TestCoefficient:
                     continue
                 out = check_lemma_coefficient(pair, x, spectrum=spec)
                 assert out.holds, out
-
-
-class TestDenominator:
-    def test_identity_covariance(self):
-        inst = gen_spiked(NormalStream(2, stream=0).unit_vector(16), 400, seed=2)
-        u = NormalStream(3, stream=0).unit_vector(16)
-        out = check_denominator_positivity(inst, u)
-        assert out.positive
-        assert 0.5 < out.value < 1.5
-
-    def test_rank_deficient_null_direction(self):
-        # Fewer samples than dimensions leaves B_hat with a null space; a
-        # null vector yields a denominator of numerical zero.
-        stream = NormalStream(4, stream=0)
-        n, m = 6, 3
-        w = stream.matrix(m, n)
-        b_hat = (w.T @ w) / m
-        inst = ProblemInstance(
-            a_hat=np.eye(n), b_hat=(b_hat + b_hat.T) / 2.0, truth=None,
-            m=m, kind="custom", seed=4,
-        )
-        _, _, vt = np.linalg.svd(w)
-        null = vt[-1]
-        out = check_denominator_positivity(inst, null)
-        assert abs(out.value) < 1e-12
-        assert not out.positive
 
 
 class TestSuites:
