@@ -28,6 +28,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import AllRestartsDegenerate, DegenerateOutput, DegenerateProjection
+from .linalg import _floats, _number
 from .rng import NormalStream
 
 __all__ = [
@@ -522,13 +523,11 @@ def model_from_json(obj: dict) -> Generator:
         raise ValueError("model JSON 'normalized' must be true: every decoder is normalized")
     if "min_norm" in obj:
         raise ValueError(f"model JSON 'min_norm' is refused: the floor is {MIN_NORM_DEFAULT}")
-    for key in ("latent_dim", "output_dim"):
-        if key not in obj:
-            raise ValueError(f"model JSON is missing {key!r}")
-    radius = float(obj.get("latent_radius", 0.0))
+    dims = tuple(_number(obj, key, int, "model JSON") for key in ("latent_dim", "output_dim"))
+    radius = _number(obj, "latent_radius", float, "model JSON")
     if "basis" in obj:
         gen: Generator = SubspaceGenerator(
-            basis=np.array(obj["basis"], dtype=np.float64), latent_radius=radius
+            basis=_number(obj, "basis", _floats, "model JSON"), latent_radius=radius
         )
     elif "layers" in obj:
         entries = obj["layers"]
@@ -536,15 +535,15 @@ def model_from_json(obj: dict) -> Generator:
             raise ValueError("model JSON 'layers' must be a list of objects")
         layers = tuple(
             Layer(
-                weight=np.array(entry["weight"], dtype=np.float64),
-                bias=np.array(entry["bias"], dtype=np.float64),
-                activation=str(entry["activation"]),
+                weight=_number(entry, "weight", _floats, "model JSON layer"),
+                bias=_number(entry, "bias", _floats, "model JSON layer"),
+                activation=str(entry.get("activation")),
             )
             for entry in entries
         )
         gen = MlpGenerator(layers=layers, latent_radius=radius)
     else:
         raise ValueError("model JSON needs either 'layers' or 'basis'")
-    if gen.latent_dim != int(obj["latent_dim"]) or gen.output_dim != int(obj["output_dim"]):
+    if (gen.latent_dim, gen.output_dim) != dims:
         raise ValueError("declared model dimensions do not match the data")
     return gen

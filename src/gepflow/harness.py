@@ -14,6 +14,7 @@ role (0 instance draws, 1 truth-vector draw, 2 prior construction,
 from __future__ import annotations
 
 import math
+import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from time import perf_counter
@@ -271,15 +272,8 @@ def fit_loglog_slope(pairs) -> tuple[float, float, float]:
             raise DegenerateFit(f"invalid point ({m}, {e})")
     xs = [math.log(m) for m, _ in pts]
     ys = [math.log(e) for _, e in pts]
-    k = len(pts)
-    mx = sum(xs) / k
-    my = sum(ys) / k
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    syy = sum((y - my) ** 2 for y in ys)
-    slope = sxy / sxx
-    intercept = my - slope * mx
-    r_squared = 1.0 if syy == 0.0 else (sxy * sxy) / (sxx * syy)
+    slope, intercept = statistics.linear_regression(xs, ys)
+    r_squared = 1.0 if len(set(ys)) == 1 else statistics.correlation(xs, ys) ** 2
     return slope, intercept, r_squared
 
 
@@ -298,11 +292,7 @@ class SummaryCell:
 def _mean_std(values: list[float]) -> tuple[float, float]:
     if not values:
         return math.nan, math.nan
-    mean = sum(values) / len(values)
-    if len(values) == 1:
-        return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-    return mean, math.sqrt(var)
+    return statistics.fmean(values), (statistics.stdev(values) if len(values) > 1 else 0.0)
 
 
 def summarize(rows) -> list[SummaryCell]:

@@ -14,8 +14,9 @@ a singular B is refused, never regularized.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -112,10 +113,6 @@ class GeneralizedSpectrum:
     leading_unit: NDArray[np.float64]
     scale_d: float
     gap: float
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +241,26 @@ def matrix_to_json(a) -> dict:
     return {"dim": int(arr.shape[0]), "rows": [[float(x) for x in row] for row in arr]}
 
 
+_floats = partial(np.array, dtype=np.float64)
+
+
+def _number(obj: dict, key: str, cast, kind: str):
+    """``cast(obj[key])`` from a `kind` file; a missing or unreadable value is
+    refused with a ValueError naming the key."""
+    if key not in obj:
+        raise ValueError(f"{kind} is missing {key!r}")
+    try:
+        return cast(obj[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{kind} {key!r} must be numeric, got {reprlib.repr(obj[key])}") from None
+
+
 def matrix_from_json(obj: dict) -> NDArray[np.float64]:
     """Inverse of :func:`matrix_to_json`, with shape validation."""
     if not isinstance(obj, dict) or "dim" not in obj or "rows" not in obj:
         raise ValueError("matrix JSON must have 'dim' and 'rows' keys")
-    try:
-        n = int(obj["dim"])
-    except (TypeError, ValueError):
-        raise ValueError(f"matrix JSON 'dim' must be a number, got {obj['dim']!r}") from None
-    arr = np.array(obj["rows"], dtype=np.float64)
+    n = _number(obj, "dim", int, "matrix JSON")
+    arr = _number(obj, "rows", _floats, "matrix JSON")
     if arr.shape != (n, n):
         raise ValueError(f"matrix JSON rows have shape {arr.shape}, expected ({n}, {n})")
     return as_sym_matrix(arr)

@@ -39,6 +39,9 @@ from .errors import (
 from .generative import Generator, forward
 from .linalg import (
     MatrixPair,
+    _fix_signs,
+    _floats,
+    _number,
     as_sym_matrix,
     generalized_eig,
     matrix_from_json,
@@ -75,10 +78,7 @@ class Truth:
     v_lead: NDArray[np.float64]
 
     def __post_init__(self):
-        v = np.asarray(self.v_star, dtype=np.float64).reshape(-1)
-        if abs(float(np.linalg.norm(v)) - 1.0) > 1e-12:
-            raise ValueError("v_star must be unit within 1e-12")
-        object.__setattr__(self, "v_star", v)
+        object.__setattr__(self, "v_star", _unit_v(self.v_star))
         object.__setattr__(
             self, "v_lead", np.asarray(self.v_lead, dtype=np.float64).reshape(-1)
         )
@@ -112,17 +112,19 @@ class ProblemInstance:
 
 def _unit_v(v_star) -> NDArray[np.float64]:
     v = np.asarray(v_star, dtype=np.float64).reshape(-1)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError("v_star must be a unit vector")
+    # Written so that a NaN norm (a non-finite entry) is refused too.
+    if not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-12:
+        raise ValueError("v_star must be a finite unit vector within 1e-12")
     return v
 
 
-def _sign_fixed(v: NDArray[np.float64]) -> NDArray[np.float64]:
-    # Matches the dense solver's convention: largest-|entry| coordinate >= 0.
-    if v[int(np.argmax(np.abs(v)))] < 0.0:
-        return -v
-    return v
+def _identity_b_truth(v: NDArray[np.float64], spike: float) -> Truth:
+    """Truth A = spike v v' + I, B = I: eigenvalues spike + 1 and 1, led by v."""
+    v_lead = v.copy()
+    _fix_signs(v_lead[:, None])  # the dense solver's sign convention
+    eye = np.eye(v.shape[0])
+    pair = MatrixPair(a=spike * np.outer(v, v) + eye, b=eye)
+    return Truth(pair=pair, v_star=v, lambda1=spike + 1.0, lambda2=1.0, v_lead=v_lead)
 
 
 def _gram(x: NDArray[np.float64], m: int) -> NDArray[np.float64]:
@@ -143,17 +145,11 @@ def _spiked_draws(v, m: int, seed: int) -> tuple[NDArray[np.float64], NDArray[np
 def gen_spiked(v_star, m: int, seed: int) -> ProblemInstance:
     """Spiked-covariance model: truth A = 4 v* v*' + I, B = I (eigs 5 and 1)."""
     v = _unit_v(v_star)
-    n = v.shape[0]
     a_hat, w = _spiked_draws(v, m, seed)
-    b_hat = _gram(w, m)
-    truth = Truth(
-        pair=MatrixPair(a=4.0 * np.outer(v, v) + np.eye(n), b=np.eye(n)),
-        v_star=v,
-        lambda1=5.0,
-        lambda2=1.0,
-        v_lead=_sign_fixed(v),
+    return ProblemInstance(
+        a_hat=a_hat, b_hat=_gram(w, m), truth=_identity_b_truth(v, 4.0), m=m,
+        kind="spiked", seed=seed,
     )
-    return ProblemInstance(a_hat=a_hat, b_hat=b_hat, truth=truth, m=m, kind="spiked", seed=seed)
 
 
 def gen_phase_retrieval(v_star, m: int, seed: int) -> ProblemInstance:
@@ -168,15 +164,9 @@ def gen_phase_retrieval(v_star, m: int, seed: int) -> ProblemInstance:
     g = stream.matrix(m, n)
     y = (g @ v) ** 2
     a_hat = _gram(g * np.sqrt(y)[:, None], m)
-    truth = Truth(
-        pair=MatrixPair(a=2.0 * np.outer(v, v) + np.eye(n), b=np.eye(n)),
-        v_star=v,
-        lambda1=3.0,
-        lambda2=1.0,
-        v_lead=_sign_fixed(v),
-    )
     return ProblemInstance(
-        a_hat=a_hat, b_hat=b_hat, truth=truth, m=m, kind="phase_retrieval", seed=seed
+        a_hat=a_hat, b_hat=b_hat, truth=_identity_b_truth(v, 2.0), m=m,
+        kind="phase_retrieval", seed=seed,
     )
 
 
@@ -386,12 +376,11 @@ def instance_to_json(instance: ProblemInstance) -> dict:
     }
 
 
-def _number(obj: dict, key: str, cast):
-    """cast(obj[key]), refusing a null or non-numeric value by its key."""
-    try:
-        return cast(obj[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"instance bundle {key!r} must be a number, got {obj[key]!r}") from None
+def _truth_vector(t: dict, key: str, n: int) -> NDArray[np.float64]:
+    v = _number(t, key, _floats, "instance bundle")
+    if v.shape != (n,) or not np.all(np.isfinite(v)):
+        raise ValueError(f"instance bundle {key!r} must be a finite vector of length {n}")
+    return v
 
 
 def instance_from_json(obj: dict) -> ProblemInstance:
@@ -403,18 +392,20 @@ def instance_from_json(obj: dict) -> ProblemInstance:
         t = obj["truth"]
         if not isinstance(t, dict):
             raise ValueError("instance bundle 'truth' must be an object or null")
+        pair = MatrixPair(a=matrix_from_json(t.get("a")), b=matrix_from_json(t.get("b")))
+        n = pair.a.shape[0]
         truth = Truth(
-            pair=MatrixPair(a=matrix_from_json(t["a"]), b=matrix_from_json(t["b"])),
-            v_star=np.array(t["v_star"], dtype=np.float64),
-            lambda1=_number(t, "lambda1", float),
-            lambda2=_number(t, "lambda2", float),
-            v_lead=np.array(t["v_lead"], dtype=np.float64),
+            pair=pair,
+            v_star=_truth_vector(t, "v_star", n),
+            lambda1=_number(t, "lambda1", float, "instance bundle"),
+            lambda2=_number(t, "lambda2", float, "instance bundle"),
+            v_lead=_truth_vector(t, "v_lead", n),
         )
     return ProblemInstance(
         a_hat=matrix_from_json(obj["a_hat"]),
         b_hat=matrix_from_json(obj["b_hat"]),
         truth=truth,
-        m=_number(obj, "m", int),
+        m=_number(obj, "m", int, "instance bundle"),
         kind=str(obj["kind"]),
-        seed=_number(obj, "seed", int),
+        seed=_number(obj, "seed", int, "instance bundle"),
     )

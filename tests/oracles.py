@@ -11,9 +11,10 @@ restates the three iterative solvers from their update rules alone,
 `reference_draws` restates the Philox/Box-Muller contract of `gepflow.rng`
 in one unchunked pass, `reference_project_to_range` restates the latent
 Adam descent of the range prior with its decoder's forward and backward
-passes inline, and `reference_lemma_checks` / `reference_lemma_suites`
+passes inline, `reference_lemma_checks` / `reference_lemma_suites`
 restate the three inequality checkers and the randomized suite draw by
-draw.
+draw, and `reference_loglog_fit` is the rate fit's least-squares line
+written out from its centered sums.
 """
 
 from __future__ import annotations
@@ -464,3 +465,20 @@ def reference_lemma_suites(draws=10_000, n_max=8, seed=0, draws_per_pair=20):
                 record("coefficient", coefficient[2], coefficient[1] - coefficient[0])
         done += todo
     return [(name, *t) for name, t in tally.items()]
+
+
+def reference_loglog_fit(pairs) -> tuple[float, float, float]:
+    """(slope, intercept, r_squared) of the least-squares line through
+    (log m, log error), from plain centered sums; r_squared is 1.0 when
+    every log error is equal."""
+    xs = [math.log(m) for m, _ in pairs]
+    ys = [math.log(e) for _, e in pairs]
+    k = len(xs)
+    mx = sum(xs) / k
+    my = sum(ys) / k
+    sxx = sum((x - mx) ** 2 for x in xs)
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    syy = sum((y - my) ** 2 for y in ys)
+    slope = sxy / sxx
+    r_squared = 1.0 if syy == 0.0 else (sxy * sxy) / (sxx * syy)
+    return slope, my - slope * mx, r_squared

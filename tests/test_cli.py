@@ -213,6 +213,23 @@ class TestSolve:
         assert f"'{path[-1]}' must be" in lines[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("key", ["v_star", "v_lead"])
+    def test_null_truth_vector_refused(self, tmp_path, capsys, command, key):
+        # solve used to die on a matmul error, and verify exited 0.
+        obj = json.loads(_generate(tmp_path).read_text())
+        obj["truth"][key] = None
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        out = tmp_path / "t.json"
+        argv = ["solve", "--solver", "prfm"] if command == "solve" else ["verify"]
+        assert main([*argv, "--in", str(bad), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: invalid instance file {bad}: ")
+        assert f"'{key}' must be" in lines[0]
+        assert not out.exists()
+
     def test_missing_instance_file(self, tmp_path, capsys):
         code = main([
             "solve", "--solver", "prfm", "--in", str(tmp_path / "absent.json"),

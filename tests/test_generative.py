@@ -534,6 +534,20 @@ class TestSerialization:
         with pytest.raises(ValueError):
             model_from_json({"latent_dim": 2, "output_dim": 5, "latent_radius": 1.0})
 
+    def test_missing_radius_rejected(self):
+        obj = model_to_json(random_mlp(9, 3, seed=70))
+        del obj["latent_radius"]
+        with pytest.raises(ValueError, match="missing 'latent_radius'"):
+            model_from_json(obj)
+
+    @pytest.mark.parametrize("key", ["latent_dim", "output_dim", "latent_radius"])
+    @pytest.mark.parametrize("value", [None, [8]], ids=["null", "list"])
+    def test_malformed_number_names_the_key(self, key, value):
+        # These used to escape as a TypeError from int() or float().
+        obj = {**model_to_json(random_mlp(9, 3, seed=70)), key: value}
+        with pytest.raises(ValueError, match=f"model JSON '{key}' must be numeric"):
+            model_from_json(obj)
+
     @pytest.mark.parametrize("layers", [5, [5], [[1.0]], {"weight": [[1.0]]}])
     def test_malformed_layers_name_the_key(self, layers):
         obj = {**model_to_json(random_mlp(9, 3, seed=70)), "layers": layers}

@@ -65,6 +65,17 @@ class TestSpiked:
         assert spectrum.eigenvalues[1] == pytest.approx(1.0, abs=1e-9)
         assert abs(float(spectrum.leading_unit @ inst.truth.v_lead)) >= 1 - 1e-9
 
+    @pytest.mark.parametrize("gen", [gen_spiked, gen_phase_retrieval])
+    def test_v_lead_is_sign_fixed_copy(self, gen):
+        # The largest-|entry| coordinate is negative, so v_lead is -v; the
+        # caller's array must come back untouched.
+        v = _unit([0.2, -0.9, 0.1, 0.3])
+        before = v.copy()
+        t = gen(v, 10, seed=3).truth
+        assert t.v_lead.tobytes() == (-before).tobytes()
+        assert v.tobytes() == before.tobytes()
+        assert t.v_star.tobytes() == before.tobytes()
+
     def test_documented_draw_order(self):
         v = _nonneg_unit(5, 4)
         inst = gen_spiked(v, 8, seed=11)
@@ -211,6 +222,20 @@ class TestInstanceInvariants:
                 lambda2=0.5,
                 v_lead=np.array([1.0, 0.0]),
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_truth_refuses_non_finite_v_star(self, bad):
+        # A NaN norm used to pass the unit check, since abs(nan - 1) > tol is False.
+        with pytest.raises(ValueError, match="v_star must be a finite unit vector"):
+            Truth(
+                pair=MatrixPair(a=np.eye(2), b=np.eye(2)),
+                v_star=np.array([bad, 0.0]),
+                lambda1=1.0,
+                lambda2=1.0,
+                v_lead=np.array([1.0, 0.0]),
+            )
+        with pytest.raises(ValueError, match="v_star must be a finite unit vector"):
+            gen_spiked(np.array([bad, 0.0]), 10, seed=1)
 
 
 class TestFdaPair:
@@ -427,4 +452,17 @@ class TestInstanceJson:
             target = target[key]
         target[path[-1]] = value
         with pytest.raises(ValueError, match=f"'{path[-1]}' must be"):
+            instance_from_json(blob)
+
+    @pytest.mark.parametrize("key", ["v_star", "v_lead"])
+    @pytest.mark.parametrize(
+        "value",
+        [None, [1.0, 0.0, 0.0], [math.nan] * 6, [1.0, 0.0, 0.0, 0.0, 0.0, math.inf], {}],
+        ids=["null", "short", "nan", "inf", "object"],
+    )
+    def test_truth_vector_must_be_finite_of_pair_dim(self, key, value):
+        # A null vector used to load as a 0-d NaN, and a short unit one as is.
+        blob = json.loads(json.dumps(instance_to_json(gen_spiked(_nonneg_unit(6, 31), 12, seed=8))))
+        blob["truth"][key] = value
+        with pytest.raises(ValueError, match=f"'{key}' must be"):
             instance_from_json(blob)
