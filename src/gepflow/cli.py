@@ -292,7 +292,7 @@ def _cmd_solve(args) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
 
-    payload = trace_to_json(args.solver, cfg, result.trace, "ok")
+    payload = trace_to_json(args.solver, cfg, result.trace)
     payload["restart_index"] = result.restart_index
     payload["objective"] = result.objective
     payload["estimate"] = [float(x) for x in result.estimate]

@@ -410,9 +410,9 @@ def random_mlp(
     hidden: tuple[int, ...] = (),
     activation: str = "relu",
     seed: int = 0,
-    latent_radius: float | None = None,
 ) -> MlpGenerator:
-    """Random-weight MLP decoder (stand-in for a trained model).
+    """Random-weight MLP decoder (stand-in for a trained model) with latent
+    radius `default_latent_radius(latent_dim)`.
 
     Weights are N(0, 2/fan_in) (He scaling), biases N(0, 0.01), drawn from
     NormalStream(seed, stream=0) layer by layer, weight row-major then bias.
@@ -430,8 +430,7 @@ def random_mlp(
         b = stream.normals(fan_out) * 0.1
         act = "identity" if i == len(dims) - 2 else activation
         layers.append(Layer(weight=w, bias=b, activation=act))
-    radius = latent_radius if latent_radius is not None else default_latent_radius(latent_dim)
-    return MlpGenerator(layers=tuple(layers), latent_radius=radius)
+    return MlpGenerator(layers=tuple(layers), latent_radius=default_latent_radius(latent_dim))
 
 
 def _orthonormalize(columns: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -441,31 +440,21 @@ def _orthonormalize(columns: NDArray[np.float64]) -> NDArray[np.float64]:
     return q * signs
 
 
-def random_subspace(
-    output_dim: int,
-    latent_dim: int,
-    *,
-    seed: int = 0,
-    latent_radius: float | None = None,
-) -> SubspaceGenerator:
-    """Uniformly random orthonormal basis (QR of a Gaussian matrix)."""
-    stream = NormalStream(seed, stream=0)
-    raw = stream.matrix(output_dim, latent_dim)
-    radius = latent_radius if latent_radius is not None else default_latent_radius(latent_dim)
-    return SubspaceGenerator(basis=_orthonormalize(raw), latent_radius=radius)
+def random_subspace(output_dim: int, latent_dim: int, *, seed: int = 0) -> SubspaceGenerator:
+    """Uniformly random orthonormal basis (QR of a Gaussian matrix) with
+    latent radius `default_latent_radius(latent_dim)`."""
+    raw = NormalStream(seed, stream=0).matrix(output_dim, latent_dim)
+    return SubspaceGenerator(
+        basis=_orthonormalize(raw), latent_radius=default_latent_radius(latent_dim)
+    )
 
 
-def subspace_containing(
-    vector,
-    latent_dim: int,
-    *,
-    seed: int = 0,
-    latent_radius: float | None = None,
-) -> SubspaceGenerator:
+def subspace_containing(vector, latent_dim: int, *, seed: int = 0) -> SubspaceGenerator:
     """Random subspace whose span contains the given (nonzero) vector.
 
     The first basis column is the normalized vector itself; the remaining
-    latent_dim - 1 columns complete it with seeded Gaussian draws.
+    latent_dim - 1 columns complete it with seeded Gaussian draws. The latent
+    radius is `default_latent_radius(latent_dim)`.
     """
     v = np.asarray(vector, dtype=np.float64).reshape(-1)
     norm = float(np.linalg.norm(v))
@@ -483,8 +472,7 @@ def subspace_containing(
     # QR keeps column 0 equal to +/- the input direction; force +.
     if float(q[:, 0] @ v) < 0.0:
         q[:, 0] = -q[:, 0]
-    radius = latent_radius if latent_radius is not None else default_latent_radius(latent_dim)
-    return SubspaceGenerator(basis=q, latent_radius=radius)
+    return SubspaceGenerator(basis=q, latent_radius=default_latent_radius(latent_dim))
 
 
 # ---------------------------------------------------------------------------

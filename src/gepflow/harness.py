@@ -80,11 +80,11 @@ def signed_distance(u, v_star) -> float:
     return min(float(np.linalg.norm(uu - v)), float(np.linalg.norm(uu + v)))
 
 
-def plateau_index(values, slack: float = 1e-7) -> int:
-    """First index where the sequence stops decreasing by more than slack."""
+def plateau_index(values) -> int:
+    """First index where the sequence stops decreasing by more than 1e-7."""
     seq = list(values)
     for t in range(len(seq) - 1):
-        if seq[t] - seq[t + 1] <= slack:
+        if seq[t] - seq[t + 1] <= 1e-7:
             return t
     return max(len(seq) - 1, 0)
 

@@ -54,10 +54,10 @@ def as_sym_matrix(a, *, name: str = "matrix") -> NDArray[np.float64]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise ValueError(f"{name} must have dim >= 1")
-    if not np.all(np.isfinite(arr)):
+    scale = float(np.max(np.abs(arr)))  # NaN or inf exactly when an entry is
+    if not math.isfinite(scale):
         raise ValueError(f"{name} has non-finite entries")
-    scale = float(np.max(np.abs(arr))) or 1.0
-    if np.max(np.abs(arr - arr.T)) > SYMMETRY_RTOL * scale:
+    if np.max(np.abs(arr - arr.T)) > SYMMETRY_RTOL * (scale or 1.0):
         raise ValueError(f"{name} is not symmetric within tolerance")
     return arr
 
@@ -243,16 +243,35 @@ def matrix_to_json(a) -> dict:
 
 _floats = partial(np.array, dtype=np.float64)
 
+#: The JSON values `_number` takes for each scalar cast, and how it names them.
+_SCALARS = {
+    int: (int, "an integer"),
+    float: ((int, float), "a finite number"),
+    str: (str, "a string"),
+}
+
 
 def _number(obj: dict, key: str, cast, kind: str):
-    """``cast(obj[key])`` from a `kind` file; a missing or unreadable value is
-    refused with a ValueError naming the key."""
+    """``cast(obj[key])`` from a `kind` file.
+
+    An int field takes only a JSON integer, a float field only a finite JSON
+    number, a str field only a string; an array cast such as `_floats` takes
+    any non-boolean value it can read. A missing or refused value raises a
+    ValueError naming the key.
+    """
     if key not in obj:
         raise ValueError(f"{kind} is missing {key!r}")
+    value = obj[key]
+    types, want = _SCALARS.get(cast, (object, "numeric"))
     try:
-        return cast(obj[key])
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TypeError
+        out = cast(value)
+        if cast is float and not math.isfinite(out):
+            raise ValueError
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{kind} {key!r} must be numeric, got {reprlib.repr(obj[key])}") from None
+        raise ValueError(f"{kind} {key!r} must be {want}, got {reprlib.repr(value)}") from None
+    return out
 
 
 def matrix_from_json(obj: dict) -> NDArray[np.float64]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,9 +129,7 @@ def project(p: Projector, x) -> NDArray[np.float64]:
     raise TypeError(f"unknown projector type {type(p).__name__}")
 
 
-def projector_from_spec(
-    spec: dict, base_dir: str = ".", *, truth=None, seed: int = 0
-) -> Projector:
+def projector_from_spec(spec: dict, *, truth=None, seed: int = 0) -> Projector:
     """Build a projector from its JSON description.
 
     Keys: "prior" in PRIOR_NAMES; "s" for the sparse level; for the
@@ -141,8 +138,9 @@ def projector_from_spec(
     oracle-assisted prior of the synthetic protocol) seeded by `seed`;
     "model_path" for the range prior, with an optional "projection" object
     of LatentProjectionConfig overrides ("steps", "learning_rate",
-    "restarts", "seed"; any other key is refused). Model paths are
-    relative to base_dir. Only a "k" spec reads `truth` and `seed`.
+    "restarts", "seed"; any other key is refused). A model path is opened
+    as given, so a relative one is read from the working directory. Only a
+    "k" spec reads `truth` and `seed`.
     """
     if not isinstance(spec, dict) or "prior" not in spec:
         raise ValueError("prior spec must be an object with a 'prior' key")
@@ -162,7 +160,7 @@ def projector_from_spec(
         path = spec.get("model_path")
         if not path:
             raise ValueError(f"{kind} prior needs a 'model_path'")
-        with open(os.path.join(base_dir, path)) as fh:
+        with open(path) as fh:
             model = model_from_json(json.load(fh))
         if kind == "subspace":
             if not isinstance(model, SubspaceGenerator):

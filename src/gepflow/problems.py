@@ -406,6 +406,6 @@ def instance_from_json(obj: dict) -> ProblemInstance:
         b_hat=matrix_from_json(obj["b_hat"]),
         truth=truth,
         m=_number(obj, "m", int, "instance bundle"),
-        kind=str(obj["kind"]),
+        kind=_number(obj, "kind", str, "instance bundle"),
         seed=_number(obj, "seed", int, "instance bundle"),
     )

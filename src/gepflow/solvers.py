@@ -408,9 +408,9 @@ def exact_solve(pair: MatrixPair) -> NDArray[np.float64]:
     return spectrum.leading_unit
 
 
-def trace_to_json(solver: str, cfg: SolverConfig, trace: RunTrace, status: str) -> dict:
-    """Serialize one run in the external trace schema; "config" holds every
-    SolverConfig field but `init`."""
+def trace_to_json(solver: str, cfg: SolverConfig, trace: RunTrace) -> dict:
+    """Serialize one successful run in the external trace schema; "config"
+    holds every SolverConfig field but `init`, and "status" is "ok"."""
     return {
         "solver": solver,
         "config": {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "init"},
@@ -420,5 +420,5 @@ def trace_to_json(solver: str, cfg: SolverConfig, trace: RunTrace, status: str) 
         ],
         "final": [float(x) for x in trace.final_vector],
         "stop_reason": trace.stop_reason,
-        "status": status,
+        "status": "ok",
     }

@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 LEMMA_SLACK = 1e-9
+#: Lemma-suite pairs cycle over dimensions 2.._SUITE_N_MAX, each reused for
+#: _SUITE_DRAWS_PER_PAIR draws.
+_SUITE_N_MAX, _SUITE_DRAWS_PER_PAIR = 8, 20
 
 
 @dataclass(frozen=True)
@@ -163,14 +166,12 @@ class CoefficientCheck:
     holds: bool
 
 
-def _prepare(pair: MatrixPair, spectrum: GeneralizedSpectrum | None, x):
-    """The checkers' shared start: the spectrum (solved here when not
-    given), x as a flat float64 vector, B x, and the leading coefficient
-    f1 = v1' B x."""
-    spec = generalized_eig(pair) if spectrum is None else spectrum
+def _prepare(pair: MatrixPair, spectrum: GeneralizedSpectrum, x):
+    """The checkers' shared start: x as a flat float64 vector, B x, and the
+    leading coefficient f1 = v1' B x."""
     xv = np.asarray(x, dtype=np.float64).reshape(-1)
     bx = pair.b.dot(xv)
-    return spec, xv, bx, float(spec.eigenvectors[:, 0].dot(bx))
+    return xv, bx, float(spectrum.eigenvectors[:, 0].dot(bx))
 
 
 def _check_rho(rho: float, lam) -> None:
@@ -181,12 +182,10 @@ def _check_rho(rho: float, lam) -> None:
 
 
 def check_lemma_sandwich(
-    pair: MatrixPair,
-    rho: float,
-    x,
-    spectrum: GeneralizedSpectrum | None = None,
+    pair: MatrixPair, rho: float, x, spectrum: GeneralizedSpectrum
 ) -> SandwichCheck:
-    """Two-sided bound on x'(rho B - A)x via the extreme eigenvalues.
+    """Two-sided bound on x'(rho B - A)x via the extreme eigenvalues;
+    `spectrum` is `generalized_eig(pair)`.
 
     With f1 = v1' B x the leading coefficient of x in the B-orthonormal
     eigenbasis:
@@ -195,8 +194,8 @@ def check_lemma_sandwich(
           <= x'(rho B - A) x <=
         (rho - lambda_n) lambda_max(B) ||x||^2 - (lambda_1 - lambda_n) f1^2
     """
-    spec, xv, bx, f1 = _prepare(pair, spectrum, x)
-    lam = spec.eigenvalues
+    xv, bx, f1 = _prepare(pair, spectrum, x)
+    lam = spectrum.eigenvalues
     _check_rho(rho, lam)
     b_min, b_max = pair.b_extremes
     nsq = float(xv.dot(xv))
@@ -208,14 +207,10 @@ def check_lemma_sandwich(
 
 
 def check_lemma_inner(
-    pair: MatrixPair,
-    rho: float,
-    eta: float,
-    x,
-    y,
-    spectrum: GeneralizedSpectrum | None = None,
+    pair: MatrixPair, rho: float, eta: float, x, y, spectrum: GeneralizedSpectrum
 ) -> InnerCheck:
-    """Lower bound on the step inner product eta <(rho B - A) x, y>.
+    """Lower bound on the step inner product eta <(rho B - A) x, y>;
+    `spectrum` is `generalized_eig(pair)`.
 
     With tau1 = eta (rho - lambda_2) lambda_min(B) and
     tau2 = eta (rho - lambda_n) lambda_max(B):
@@ -225,9 +220,9 @@ def check_lemma_inner(
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    spec, xv, bx, f1 = _prepare(pair, spectrum, x)
-    _, yv, _, g1 = _prepare(pair, spec, y)
-    lam = spec.eigenvalues
+    xv, bx, f1 = _prepare(pair, spectrum, x)
+    yv, _, g1 = _prepare(pair, spectrum, y)
+    lam = spectrum.eigenvalues
     _check_rho(rho, lam)
     b_min, b_max = pair.b_extremes
     tau1 = eta * (rho - float(lam[1])) * b_min
@@ -242,26 +237,25 @@ def check_lemma_inner(
 
 
 def check_lemma_coefficient(
-    pair: MatrixPair,
-    x,
-    spectrum: GeneralizedSpectrum | None = None,
+    pair: MatrixPair, x, spectrum: GeneralizedSpectrum
 ) -> CoefficientCheck:
-    """Bound the leading-coefficient error by the chord to the optimum.
+    """Bound the leading-coefficient error by the chord to the optimum;
+    `spectrum` is `generalized_eig(pair)`.
 
     For unit x with nu = x'v* > 0, h = x - v*, and d = 1/||v1||_2:
 
         (f1 - d)^2 <= (lambda_max(B) - (1 + nu) lambda_min(B) / 2) ||h||^2
     """
-    spec, xv, _, f1 = _prepare(pair, spectrum, x)
+    xv, _, f1 = _prepare(pair, spectrum, x)
     if abs(math.sqrt(xv.dot(xv)) - 1.0) > 1e-10:
         raise ValueError("x must be a unit vector")
-    v_star = spec.leading_unit
+    v_star = spectrum.leading_unit
     nu = float(xv.dot(v_star))
     if nu <= 0:
         raise NonPositiveAlignment(f"x'v* = {nu:.6g} <= 0")
     b_min, b_max = pair.b_extremes
     h = xv - v_star
-    lhs = (f1 - spec.scale_d) ** 2
+    lhs = (f1 - spectrum.scale_d) ** 2
     rhs = (b_max - (1.0 + nu) * b_min / 2.0) * float(h.dot(h))
     return CoefficientCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + LEMMA_SLACK)
 
@@ -298,17 +292,12 @@ def _draw_tuples(stream: NormalStream, n: int, count: int):
     return block[:, 0], block[:, 1 : 1 + n], block[:, 1 + half : 1 + half + n], block[:, -1]
 
 
-def run_lemma_suites(
-    draws: int = 10_000,
-    n_max: int = 8,
-    seed: int = 0,
-    draws_per_pair: int = 20,
-) -> tuple[LemmaSuiteResult, ...]:
+def run_lemma_suites(draws: int = 10_000, seed: int = 0) -> tuple[LemmaSuiteResult, ...]:
     """Randomized validation of all three inequalities.
 
     Pairs are drawn as (symmetric Gaussian A, Gram-plus-identity B) with
-    dimensions cycling over 2..n_max; pair i comes from
-    NormalStream(seed, stream=i) and is reused for `draws_per_pair` draws of
+    dimensions cycling over 2..8; pair i comes from
+    NormalStream(seed, stream=i) and is reused for 20 draws of
     (rho, x, y, eta) so the eigendecomposition cost is amortized. After the
     pair's two matrices, each draw takes one row of ``2 + 4 * ceil(n / 2)``
     raw words from the stream, ``[frac | x words | y words | eta]``: frac
@@ -326,7 +315,7 @@ def run_lemma_suites(
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    pairs = (draws + draws_per_pair - 1) // draws_per_pair
+    pairs = (draws + _SUITE_DRAWS_PER_PAIR - 1) // _SUITE_DRAWS_PER_PAIR
     # per suite: [draws, failures, worst slack]
     tally = {name: [0, 0, math.inf] for name in ("sandwich", "inner", "coefficient")}
 
@@ -339,7 +328,7 @@ def run_lemma_suites(
     done = 0
     for i in range(pairs):
         stream = NormalStream(seed, stream=i)
-        n = 2 + (i % (n_max - 1))
+        n = 2 + (i % (_SUITE_N_MAX - 1))
         pair = _random_population_pair(stream, n)
         spectrum = generalized_eig(pair)
         lam = spectrum.eigenvalues
@@ -347,7 +336,7 @@ def run_lemma_suites(
             continue  # skip near-degenerate gaps; rho range would be empty
         lam1, gap = float(lam[1]), float(lam[0] - lam[1])
         v_star = spectrum.leading_unit
-        todo = min(draws_per_pair, draws - done)
+        todo = min(_SUITE_DRAWS_PER_PAIR, draws - done)
         fracs, xs, ys, etas = _draw_tuples(stream, n, todo)
         for frac, x, y, u in zip(fracs.tolist(), xs, ys, etas.tolist()):
             rho = lam1 + max(frac, 1e-12) * gap

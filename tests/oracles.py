@@ -374,9 +374,9 @@ def reference_project_to_range(gen, x, cfg, warm_starts=()):
 
 
 def reference_lemma_checks(pair, spec, rho, eta, x, y, xu):
-    """The fields of check_lemma_sandwich(pair, rho, x),
-    check_lemma_inner(pair, rho, eta, x, y) and
-    check_lemma_coefficient(pair, xu), in dataclass field order, written
+    """The fields of check_lemma_sandwich(pair, rho, x, spec),
+    check_lemma_inner(pair, rho, eta, x, y, spec) and
+    check_lemma_coefficient(pair, xu, spec), in dataclass field order, written
     with @ and np.linalg.norm: ((lower, middle, upper, holds),
     (lhs, rhs, holds), (lhs, rhs, holds))."""
     lam = spec.eigenvalues

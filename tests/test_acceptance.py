@@ -158,7 +158,7 @@ def test_04_monitored_convergence_under_valid_step():
     cfg = SolverConfig(step_size=7 / 32, max_iters=50, stop_tol=None, init=u0)
     est, trace = prfm(inst.a_hat, inst.b_hat, p, cfg, v_star=v)
     dists = [row.dist for row in trace.rows]
-    plat = plateau_index(dists, slack=1e-7)
+    plat = plateau_index(dists)
     mono_ok = plat >= 1 and all(
         dists[t + 1] <= dists[t] + 1e-7 for t in range(plat)
     )

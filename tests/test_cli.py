@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
+import math
 import shutil
 
 import numpy as np
@@ -194,8 +195,11 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "path, value",
-        [(("truth",), 5), (("m",), None), (("m",), [1]), (("a_hat", "dim"), None)],
-        ids=["truth-int", "m-null", "m-list", "a_hat-dim-null"],
+        [(("truth",), 5), (("m",), None), (("m",), [1]), (("a_hat", "dim"), None),
+         (("m",), 12.9), (("seed",), "7"), (("kind",), None), (("truth", "lambda1"), math.nan),
+         (("a_hat", "dim"), 16.5)],
+        ids=["truth-int", "m-null", "m-list", "a_hat-dim-null", "m-float", "seed-digits",
+             "kind-null", "lambda1-nan", "a_hat-dim-float"],
     )
     def test_malformed_instance_file(self, tmp_path, capsys, path, value):
         obj = json.loads(_generate(tmp_path).read_text())
@@ -572,7 +576,37 @@ class TestPriorFlags:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         # The model is refused when it loads, not when a NaN iterate appears.
-        assert "must be finite" in lines[0]
+        if entry == "latent_radius":
+            assert "model JSON 'latent_radius' must be a finite number, got nan" in lines[0]
+        else:
+            assert "must be finite" in lines[0]
+        assert not out.exists()
+
+    def test_relative_model_path_is_read_from_the_working_directory(self, tmp_path, monkeypatch):
+        inst_path = _generate(tmp_path)
+        (tmp_path / "models").mkdir()
+        flags, _ = _prior_case("range", tmp_path / "models")
+        base = ["solve", "--solver", "prfm", "--in", str(inst_path), "--seed", "3",
+                "--restarts", "2", "--max-iters", "30"]
+        assert main([*base, *flags, "--out", str(tmp_path / "abs.json")]) == 0
+        flags[flags.index("--model") + 1] = "models/mlp.json"
+        monkeypatch.chdir(tmp_path)
+        assert main([*base, *flags, "--out", str(tmp_path / "rel.json")]) == 0
+        rel = json.loads((tmp_path / "rel.json").read_text())
+        assert rel["estimate"] == json.loads((tmp_path / "abs.json").read_text())["estimate"]
+
+    @pytest.mark.parametrize("key, value", [("latent_dim", 4.0), ("latent_radius", "6")])
+    def test_coercible_model_number_refused(self, tmp_path, capsys, key, value):
+        flags, _ = _prior_case("range", tmp_path)
+        path = tmp_path / "mlp.json"
+        model = {**json.loads(path.read_text()), key: value}
+        path.write_text(json.dumps(model))
+        out = tmp_path / "t.json"
+        argv = ["solve", "--solver", "prfm", "--in", str(_generate(tmp_path)), "--out", str(out)]
+        assert main([*argv, *flags]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cannot build the range prior: ")
+        assert f"model JSON '{key}' must be" in line
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "sweep"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,13 +96,21 @@ class TestConstruction:
         ],
         ids=lambda setting: "-".join(f"{k}={v}" for k, v in setting.items()),
     )
-    def test_bad_adam_settings_rejected(self, setting, tmp_path):
+    def test_bad_adam_settings_rejected(self, setting, tmp_path, monkeypatch):
         # A bad learning rate used to build, and projections then returned NaN
         # points; beta1, beta2 and eps are fixed, so a spec naming one is refused.
         (tmp_path / "gen.json").write_text(json.dumps(model_to_json(random_mlp(6, 2, seed=1))))
         spec = {"prior": "range", "model_path": "gen.json", "projection": setting}
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(ValueError, match=next(iter(setting))):
-            projector_from_spec(spec, str(tmp_path))
+            projector_from_spec(spec)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_seeded_decoders_use_the_default_radius(self, k):
+        v = NormalStream(5, stream=0).normals(9)
+        for gen in (random_mlp(9, k, hidden=(6,), seed=1), random_subspace(9, k, seed=1),
+                    subspace_containing(v, k, seed=1)):
+            assert gen.latent_radius == 3.0 * math.sqrt(k) == default_latent_radius(k)
 
     def test_random_mlp_shapes(self):
         gen = random_mlp(16, 4, hidden=(8,), seed=3)
@@ -172,7 +181,7 @@ class TestForward:
         assert_allclose(out, _unit([1.0, 2.0, 2.0]), atol=1e-14)
 
     def test_clamp_warns_and_hits_boundary(self):
-        gen = random_subspace(6, 2, seed=2, latent_radius=1.0)
+        gen = replace(random_subspace(6, 2, seed=2), latent_radius=1.0)
         with pytest.warns(LatentClampWarning):
             out = forward(gen, [10.0, 0.0])
         with pytest.warns(LatentClampWarning):
@@ -180,7 +189,7 @@ class TestForward:
         assert_allclose(out, boundary, atol=1e-12)
 
     def test_clamp_warning_points_at_the_caller(self):
-        for gen in (random_subspace(6, 2, seed=2, latent_radius=1.0),
+        for gen in (replace(random_subspace(6, 2, seed=2), latent_radius=1.0),
                     random_mlp(6, 2, hidden=(4,), seed=3)):
             z = np.full(2, 10.0 * gen.latent_radius)
             with pytest.warns(LatentClampWarning) as fwd:
@@ -190,7 +199,7 @@ class TestForward:
             assert fwd[0].filename == bwd[0].filename == __file__
 
     def test_interior_latent_does_not_warn(self):
-        gen = random_subspace(6, 2, seed=2, latent_radius=1.0)
+        gen = replace(random_subspace(6, 2, seed=2), latent_radius=1.0)
         import warnings as _warnings
 
         with _warnings.catch_warnings():
@@ -370,7 +379,7 @@ class TestProjectToRange:
             assert result.distance <= start_dist + 1e-12
 
     def test_beats_latent_grid_search(self):
-        gen = random_mlp(5, 2, activation="sigmoid", seed=41, latent_radius=2.0)
+        gen = replace(random_mlp(5, 2, activation="sigmoid", seed=41), latent_radius=2.0)
         x = NormalStream(57, stream=0).unit_vector(5)
         result = project_to_range(gen, x, LatentProjectionConfig(steps=400, seed=3))
         ticks = np.linspace(-2.0, 2.0, 81)
@@ -534,6 +543,19 @@ class TestSerialization:
         with pytest.raises(ValueError):
             model_from_json({"latent_dim": 2, "output_dim": 5, "latent_radius": 1.0})
 
+    @pytest.mark.parametrize(
+        "key, value, want",
+        [("latent_dim", 2.7, "an integer"), ("latent_dim", 3.0, "an integer"),
+         ("output_dim", True, "an integer"), ("latent_radius", "3", "a finite number"),
+         ("latent_radius", math.inf, "a finite number")],
+        ids=["latent_dim-2.7", "latent_dim-3.0", "output_dim-true", "radius-str", "radius-inf"],
+    )
+    def test_coercible_number_refused(self, key, value, want):
+        # int() and float() used to read 2.7 as 2 and "3" as 3.0
+        obj = {**model_to_json(random_mlp(9, 3, seed=70)), key: value}
+        with pytest.raises(ValueError, match=f"model JSON '{key}' must be {want}"):
+            model_from_json(obj)
+
     def test_missing_radius_rejected(self):
         obj = model_to_json(random_mlp(9, 3, seed=70))
         del obj["latent_radius"]
@@ -544,8 +566,9 @@ class TestSerialization:
     @pytest.mark.parametrize("value", [None, [8]], ids=["null", "list"])
     def test_malformed_number_names_the_key(self, key, value):
         # These used to escape as a TypeError from int() or float().
+        want = "a finite number" if key == "latent_radius" else "an integer"
         obj = {**model_to_json(random_mlp(9, 3, seed=70)), key: value}
-        with pytest.raises(ValueError, match=f"model JSON '{key}' must be numeric"):
+        with pytest.raises(ValueError, match=f"model JSON '{key}' must be {want}"):
             model_from_json(obj)
 
     @pytest.mark.parametrize("layers", [5, [5], [[1.0]], {"weight": [[1.0]]}])

@@ -5,6 +5,7 @@ Reference routes: numpy/LAPACK, exact characteristic-polynomial roots
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -203,6 +204,18 @@ class TestValidationAndSerialization:
         with pytest.raises(ValueError):
             as_sym_matrix(np.array([[1.0, 1.1], [1.0, 2.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_as_sym_matrix_refuses_non_finite(self, bad, where):
+        a = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 3.0]])
+        a[where] = bad  # off the diagonal this also breaks the symmetry
+        with pytest.raises(ValueError, match="m has non-finite entries"):
+            as_sym_matrix(a, name="m")
+        asym = a.copy()
+        asym[2, 0] = 7.0  # asymmetric as well: non-finite is still reported
+        with pytest.raises(ValueError, match="m has non-finite entries"):
+            as_sym_matrix(asym, name="m")
+
     def test_matrix_pair_validates(self):
         with pytest.raises(ValueError):
             MatrixPair(np.eye(3), np.eye(4))
@@ -229,3 +242,9 @@ class TestValidationAndSerialization:
     def test_matrix_json_shape_check(self):
         with pytest.raises(ValueError):
             matrix_from_json({"dim": 3, "rows": [[1.0, 0.0], [0.0, 1.0]]})
+
+    @pytest.mark.parametrize("dim", [2.5, 2.0, True, "2"])
+    def test_matrix_json_dim_must_be_an_integer(self, dim):
+        # int() used to read 2.5 and 2.0 as 2, true as 1 and "2" as 2
+        with pytest.raises(ValueError, match="matrix JSON 'dim' must be an integer"):
+            matrix_from_json({"dim": dim, "rows": [[1.0, 0.0], [0.0, 1.0]]})

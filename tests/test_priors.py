@@ -173,21 +173,37 @@ class TestProjectorFromSpec:
         p = projector_from_spec({"prior": "sparse", "s": 7})
         assert isinstance(p, SparseProjector) and p.s == 7
 
-    def test_subspace_from_model_file(self, tmp_path):
+    def test_subspace_from_model_file(self, tmp_path, monkeypatch):
         gen = random_subspace(6, 2, seed=90)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model_to_json(gen)))
-        p = projector_from_spec({"prior": "subspace", "model_path": "model.json"}, str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        p = projector_from_spec({"prior": "subspace", "model_path": "model.json"})
         assert isinstance(p, SubspaceProjector)
         assert_allclose(p.basis, gen.basis, rtol=0, atol=0)
 
-    def test_range_from_model_file_with_overrides(self, tmp_path):
+    def test_relative_model_path_is_read_from_the_working_directory(self, tmp_path, monkeypatch):
+        gen = random_mlp(6, 2, seed=91)
+        (tmp_path / "models").mkdir()
+        (tmp_path / "models" / "mlp.json").write_text(json.dumps(model_to_json(gen)))
+        spec = {"prior": "range", "model_path": "models/mlp.json"}
+        monkeypatch.chdir(tmp_path)
+        p = projector_from_spec(spec)
+        assert_allclose(p.model.layers[0].weight, gen.layers[0].weight, rtol=0, atol=0)
+        assert p.model.latent_radius == gen.latent_radius
+        monkeypatch.chdir(tmp_path / "models")
+        with pytest.raises(FileNotFoundError):
+            projector_from_spec(spec)
+        p = projector_from_spec({"prior": "range", "model_path": str(tmp_path / "models/mlp.json")})
+        assert p.model.latent_radius == gen.latent_radius  # an absolute path opens anywhere
+
+    def test_range_from_model_file_with_overrides(self, tmp_path, monkeypatch):
         gen = random_mlp(6, 2, seed=91)
         path = tmp_path / "mlp.json"
         path.write_text(json.dumps(model_to_json(gen)))
+        monkeypatch.chdir(tmp_path)
         p = projector_from_spec(
-            {"prior": "range", "model_path": "mlp.json", "projection": {"steps": 17, "seed": 4}},
-            str(tmp_path),
+            {"prior": "range", "model_path": "mlp.json", "projection": {"steps": 17, "seed": 4}}
         )
         assert isinstance(p, RangeProjector)
         assert p.config.steps == 17 and p.config.seed == 4
@@ -205,15 +221,16 @@ class TestProjectorFromSpec:
             projector_from_spec({"prior": "subspace", "k": 3})
 
     @pytest.mark.parametrize("projection", [{"step": 5}, [5]], ids=["unknown-key", "list"])
-    def test_malformed_projection_is_a_value_error(self, tmp_path, projection):
+    def test_malformed_projection_is_a_value_error(self, tmp_path, monkeypatch, projection):
         # LatentProjectionConfig(**projection) raises TypeError on its own.
         path = tmp_path / "mlp.json"
         path.write_text(json.dumps(model_to_json(random_mlp(6, 2, seed=91))))
         spec = {"prior": "range", "model_path": "mlp.json", "projection": projection}
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(ValueError, match="projection"):
-            projector_from_spec(spec, str(tmp_path))
+            projector_from_spec(spec)
 
-    def test_rejections(self, tmp_path):
+    def test_rejections(self, tmp_path, monkeypatch):
         with pytest.raises(ValueError):
             projector_from_spec({"prior": "banana"})
         with pytest.raises(ValueError):
@@ -223,7 +240,6 @@ class TestProjectorFromSpec:
         gen = random_mlp(6, 2, seed=92)
         path = tmp_path / "mlp.json"
         path.write_text(json.dumps(model_to_json(gen)))
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(ValueError):
-            projector_from_spec(
-                {"prior": "subspace", "model_path": "mlp.json"}, str(tmp_path)
-            )
+            projector_from_spec({"prior": "subspace", "model_path": "mlp.json"})

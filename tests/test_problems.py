@@ -440,9 +440,23 @@ class TestInstanceJson:
             (("a_hat", "dim"), None),
             (("truth", "b", "dim"), {}),
             (("truth", "lambda1"), None),
+            # int(), float() and str() used to read each of these without an error
+            (("m",), 12.9),
+            (("m",), True),
+            (("seed",), "7"),
+            (("seed",), 7.0),
+            (("kind",), None),
+            (("kind",), 3),
+            (("truth", "lambda1"), math.nan),
+            (("truth", "lambda1"), "5"),
+            (("truth", "lambda2"), -math.inf),
+            (("truth", "lambda2"), False),
+            (("a_hat", "dim"), 6.0),
         ],
         ids=["truth-int", "truth-list", "m-null", "m-list", "seed-null", "seed-str",
-             "a_hat-dim-null", "truth-b-dim-dict", "truth-lambda1-null"],
+             "a_hat-dim-null", "truth-b-dim-dict", "truth-lambda1-null", "m-float", "m-true",
+             "seed-digits", "seed-float", "kind-null", "kind-int", "lambda1-nan",
+             "lambda1-digits", "lambda2-inf", "lambda2-false", "a_hat-dim-float"],
     )
     def test_malformed_field_names_its_key(self, path, value):
         inst = gen_spiked(_nonneg_unit(6, 31), 12, seed=8)
@@ -453,6 +467,12 @@ class TestInstanceJson:
         target[path[-1]] = value
         with pytest.raises(ValueError, match=f"'{path[-1]}' must be"):
             instance_from_json(blob)
+
+    def test_integral_lambda_is_read_as_a_float(self):
+        blob = json.loads(json.dumps(instance_to_json(gen_spiked(_nonneg_unit(6, 31), 12, seed=8))))
+        blob["truth"]["lambda2"] = 1
+        back = instance_from_json(blob)
+        assert back.truth.lambda2 == 1.0 and type(back.truth.lambda2) is float
 
     @pytest.mark.parametrize("key", ["v_star", "v_lead"])
     @pytest.mark.parametrize(

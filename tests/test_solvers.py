@@ -398,7 +398,7 @@ class TestTraceJson:
         a, b, v = _spiked_pair(5, seed=47)
         cfg = SolverConfig(step_size=7 / 32, max_iters=10)
         est, trace = prfm(a, b, SPHERE, cfg, v_star=v)
-        blob = trace_to_json("prfm", cfg, trace, "ok")
+        blob = trace_to_json("prfm", cfg, trace)
         parsed = json.loads(json.dumps(blob))
         assert parsed["solver"] == "prfm"
         assert parsed["status"] == "ok"
@@ -422,13 +422,13 @@ class TestTraceJson:
         stopped = run(early)
         assert stopped.iterations_run < 500
         assert stopped.stop_reason == "converged"
-        blob = json.loads(json.dumps(trace_to_json(solver, early, stopped, "ok")))
+        blob = json.loads(json.dumps(trace_to_json(solver, early, stopped)))
         assert blob["stop_reason"] == "converged"
         fixed = SolverConfig(step_size=7 / 32, max_iters=12, stop_tol=None)
         capped = run(fixed)
         assert capped.iterations_run == 12
         assert capped.stop_reason == "max_iters"
-        blob = json.loads(json.dumps(trace_to_json(solver, fixed, capped, "ok")))
+        blob = json.loads(json.dumps(trace_to_json(solver, fixed, capped)))
         assert blob["stop_reason"] == "max_iters"
 
     @pytest.mark.parametrize("max_iters", [10, 11])
@@ -453,7 +453,7 @@ class TestTraceJson:
         result = run_with_restarts("ppower", a, None, cfg, 1, 0, p=SPHERE)
         assert np.array_equal(result.estimate, expected)
         assert result.objective == trace.final_rho
-        blob = json.loads(json.dumps(trace_to_json("ppower", cfg, trace, "ok")))
+        blob = json.loads(json.dumps(trace_to_json("ppower", cfg, trace)))
         assert blob["stop_reason"] == "cycled"
         assert blob["final"] == list(expected)
         # Without stop_tol the run alternates to the cap and ends there.
@@ -466,6 +466,6 @@ class TestTraceJson:
         a, b, _ = _spiked_pair(4, seed=53)
         cfg = SolverConfig(step_size=7 / 32, max_iters=5)
         _, trace = prfm(a, b, SPHERE, cfg)
-        blob = json.loads(json.dumps(trace_to_json("prfm", cfg, trace, "ok")))
+        blob = json.loads(json.dumps(trace_to_json("prfm", cfg, trace)))
         assert blob["rows"][0]["cos_sim"] is None
         assert blob["rows"][0]["dist"] is None

@@ -190,14 +190,14 @@ class TestComputeConditions:
 class TestSandwich:
     def test_leading_eigenvector_collapses_to_zero(self):
         pair = MatrixPair(a=np.diag([3.0, 1.0, 0.0]), b=np.eye(3))
-        out = check_lemma_sandwich(pair, 3.0, np.array([1.0, 0.0, 0.0]))
+        out = check_lemma_sandwich(pair, 3.0, np.array([1.0, 0.0, 0.0]), generalized_eig(pair))
         assert_allclose([out.lower, out.middle, out.upper], 0.0, atol=1e-12)
         assert out.holds
 
     def test_two_by_two_equality(self):
         # n = 2 with B = I makes both bounds coincide with the middle.
         pair = MatrixPair(a=np.diag([2.0, 0.0]), b=np.eye(2))
-        out = check_lemma_sandwich(pair, 1.5, np.array([1.0, 1.0]))
+        out = check_lemma_sandwich(pair, 1.5, np.array([1.0, 1.0]), generalized_eig(pair))
         assert_allclose(out.lower, 1.0, atol=1e-12)
         assert_allclose(out.middle, 1.0, atol=1e-12)
         assert_allclose(out.upper, 1.0, atol=1e-12)
@@ -205,16 +205,17 @@ class TestSandwich:
 
     def test_zero_vector(self):
         pair = MatrixPair(a=np.diag([2.0, 0.0]), b=np.eye(2))
-        out = check_lemma_sandwich(pair, 1.0, np.zeros(2))
+        out = check_lemma_sandwich(pair, 1.0, np.zeros(2), generalized_eig(pair))
         assert out.lower == out.middle == out.upper == 0.0
         assert out.holds
 
     def test_rho_out_of_range(self):
         pair = MatrixPair(a=np.diag([2.0, 0.0]), b=np.eye(2))
+        spec = generalized_eig(pair)
         with pytest.raises(RhoOutOfRange):
-            check_lemma_sandwich(pair, 0.0, np.ones(2))  # rho == lambda_2
+            check_lemma_sandwich(pair, 0.0, np.ones(2), spec)  # rho == lambda_2
         with pytest.raises(RhoOutOfRange):
-            check_lemma_sandwich(pair, 2.1, np.ones(2))
+            check_lemma_sandwich(pair, 2.1, np.ones(2), spec)
 
     def test_random_pairs_never_violate(self):
         rng = np.random.default_rng(5)
@@ -238,7 +239,7 @@ class TestInner:
         # term, which the direct evaluation matches exactly.
         pair = MatrixPair(a=np.diag([2.0, 0.0]), b=np.eye(2))
         out = check_lemma_inner(
-            pair, 1.5, 0.1, np.array([1.0, 1.0]), np.array([1.0, -1.0])
+            pair, 1.5, 0.1, np.array([1.0, 1.0]), np.array([1.0, -1.0]), generalized_eig(pair)
         )
         assert_allclose(out.lhs, -0.2, atol=1e-12)
         assert_allclose(out.rhs, -0.2, atol=1e-12)
@@ -246,22 +247,25 @@ class TestInner:
 
     def test_zero_y(self):
         pair = MatrixPair(a=np.diag([2.0, 0.0, -1.0]), b=np.eye(3))
-        out = check_lemma_inner(pair, 1.0, 0.3, np.array([1.0, 2.0, 3.0]), np.zeros(3))
+        out = check_lemma_inner(
+            pair, 1.0, 0.3, np.array([1.0, 2.0, 3.0]), np.zeros(3), generalized_eig(pair)
+        )
         assert out.lhs == 0.0
         assert out.rhs <= 0.0
         assert out.holds
 
     def test_zero_eta_collapses(self):
         pair = MatrixPair(a=np.diag([2.0, 0.0]), b=np.eye(2))
-        out = check_lemma_inner(pair, 1.0, 0.0, np.ones(2), np.ones(2))
+        out = check_lemma_inner(pair, 1.0, 0.0, np.ones(2), np.ones(2), generalized_eig(pair))
         assert out.lhs == 0.0 and out.rhs == 0.0 and out.holds
 
     def test_validation(self):
         pair = MatrixPair(a=np.diag([2.0, 0.0]), b=np.eye(2))
+        spec = generalized_eig(pair)
         with pytest.raises(ValueError):
-            check_lemma_inner(pair, 1.0, -0.1, np.ones(2), np.ones(2))
+            check_lemma_inner(pair, 1.0, -0.1, np.ones(2), np.ones(2), spec)
         with pytest.raises(RhoOutOfRange):
-            check_lemma_inner(pair, 3.0, 0.1, np.ones(2), np.ones(2))
+            check_lemma_inner(pair, 3.0, 0.1, np.ones(2), np.ones(2), spec)
 
     def test_random_pairs_never_violate(self):
         rng = np.random.default_rng(7)
@@ -296,16 +300,16 @@ class TestCoefficient:
         pair = MatrixPair(a=np.diag([2.0, 0.0]), b=np.eye(2))
         theta = math.pi / 3.0
         x = np.array([math.cos(theta), math.sin(theta)])
-        out = check_lemma_coefficient(pair, x)
+        out = check_lemma_coefficient(pair, x, generalized_eig(pair))
         assert_allclose(out.lhs, 0.25, atol=1e-12)
         assert_allclose(out.rhs, 0.25, atol=1e-12)
         assert out.holds
 
     def test_rejects_bad_inputs(self):
         pair = MatrixPair(a=np.diag([2.0, 0.0]), b=np.eye(2))
-        with pytest.raises(ValueError):
-            check_lemma_coefficient(pair, np.array([1.0, 1.0]))  # not unit
         spec = generalized_eig(pair)
+        with pytest.raises(ValueError):
+            check_lemma_coefficient(pair, np.array([1.0, 1.0]), spec)  # not unit
         with pytest.raises(NonPositiveAlignment):
             check_lemma_coefficient(pair, -spec.leading_unit, spectrum=spec)
 
@@ -328,7 +332,7 @@ class TestCoefficient:
 
 class TestSuites:
     def test_ten_thousand_draws_zero_failures(self):
-        results = run_lemma_suites(draws=10_000, n_max=8, seed=0)
+        results = run_lemma_suites(draws=10_000, seed=0)
         by_name = {r.name: r for r in results}
         assert set(by_name) == {"sandwich", "inner", "coefficient"}
         for r in results:
@@ -354,7 +358,7 @@ class TestSuites:
             return eigvalsh(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        results = run_lemma_suites(draws=200, seed=9, draws_per_pair=20)
+        results = run_lemma_suites(draws=200, seed=9)
         assert results[0].draws == 200
         assert 1 <= len(calls) <= 10
 
@@ -367,13 +371,12 @@ class TestSuites:
     @PROPERTY_SETTINGS
     @given(
         draws=st.integers(1, 150),
-        n_max=st.integers(2, 8),
-        draws_per_pair=st.integers(1, 25),
         seed=st.integers(0, 2**64 - 1),
     )
-    def test_block_draws_match_sequential_draws(self, draws, n_max, draws_per_pair, seed):
-        got = run_lemma_suites(draws, n_max=n_max, seed=seed, draws_per_pair=draws_per_pair)
-        expected = reference_lemma_suites(draws, n_max, seed, draws_per_pair)
+    def test_block_draws_match_sequential_draws(self, draws, seed):
+        # 150 draws at 20 per pair reach dimension 8 (pair 6) from draw 121 on
+        got = run_lemma_suites(draws, seed=seed)
+        expected = reference_lemma_suites(draws, 8, seed, 20)
         assert [(r.name, r.draws, r.failures, r.worst_slack.hex()) for r in got] == [
             (name, d, f, float(w).hex()) for name, d, f, w in expected
         ]
