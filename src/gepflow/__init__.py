@@ -62,7 +62,6 @@ from .priors import (
     RangeProjector,
     SparseProjector,
     SphereProjector,
-    SubspaceProjector,
     project,
     projector_from_spec,
     sparse_truncate,

@@ -116,7 +116,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        ms = tuple(int(m) for m in self.m_values)
+        ms = tuple(self.m_values)
+        if any(isinstance(m, bool) or not isinstance(m, int) for m in ms):
+            raise ValueError(f"m_values must be integers, got {ms}")
         if not ms or any(m < 1 for m in ms) or list(ms) != sorted(set(ms)):
             raise ValueError("m_values must be nonempty, positive, strictly ascending")
         object.__setattr__(self, "m_values", ms)

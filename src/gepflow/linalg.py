@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -241,13 +241,21 @@ def matrix_to_json(a) -> dict:
     return {"dim": int(arr.shape[0]), "rows": [[float(x) for x in row] for row in arr]}
 
 
-_floats = partial(np.array, dtype=np.float64)
+def _floats(value) -> NDArray[np.float64]:
+    """A float64 array of (nested lists of) JSON numbers; a string, boolean
+    or null at any depth is a TypeError."""
+    arr = np.array(value, dtype=np.float64)  # a ragged array raises here
+    if not all(type(x) in (int, float) for x in np.array(value, dtype=object).flat):
+        raise TypeError
+    return arr
 
-#: The JSON values `_number` takes for each scalar cast, and how it names them.
-_SCALARS = {
+
+#: The JSON values `_number` takes for each cast, and how it names them.
+_CASTS = {
     int: (int, "an integer"),
     float: ((int, float), "a finite number"),
     str: (str, "a string"),
+    _floats: (object, "an array of numbers"),
 }
 
 
@@ -255,14 +263,14 @@ def _number(obj: dict, key: str, cast, kind: str):
     """``cast(obj[key])`` from a `kind` file.
 
     An int field takes only a JSON integer, a float field only a finite JSON
-    number, a str field only a string; an array cast such as `_floats` takes
-    any non-boolean value it can read. A missing or refused value raises a
-    ValueError naming the key.
+    number, a str field only a string and a `_floats` field only (nested
+    lists of) JSON numbers. A missing or refused value raises a ValueError
+    naming the key.
     """
     if key not in obj:
         raise ValueError(f"{kind} is missing {key!r}")
     value = obj[key]
-    types, want = _SCALARS.get(cast, (object, "numeric"))
+    types, want = _CASTS[cast]
     try:
         if isinstance(value, bool) or not isinstance(value, types):
             raise TypeError

@@ -4,7 +4,7 @@ Each projector maps an arbitrary nonzero vector to the prior's feasible set:
 
 * sphere: the full unit sphere (pure normalization);
 * sparse: unit vectors with at most s nonzero entries;
-* subspace: unit vectors in the span of an orthonormal basis (closed form);
+* subspace: unit vectors in a `SubspaceGenerator`'s span (closed form);
 * range: unit vectors output by a generative decoder (iterative, seeded).
 
 Projections are deterministic; the range prior folds its Adam seed into the
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.typing import NDArray
@@ -30,11 +30,11 @@ from .generative import (
     subspace_containing,
     subspace_project,
 )
+from .linalg import _number
 
 __all__ = [
     "SphereProjector",
     "SparseProjector",
-    "SubspaceProjector",
     "RangeProjector",
     "Projector",
     "project",
@@ -62,21 +62,6 @@ class SparseProjector:
 
 
 @dataclass(frozen=True, eq=False)
-class SubspaceProjector:
-    """Unit vectors in the span of an orthonormal n x k basis."""
-
-    basis: NDArray[np.float64]
-    _decoder: SubspaceGenerator = field(init=False, repr=False)
-
-    def __post_init__(self):
-        decoder = SubspaceGenerator(
-            basis=np.asarray(self.basis, dtype=np.float64), latent_radius=1.0
-        )
-        object.__setattr__(self, "basis", decoder.basis)
-        object.__setattr__(self, "_decoder", decoder)
-
-
-@dataclass(frozen=True, eq=False)
 class RangeProjector:
     """Range of a generative decoder, reached by seeded latent descent."""
 
@@ -84,7 +69,7 @@ class RangeProjector:
     config: LatentProjectionConfig = LatentProjectionConfig()
 
 
-Projector = SphereProjector | SparseProjector | SubspaceProjector | RangeProjector
+Projector = SphereProjector | SparseProjector | SubspaceGenerator | RangeProjector
 
 
 def sparse_truncate(x, s: int) -> NDArray[np.float64]:
@@ -109,8 +94,8 @@ def sparse_truncate(x, s: int) -> NDArray[np.float64]:
 def project(p: Projector, x) -> NDArray[np.float64]:
     """Project `x` onto the feasible set of prior `p`.
 
-    Exact for sphere, sparse, and subspace priors; approximate (best of the
-    configured restarts) for the range prior.
+    Exact for sphere, sparse and subspace (`SubspaceGenerator`) priors;
+    approximate (best of the configured restarts) for the range prior.
     """
     # ravel copies a strided view, so the dot below sums in the same order
     # as np.linalg.norm does
@@ -122,8 +107,8 @@ def project(p: Projector, x) -> NDArray[np.float64]:
         return xv / norm
     if isinstance(p, SparseProjector):
         return sparse_truncate(xv, p.s)
-    if isinstance(p, SubspaceProjector):
-        return subspace_project(p._decoder, xv)
+    if isinstance(p, SubspaceGenerator):
+        return subspace_project(p, xv)
     if isinstance(p, RangeProjector):
         return project_to_range(p.model, xv, p.config).point
     raise TypeError(f"unknown projector type {type(p).__name__}")
@@ -132,13 +117,14 @@ def project(p: Projector, x) -> NDArray[np.float64]:
 def projector_from_spec(spec: dict, *, truth=None, seed: int = 0) -> Projector:
     """Build a projector from its JSON description.
 
-    Keys: "prior" in PRIOR_NAMES; "s" for the sparse level; for the
-    subspace prior either "model_path" (a basis-form model) or "k", which
-    builds a random k-dimensional subspace containing `truth` (the
+    Keys: "prior" in PRIOR_NAMES; "s" for the sparse level; the subspace
+    prior is the `SubspaceGenerator` of "model_path" (a basis-form model)
+    or of "k", a random k-dimensional subspace containing `truth` (the
     oracle-assisted prior of the synthetic protocol) seeded by `seed`;
     "model_path" for the range prior, with an optional "projection" object
     of LatentProjectionConfig overrides ("steps", "learning_rate",
-    "restarts", "seed"; any other key is refused). A model path is opened
+    "restarts", "seed"; any other key is refused). Every number is a JSON
+    integer but "learning_rate", a finite number. A model path is opened
     as given, so a relative one is read from the working directory. Only a
     "k" spec reads `truth` and `seed`.
     """
@@ -148,14 +134,11 @@ def projector_from_spec(spec: dict, *, truth=None, seed: int = 0) -> Projector:
     if kind == "sphere":
         return SphereProjector()
     if kind == "sparse":
-        if "s" not in spec:
-            raise ValueError("sparse prior needs an 's' level")
-        return SparseProjector(s=int(spec["s"]))
+        return SparseProjector(s=_number(spec, "s", int, "sparse prior"))
     if kind == "subspace" and "k" in spec:
         if truth is None:
             raise ValueError("a 'k' subspace prior needs the truth vector")
-        gen = subspace_containing(truth, int(spec["k"]), seed=seed)
-        return SubspaceProjector(basis=gen.basis)
+        return subspace_containing(truth, _number(spec, "k", int, "subspace prior"), seed=seed)
     if kind in ("subspace", "range"):
         path = spec.get("model_path")
         if not path:
@@ -165,10 +148,11 @@ def projector_from_spec(spec: dict, *, truth=None, seed: int = 0) -> Projector:
         if kind == "subspace":
             if not isinstance(model, SubspaceGenerator):
                 raise ValueError("subspace prior requires a basis-form model")
-            return SubspaceProjector(basis=model.basis)
-        try:
-            cfg = LatentProjectionConfig(**spec.get("projection", {}))
-        except TypeError as exc:  # an unknown key, or not an object
-            raise ValueError(f"bad 'projection' object: {exc}") from exc
-        return RangeProjector(model=model, config=cfg)
+            return model
+        proj = spec.get("projection", {})
+        casts = {f.name: type(f.default) for f in fields(LatentProjectionConfig)}  # int or float
+        if not isinstance(proj, dict) or not proj.keys() <= casts.keys():
+            raise ValueError(f"bad 'projection' object: {proj!r}")
+        cfg = {key: _number(proj, key, casts[key], "range prior projection") for key in proj}
+        return RangeProjector(model=model, config=LatentProjectionConfig(**cfg))
     raise ValueError(f"unknown prior {kind!r}")

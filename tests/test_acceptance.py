@@ -43,7 +43,6 @@ from gepflow.harness import (
     run_sweep,
 )
 from gepflow.linalg import MatrixPair, generalized_eig, spectral_norm
-from gepflow.priors import SubspaceProjector
 from gepflow.problems import gen_spiked
 from gepflow.rng import NormalStream
 from gepflow.solvers import SolverConfig, prfm, rifle
@@ -123,7 +122,7 @@ def test_03_noiseless_fixed_point_is_stationary():
     stream = NormalStream(2, stream=0)
     v = _nonneg_unit(stream, 64)
     pair = MatrixPair(a=4.0 * np.outer(v, v) + np.eye(64), b=np.eye(64))
-    p = SubspaceProjector(basis=subspace_containing(v, 8, seed=3).basis)
+    p = subspace_containing(v, 8, seed=3)
     cfg = SolverConfig(step_size=7 / 32, max_iters=50, stop_tol=None, init=v)
     _, trace = prfm(pair.a, pair.b, p, cfg, v_star=v)
     worst = max(row.dist for row in trace.rows)
@@ -154,7 +153,7 @@ def test_04_monitored_convergence_under_valid_step():
     gammas_ok = abs(cond.gamma1 - 7 / 8) <= 1e-12 and abs(cond.gamma2 - 7 / 8) <= 1e-12
     flags_ok = cond.step_sum_ok and cond.step_floor_ok and cond.nu0_positive
 
-    p = SubspaceProjector(basis=subspace_containing(v, 8, seed=44).basis)
+    p = subspace_containing(v, 8, seed=44)
     cfg = SolverConfig(step_size=7 / 32, max_iters=50, stop_tol=None, init=u0)
     est, trace = prfm(inst.a_hat, inst.b_hat, p, cfg, v_star=v)
     dists = [row.dist for row in trace.rows]

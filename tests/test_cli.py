@@ -197,9 +197,10 @@ class TestSolve:
         "path, value",
         [(("truth",), 5), (("m",), None), (("m",), [1]), (("a_hat", "dim"), None),
          (("m",), 12.9), (("seed",), "7"), (("kind",), None), (("truth", "lambda1"), math.nan),
-         (("a_hat", "dim"), 16.5)],
+         (("a_hat", "dim"), 16.5),
+         (("a_hat", "rows"), [[str(int(i == j)) for j in range(16)] for i in range(16)])],
         ids=["truth-int", "m-null", "m-list", "a_hat-dim-null", "m-float", "seed-digits",
-             "kind-null", "lambda1-nan", "a_hat-dim-float"],
+             "kind-null", "lambda1-nan", "a_hat-dim-float", "a_hat-rows-digits"],
     )
     def test_malformed_instance_file(self, tmp_path, capsys, path, value):
         obj = json.loads(_generate(tmp_path).read_text())
@@ -624,7 +625,7 @@ class TestPriorFlags:
         out = tmp_path / "out"
         assert main([*argv, *flags, "--proj-lr", value, "--out", str(out)]) == 1
         (line,) = capsys.readouterr().err.strip().splitlines()
-        assert line.startswith("error:") and "learning_rate must be finite" in line
+        assert line.startswith("error:") and "'learning_rate' must be a finite number" in line
         if command == "solve":
             assert "cannot build the range prior" in line
         assert not out.exists()
@@ -789,6 +790,17 @@ class TestVerify:
         assert capsys.readouterr().err == (
             "error: generator output_dim 12 does not match instance dim 16\n"
         )
+
+    def test_boolean_in_a_model_array_refused(self, tmp_path, capsys):
+        inst = _generate(tmp_path)
+        obj = model_to_json(random_mlp(16, 4, hidden=(8,), seed=3))
+        obj["layers"][1]["bias"][0] = True
+        model = tmp_path / "gen.json"
+        model.write_text(json.dumps(obj))
+        assert main(["verify", "--in", str(inst), "--model", str(model)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: invalid model file {model}: ")
+        assert "model JSON layer 'bias' must be an array of numbers" in line
 
     def test_truthless_instance_rejected(self, tmp_path, capsys):
         bare = ProblemInstance(

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from gepflow.errors import AllRunsFailed, DenominatorNonPositive, GepflowError
 from gepflow.generative import random_subspace
-from gepflow.priors import SparseProjector, SphereProjector, SubspaceProjector
+from gepflow.priors import SparseProjector, SphereProjector
 from gepflow.rng import NormalStream
 from gepflow.solvers import SolverConfig, ppower, prfm, rifle, run_with_restarts
 
@@ -68,8 +68,7 @@ def _inputs(case):
     elif case["prior"] == "sparse":
         projector, prior = SparseProjector(case["level"]), ("sparse", case["level"])
     else:
-        basis = random_subspace(n, case["level"], seed=seed).basis
-        projector = SubspaceProjector(basis=basis)
+        projector = random_subspace(n, case["level"], seed=seed)
         prior = ("subspace", projector.basis)
     return a, b, u0, v_star, projector, prior
 

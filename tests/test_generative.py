@@ -556,6 +556,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"model JSON '{key}' must be {want}"):
             model_from_json(obj)
 
+    @pytest.mark.parametrize("value", ["0.5", True, None], ids=["digits", "true", "null"])
+    @pytest.mark.parametrize("key", ["weight", "bias", "basis"])
+    def test_non_number_in_an_array_refused(self, key, value):
+        # np.array(..., dtype=float64) used to read "0.5" as 0.5 and true as 1.0
+        if key == "basis":
+            obj = model_to_json(random_subspace(9, 3, seed=70))
+            row = obj["basis"][4]
+        else:
+            obj = model_to_json(random_mlp(9, 3, seed=70))
+            row = obj["layers"][-1][key]
+            row = row[4] if key == "weight" else row
+        row[1] = value
+        with pytest.raises(ValueError, match=f"'{key}' must be an array of numbers"):
+            model_from_json(obj)
+
     def test_missing_radius_rejected(self):
         obj = model_to_json(random_mlp(9, 3, seed=70))
         del obj["latent_radius"]

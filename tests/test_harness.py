@@ -106,6 +106,12 @@ class TestSweepSpec:
         spec = self._base(m_values=[50, 100])
         assert spec.m_values == (50, 100)
 
+    @pytest.mark.parametrize("m", [12.9, 50.0, True, "50"])
+    def test_non_integer_m_refused(self, m):
+        # int() used to read 12.9 as 12 and True as 1
+        with pytest.raises(ValueError, match="m_values must be integers"):
+            self._base(m_values=(m, 100))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             self._base(kind="unknown")

@@ -3,7 +3,8 @@
 `linalg` sits under everything that works on matrix pairs, so it needs
 nothing but the error types; `theory` works on pairs and spectra alone,
 so it stays below the instance generators and the solvers. The package's
-re-exports must be the modules' declared public names.
+re-exports must be the modules' declared public names, and their set is
+pinned so that every added or dropped name shows in a diff.
 """
 
 from __future__ import annotations
@@ -40,13 +41,44 @@ def test_theory_imports_neither_problems_nor_solvers():
     assert "solvers" not in imports
 
 
-def test_package_reexports_are_declared_public_names():
-    reexports = [
+#: The package's public names, sorted. One leaves only with its reason in CHANGES.md.
+PUBLIC_NAMES = [
+    "AllRestartsDegenerate", "AllRunsFailed", "ConvergenceConditions", "DegenerateClasses",
+    "DegenerateFit", "DegenerateGap", "DegenerateOutput", "DegenerateProjection",
+    "DenominatorNonPositive", "GeneralizedSpectrum", "GepflowError", "LatentClampWarning",
+    "LatentProjectionConfig", "Layer", "MatrixPair", "MlpGenerator", "NonConvergence",
+    "NonPositiveAlignment", "NonPositiveRho", "NormalStream", "NotPositiveDefinite",
+    "PerturbationReport", "ProblemInstance", "RangeProjection", "RangeProjector", "RestartResult",
+    "ResultRow", "RhoOutOfRange", "RunTrace", "SingularBlock", "SingularWithinScatter",
+    "SolverConfig", "SparseProjector", "SphereProjector", "SubspaceGenerator", "SummaryCell",
+    "SweepSpec", "TraceRow", "Truth", "TruthMissing", "ZeroVector", "build_cca_pair",
+    "build_fda_pair", "check_lemma_coefficient", "check_lemma_inner", "check_lemma_sandwich",
+    "cholesky", "compute_conditions", "conditions_from_gammas", "cosine_similarity",
+    "default_init", "exact_solve", "fit_loglog_slope", "gen_diag_b", "gen_phase_retrieval",
+    "gen_spiked", "generalized_eig", "instance_from_json", "instance_to_json", "matrix_from_json",
+    "matrix_to_json", "model_from_json", "model_to_json", "plateau_index", "ppower", "prfm",
+    "project", "project_to_range", "projector_from_spec", "random_mlp", "random_subspace", "rifle",
+    "rows_to_csv", "run_lemma_suites", "run_sweep", "run_with_restarts", "signed_distance",
+    "sparse_truncate", "spectral_norm", "subspace_containing", "subspace_project", "summarize",
+    "summary_to_json", "summary_to_text", "sym_eig", "trace_to_json", "verify_perturbation",
+]
+
+
+def _reexports() -> list[tuple[str, ast.alias]]:
+    return [
         (node.module, alias)
         for node in _tree("__init__").body
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
     ]
+
+
+def test_public_names_are_pinned():
+    assert sorted(alias.asname or alias.name for _, alias in _reexports()) == PUBLIC_NAMES
+
+
+def test_package_reexports_are_declared_public_names():
+    reexports = _reexports()
     assert reexports
     for module_name, alias in reexports:
         module = importlib.import_module(f"gepflow.{module_name}")

@@ -243,6 +243,17 @@ class TestValidationAndSerialization:
         with pytest.raises(ValueError):
             matrix_from_json({"dim": 3, "rows": [[1.0, 0.0], [0.0, 1.0]]})
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[["1", "0"], [False, True]], [[1.0, 0.0], [0.0, True]], [[1.0, None], [None, 1.0]],
+         [[1.0, 0.0], "01"]],
+        ids=["strings-and-booleans", "one-boolean", "null", "string-row"],
+    )
+    def test_matrix_json_rows_must_be_numbers(self, rows):
+        # np.array(rows, dtype=float64) used to read the first as the identity
+        with pytest.raises(ValueError, match="matrix JSON 'rows' must be an array of numbers"):
+            matrix_from_json({"dim": 2, "rows": rows})
+
     @pytest.mark.parametrize("dim", [2.5, 2.0, True, "2"])
     def test_matrix_json_dim_must_be_an_integer(self, dim):
         # int() used to read 2.5 and 2.0 as 2, true as 1 and "2" as 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -15,16 +16,20 @@ from gepflow.generative import (
     LatentProjectionConfig,
     Layer,
     MlpGenerator,
+    SubspaceGenerator,
     forward,
     model_to_json,
+    project_to_range,
     random_mlp,
     random_subspace,
+    subspace_containing,
+    subspace_project,
 )
+from gepflow.harness import SweepSpec, run_sweep
 from gepflow.priors import (
     RangeProjector,
     SparseProjector,
     SphereProjector,
-    SubspaceProjector,
     project,
     projector_from_spec,
     sparse_truncate,
@@ -96,15 +101,19 @@ class TestProjectDispatch:
 
     def test_subspace_dispatch_matches_closed_form(self):
         gen = random_subspace(9, 3, seed=77)
-        p = SubspaceProjector(basis=gen.basis)
         x = NormalStream(78, stream=0).normals(9)
         expected = gen.basis @ (gen.basis.T @ x)
         expected /= np.linalg.norm(expected)
-        assert_allclose(project(p, x), expected, atol=1e-12)
+        assert_allclose(project(gen, x), expected, atol=1e-12)
+        assert np.array_equal(project(gen, x), subspace_project(gen, x))
 
-    def test_subspace_validates_basis(self):
-        with pytest.raises(ValueError):
-            SubspaceProjector(basis=np.ones((4, 2)))
+    def test_range_prior_over_a_subspace_runs_adam(self):
+        gen = random_subspace(9, 3, seed=79)
+        cfg = LatentProjectionConfig(steps=20, seed=3)
+        x = NormalStream(78, stream=0).unit_vector(9)
+        got = project(RangeProjector(model=gen, config=cfg), x)
+        assert np.array_equal(got, project_to_range(gen, x, cfg).point)
+        assert not np.array_equal(got, subspace_project(gen, x))  # 20 Adam steps, not the closed form
 
     def test_range_dispatch_deterministic(self):
         gen = random_mlp(8, 3, hidden=(5,), activation="sigmoid", seed=80)
@@ -131,7 +140,7 @@ class TestProjectDispatch:
     def test_exact_priors_idempotent(self):
         stream = NormalStream(83, stream=0)
         gen = random_subspace(8, 3, seed=84)
-        for p in (SphereProjector(), SparseProjector(s=3), SubspaceProjector(basis=gen.basis)):
+        for p in (SphereProjector(), SparseProjector(s=3), gen):
             x = stream.normals(8)
             once = project(p, x)
             assert_allclose(project(p, once), once, atol=1e-12)
@@ -174,13 +183,14 @@ class TestProjectorFromSpec:
         assert isinstance(p, SparseProjector) and p.s == 7
 
     def test_subspace_from_model_file(self, tmp_path, monkeypatch):
-        gen = random_subspace(6, 2, seed=90)
+        gen = dataclasses.replace(random_subspace(6, 2, seed=90), latent_radius=2.5)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model_to_json(gen)))
         monkeypatch.chdir(tmp_path)
         p = projector_from_spec({"prior": "subspace", "model_path": "model.json"})
-        assert isinstance(p, SubspaceProjector)
+        assert isinstance(p, SubspaceGenerator)
         assert_allclose(p.basis, gen.basis, rtol=0, atol=0)
+        assert p.latent_radius == 2.5  # the file's radius, not a placeholder
 
     def test_relative_model_path_is_read_from_the_working_directory(self, tmp_path, monkeypatch):
         gen = random_mlp(6, 2, seed=91)
@@ -210,12 +220,12 @@ class TestProjectorFromSpec:
         assert p.config.restarts == 3  # untouched default
 
     def test_truth_containing_subspace_from_k(self):
-        from gepflow.generative import subspace_containing
-
         truth = NormalStream(93, stream=0).unit_vector(10)
         p = projector_from_spec({"prior": "subspace", "k": 3}, truth=truth, seed=5)
-        assert isinstance(p, SubspaceProjector)
-        assert_allclose(p.basis, subspace_containing(truth, 3, seed=5).basis, rtol=0, atol=0)
+        expected = subspace_containing(truth, 3, seed=5)
+        assert isinstance(p, SubspaceGenerator)
+        assert p.basis.tobytes() == expected.basis.tobytes()
+        assert p.latent_radius == expected.latent_radius
         assert_allclose(project(p, truth), truth, atol=1e-12)
         with pytest.raises(ValueError, match="truth"):
             projector_from_spec({"prior": "subspace", "k": 3})
@@ -229,6 +239,43 @@ class TestProjectorFromSpec:
         monkeypatch.chdir(tmp_path)
         with pytest.raises(ValueError, match="projection"):
             projector_from_spec(spec)
+
+    # int() and the unchecked "projection" values used to read each of these:
+    # 7.9 as 7, "3" as 3, true as 1, and a float step count failed inside Adam
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"prior": "sparse", "s": 7.9}, "s"),
+            ({"prior": "sparse", "s": "3"}, "s"),
+            ({"prior": "sparse", "s": True}, "s"),
+            ({"prior": "subspace", "k": 7.9}, "k"),
+            ({"prior": "subspace", "k": "3"}, "k"),
+            ({"prior": "subspace", "k": True}, "k"),
+            *(
+                ({"prior": "range", "model_path": "mlp.json", "projection": {key: value}}, key)
+                for key, value in [
+                    ("steps", 5.5), ("restarts", 2.5), ("steps", True), ("seed", 1.5),
+                    ("learning_rate", "0.1"), ("learning_rate", True),
+                    ("learning_rate", math.inf),
+                ]
+            ),
+        ],
+        ids=["s-float", "s-digits", "s-true", "k-float", "k-digits", "k-true",
+             "steps-float", "restarts-float", "steps-true", "seed-float",
+             "lr-digits", "lr-true", "lr-inf"],
+    )
+    def test_coercible_spec_number_refused(self, tmp_path, monkeypatch, spec, key):
+        (tmp_path / "mlp.json").write_text(json.dumps(model_to_json(random_mlp(8, 2, seed=91))))
+        monkeypatch.chdir(tmp_path)
+        truth = NormalStream(93, stream=0).unit_vector(8)
+        with pytest.raises(ValueError, match=f"'{key}' must be"):
+            projector_from_spec(spec, truth=truth)
+        sweep = SweepSpec(
+            kind="spiked", m_values=(40,), n=8, solvers=("prfm",), trials=1,
+            prior=spec, restarts=1, max_iters=2,
+        )
+        with pytest.raises(ValueError, match=f"'{key}' must be"):
+            run_sweep(sweep)
 
     def test_rejections(self, tmp_path, monkeypatch):
         with pytest.raises(ValueError):

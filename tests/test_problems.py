@@ -452,11 +452,17 @@ class TestInstanceJson:
             (("truth", "lambda2"), -math.inf),
             (("truth", "lambda2"), False),
             (("a_hat", "dim"), 6.0),
+            # np.array(..., dtype=float64) used to read each of these as e1 or I
+            (("a_hat", "rows"), [[i == j for j in range(6)] for i in range(6)]),
+            (("truth", "b", "rows"), [[str(int(i == j)) for j in range(6)] for i in range(6)]),
+            (("truth", "v_star"), ["1", 0, 0, 0, 0, 0]),
+            (("truth", "v_lead"), [True, 0, 0, 0, 0, 0]),
         ],
         ids=["truth-int", "truth-list", "m-null", "m-list", "seed-null", "seed-str",
              "a_hat-dim-null", "truth-b-dim-dict", "truth-lambda1-null", "m-float", "m-true",
              "seed-digits", "seed-float", "kind-null", "kind-int", "lambda1-nan",
-             "lambda1-digits", "lambda2-inf", "lambda2-false", "a_hat-dim-float"],
+             "lambda1-digits", "lambda2-inf", "lambda2-false", "a_hat-dim-float",
+             "a_hat-rows-booleans", "truth-b-rows-digits", "v_star-digits", "v_lead-true"],
     )
     def test_malformed_field_names_its_key(self, path, value):
         inst = gen_spiked(_nonneg_unit(6, 31), 12, seed=8)

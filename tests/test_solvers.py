@@ -22,11 +22,7 @@ from gepflow.generative import (
     subspace_containing,
 )
 from gepflow.linalg import MatrixPair
-from gepflow.priors import (
-    RangeProjector,
-    SphereProjector,
-    SubspaceProjector,
-)
+from gepflow.priors import RangeProjector, SphereProjector
 from gepflow.rng import NormalStream
 from gepflow.solvers import (
     DENOMINATOR_FLOOR,
@@ -130,7 +126,7 @@ class TestPrfm:
 
     def test_noiseless_fixed_point_under_subspace_prior(self):
         a, b, v = _spiked_pair(16, seed=3)
-        prior = SubspaceProjector(basis=subspace_containing(v, 4, seed=5).basis)
+        prior = subspace_containing(v, 4, seed=5)
         cfg = SolverConfig(step_size=7 / 32, max_iters=50, init=v, stop_tol=None)
         est, trace = prfm(a, b, prior, cfg, v_star=v)
         for row in trace.rows:
@@ -269,7 +265,7 @@ class TestPpower:
 
     def test_cos_sim_valid_and_improving_under_subspace_prior(self):
         a, _, v = _spiked_pair(32, seed=23)
-        prior = SubspaceProjector(basis=subspace_containing(v, 8, seed=24).basis)
+        prior = subspace_containing(v, 8, seed=24)
         cfg = SolverConfig(step_size=1.0, max_iters=50, stop_tol=None)
         _, trace = ppower(a, prior, cfg, v_star=v)
         cosines = [row.cos_sim for row in trace.rows]
