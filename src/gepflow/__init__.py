@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .errors import (
     AllRestartsDegenerate,
     AllRunsFailed,
-    DegenerateClasses,
     DegenerateFit,
     DegenerateGap,
     DegenerateOutput,
@@ -27,8 +26,6 @@ from .errors import (
     NonPositiveRho,
     NotPositiveDefinite,
     RhoOutOfRange,
-    SingularBlock,
-    SingularWithinScatter,
     TruthMissing,
     ZeroVector,
 )
@@ -72,7 +69,6 @@ from .solvers import (
     SolverConfig,
     TraceRow,
     default_init,
-    exact_solve,
     ppower,
     prfm,
     rifle,
@@ -83,8 +79,6 @@ from .problems import (
     PerturbationReport,
     ProblemInstance,
     Truth,
-    build_cca_pair,
-    build_fda_pair,
     gen_diag_b,
     gen_phase_retrieval,
     gen_spiked,

@@ -85,18 +85,6 @@ class AllRunsFailed(GepflowError):
 # problem generators
 
 
-class SingularWithinScatter(GepflowError):
-    """The within-class scatter matrix is not positive definite."""
-
-
-class DegenerateClasses(GepflowError):
-    """Class structure too thin: need >= 2 classes with >= 2 samples each."""
-
-
-class SingularBlock(GepflowError):
-    """An empirical covariance block is not positive definite."""
-
-
 class TruthMissing(GepflowError):
     """The operation needs an instance with a recorded population truth."""
 

@@ -4,9 +4,9 @@ Two families serve as desk-scale stand-ins for pretrained decoders: a
 feed-forward MLP, and a linear subspace decoder that admits a closed-form
 projection oracle. Both share one decode path (clamp, layers, normalize;
 `backward` runs it in reverse): the subspace decoder is one bias-free
-identity layer over its basis. Both expose `forward`, `backward`,
-`lipschitz_upper_bound` and `project_to_range` (Adam in latent space);
-`subspace_project` is the exact oracle for the subspace family.
+identity layer over its basis. Both expose `forward`, `backward` and
+`project_to_range` (Adam in latent space); `subspace_project` is the exact
+oracle for the subspace family.
 Every decoder divides its raw output by its 2-norm; a raw norm at or below
 MIN_NORM_DEFAULT, or not finite, raises DegenerateOutput. Adam runs on the
 fixed constants beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import AllRestartsDegenerate, DegenerateOutput, DegenerateProjection
-from .linalg import _floats, _number
+from .linalg import _floats, _number, _typed
 from .rng import NormalStream
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "RangeProjection",
     "forward",
     "backward",
-    "lipschitz_upper_bound",
     "project_to_range",
     "subspace_project",
     "random_mlp",
@@ -56,9 +56,6 @@ MIN_NORM_DEFAULT = 1e-6
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 ACTIVATIONS = ("relu", "sigmoid", "identity")
-
-#: Lipschitz constant of each activation (sigmoid' peaks at 1/4).
-_ACT_LIPSCHITZ = {"relu": 1.0, "sigmoid": 0.25, "identity": 1.0}
 
 
 class LatentClampWarning(UserWarning):
@@ -176,6 +173,8 @@ class LatentProjectionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _typed(self, "steps", "restarts", "seed")
+        _typed(self, "learning_rate", kind=numbers.Real)
         if self.steps < 1 or self.restarts < 1:
             raise ValueError("steps and restarts must be >= 1")
         if not 0 < self.learning_rate < math.inf:
@@ -273,16 +272,6 @@ def backward(gen: Generator, z, cotangent) -> NDArray[np.float64]:
             grad = grad * _activate_grad(layer.activation, pre, post)
         grad = layer.weight.T.dot(grad)
     return grad
-
-
-def lipschitz_upper_bound(gen: Generator) -> float:
-    """Product-of-layer-norms Lipschitz bound on the raw (pre-norm) map."""
-    if isinstance(gen, SubspaceGenerator):
-        return 1.0  # orthonormal columns: exactly norm-preserving
-    bound = 1.0
-    for layer in gen.layers:
-        bound *= float(np.linalg.norm(layer.weight, 2)) * _ACT_LIPSCHITZ[layer.activation]
-    return bound
 
 
 # ---------------------------------------------------------------------------

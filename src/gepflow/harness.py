@@ -23,6 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DegenerateFit, GepflowError, ZeroVector
+from .linalg import _typed
 from .priors import PRIOR_NAMES, Projector, projector_from_spec
 from .problems import ProblemInstance, gen_diag_b, gen_phase_retrieval, gen_spiked
 from .rng import NormalStream
@@ -114,6 +115,9 @@ class SweepSpec:
     base_seed: int = 0
 
     def __post_init__(self):
+        _typed(self, "n", "trials", "restarts", "max_iters", "base_seed")
+        if self.s is not None:
+            _typed(self, "s")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
         ms = tuple(self.m_values)

@@ -14,6 +14,7 @@ a singular B is refused, never regularized.
 from __future__ import annotations
 
 import math
+import numbers
 import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -280,6 +281,17 @@ def _number(obj: dict, key: str, cast, kind: str):
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{kind} {key!r} must be {want}, got {reprlib.repr(value)}") from None
     return out
+
+
+def _typed(obj, *names: str, kind=numbers.Integral) -> None:
+    """Refuse each of `obj`'s fields `names` that is not a `kind` (an
+    integer unless told otherwise): a bool, a string, or a float where an
+    integer belongs is a ValueError naming the field. numpy scalars pass."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            want = "an integer" if kind is numbers.Integral else "a real number"
+            raise ValueError(f"{name} must be {want}, got {reprlib.repr(value)}")
 
 
 def matrix_from_json(obj: dict) -> NDArray[np.float64]:

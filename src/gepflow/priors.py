@@ -30,7 +30,7 @@ from .generative import (
     subspace_containing,
     subspace_project,
 )
-from .linalg import _number
+from .linalg import _number, _typed
 
 __all__ = [
     "SphereProjector",
@@ -57,6 +57,7 @@ class SparseProjector:
     s: int
 
     def __post_init__(self):
+        _typed(self, "s")
         if self.s < 1:
             raise ValueError("sparsity level must be >= 1")
 
@@ -123,8 +124,8 @@ def projector_from_spec(spec: dict, *, truth=None, seed: int = 0) -> Projector:
     oracle-assisted prior of the synthetic protocol) seeded by `seed`;
     "model_path" for the range prior, with an optional "projection" object
     of LatentProjectionConfig overrides ("steps", "learning_rate",
-    "restarts", "seed"; any other key is refused). Every number is a JSON
-    integer but "learning_rate", a finite number. A model path is opened
+    "restarts", "seed"; any other key is refused), each checked by the
+    config itself. "s" and "k" are JSON integers. A model path is opened
     as given, so a relative one is read from the working directory. Only a
     "k" spec reads `truth` and `seed`.
     """
@@ -150,9 +151,8 @@ def projector_from_spec(spec: dict, *, truth=None, seed: int = 0) -> Projector:
                 raise ValueError("subspace prior requires a basis-form model")
             return model
         proj = spec.get("projection", {})
-        casts = {f.name: type(f.default) for f in fields(LatentProjectionConfig)}  # int or float
-        if not isinstance(proj, dict) or not proj.keys() <= casts.keys():
+        names = {f.name for f in fields(LatentProjectionConfig)}
+        if not isinstance(proj, dict) or not proj.keys() <= names:
             raise ValueError(f"bad 'projection' object: {proj!r}")
-        cfg = {key: _number(proj, key, casts[key], "range prior projection") for key in proj}
-        return RangeProjector(model=model, config=LatentProjectionConfig(**cfg))
+        return RangeProjector(model=model, config=LatentProjectionConfig(**proj))
     raise ValueError(f"unknown prior {kind!r}")

@@ -1,4 +1,4 @@
-"""Synthetic and statistical problem-instance generators.
+"""Synthetic problem-instance generators.
 
 Sampling discipline: every generator draws from NormalStream(seed, stream=0)
 in a fixed documented order — spike coefficients gamma (m scalars), then the
@@ -29,13 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    DegenerateClasses,
-    NotPositiveDefinite,
-    SingularBlock,
-    SingularWithinScatter,
-    TruthMissing,
-)
+from .errors import TruthMissing
 from .generative import Generator, forward
 from .linalg import (
     MatrixPair,
@@ -57,8 +51,6 @@ __all__ = [
     "gen_spiked",
     "gen_phase_retrieval",
     "gen_diag_b",
-    "build_fda_pair",
-    "build_cca_pair",
     "verify_perturbation",
     "instance_to_json",
     "instance_from_json",
@@ -192,80 +184,6 @@ def gen_diag_b(v_star, m: int, seed: int) -> ProblemInstance:
     return ProblemInstance(
         a_hat=a_hat, b_hat=b_hat, truth=truth, m=m, kind="diag_b", seed=seed
     )
-
-
-# ---------------------------------------------------------------------------
-# statistical pairs
-
-
-def build_fda_pair(samples, labels) -> MatrixPair:
-    """Between/within scatter pair for discriminant analysis.
-
-    Both scatters use the biased 1/N normalization; a common scaling leaves
-    generalized eigenvectors unchanged.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("samples must be a 2-D array (rows = observations)")
-    labels = list(labels)
-    if len(labels) != x.shape[0]:
-        raise ValueError("labels length must match sample count")
-    groups: dict = {}
-    for i, lab in enumerate(labels):
-        groups.setdefault(lab, []).append(i)
-    if len(groups) < 2 or any(len(idx) < 2 for idx in groups.values()):
-        raise DegenerateClasses(
-            "need at least two classes with at least two samples each"
-        )
-    n_total = x.shape[0]
-    mu = x.mean(axis=0)
-    dim = x.shape[1]
-    between = np.zeros((dim, dim))
-    within = np.zeros((dim, dim))
-    for idx in groups.values():
-        xk = x[idx]
-        mk = xk.mean(axis=0)
-        d = mk - mu
-        between += len(idx) * np.outer(d, d)
-        centered = xk - mk
-        within += centered.T @ centered
-    between = (between + between.T) / (2.0 * n_total)
-    within = (within + within.T) / (2.0 * n_total)
-    try:
-        return MatrixPair(a=between, b=within)
-    except NotPositiveDefinite as exc:
-        raise SingularWithinScatter(str(exc)) from exc
-
-
-def build_cca_pair(x_samples, y_samples) -> MatrixPair:
-    """Block pair whose leading generalized eigenvalue is the top canonical
-    correlation: A = [[0, Cxy], [Cyx, 0]], B = blockdiag(Cxx, Cyy).
-    """
-    x = np.asarray(x_samples, dtype=np.float64)
-    y = np.asarray(y_samples, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2:
-        raise ValueError("x_samples and y_samples must be 2-D arrays")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("x and y sample counts differ")
-    if x.shape[0] < 2:
-        raise ValueError("need at least two samples")
-    n = x.shape[0]
-    xc = x - x.mean(axis=0)
-    yc = y - y.mean(axis=0)
-    cxx = (xc.T @ xc) / n
-    cyy = (yc.T @ yc) / n
-    cxy = (xc.T @ yc) / n
-    p, q = x.shape[1], y.shape[1]
-    a = np.zeros((p + q, p + q))
-    a[:p, p:] = cxy
-    a[p:, :p] = cxy.T
-    b = np.zeros((p + q, p + q))
-    b[:p, :p] = (cxx + cxx.T) / 2.0
-    b[p:, p:] = (cyy + cyy.T) / 2.0
-    try:
-        return MatrixPair(a=a, b=b)
-    except NotPositiveDefinite as exc:
-        raise SingularBlock(f"covariance block not positive definite: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

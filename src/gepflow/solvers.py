@@ -26,13 +26,12 @@ from numpy.typing import NDArray
 
 from .errors import (
     AllRunsFailed,
-    DegenerateGap,
     DenominatorNonPositive,
     GepflowError,
     NonPositiveRho,
     ZeroVector,
 )
-from .linalg import MatrixPair, as_sym_matrix, generalized_eig
+from .linalg import _typed, as_sym_matrix
 from .priors import Projector, project, sparse_truncate
 from .rng import NormalStream
 
@@ -46,7 +45,6 @@ __all__ = [
     "rifle",
     "ppower",
     "run_with_restarts",
-    "exact_solve",
     "trace_to_json",
 ]
 
@@ -91,6 +89,7 @@ class SolverConfig:
     stop_tol: float | None = 1e-9
 
     def __post_init__(self):
+        _typed(self, "max_iters")
         if not 0 < self.step_size < math.inf:
             raise ValueError("step_size must be finite and positive")
         if self.max_iters < 1:
@@ -394,18 +393,6 @@ def run_with_restarts(
     if best is None:
         raise AllRunsFailed("; ".join(failures))
     return replace(best, failures=tuple(failures))
-
-
-def exact_solve(pair: MatrixPair) -> NDArray[np.float64]:
-    """Dense-oracle leading generalized eigenvector, unit-normalized.
-
-    Refuses near-degenerate leading gaps, where "the" leading direction is
-    not well defined.
-    """
-    spectrum = generalized_eig(pair)
-    if spectrum.gap <= 1e-10:
-        raise DegenerateGap(f"leading gap {spectrum.gap:.3e} <= 1e-10")
-    return spectrum.leading_unit
 
 
 def trace_to_json(solver: str, cfg: SolverConfig, trace: RunTrace) -> dict:

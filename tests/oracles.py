@@ -14,7 +14,10 @@ Adam descent of the range prior with its decoder's forward and backward
 passes inline, `reference_lemma_checks` / `reference_lemma_suites`
 restate the three inequality checkers and the randomized suite draw by
 draw, and `reference_loglog_fit` is the rate fit's least-squares line
-written out from its centered sums.
+written out from its centered sums. `exact_solve` is the dense solve's
+leading direction with a gap guard, the target the iterative solvers are
+scored against, and `lipschitz_upper_bound` is the product-of-layer-norms
+bound on a decoder's raw map.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 
 from gepflow.errors import (
     AllRestartsDegenerate,
+    DegenerateGap,
     DegenerateOutput,
     DegenerateProjection,
     DenominatorNonPositive,
@@ -108,6 +112,32 @@ def reference_rayleigh_quotient(a: np.ndarray, b: np.ndarray, u) -> float:
     if abs(den) <= floor:
         raise ValueError(f"|u' b u| = {abs(den):.6g} <= {floor:.6g}")
     return float(v @ a @ v) / den
+
+
+def exact_solve(pair: MatrixPair) -> np.ndarray:
+    """Dense-oracle leading generalized eigenvector, unit-normalized.
+
+    Refuses near-degenerate leading gaps, where "the" leading direction is
+    not well defined.
+    """
+    spectrum = generalized_eig(pair)
+    if spectrum.gap <= 1e-10:
+        raise DegenerateGap(f"leading gap {spectrum.gap:.3e} <= 1e-10")
+    return spectrum.leading_unit
+
+
+#: Lipschitz constant of each activation (sigmoid' peaks at 1/4).
+_ACT_LIPSCHITZ = {"relu": 1.0, "sigmoid": 0.25, "identity": 1.0}
+
+
+def lipschitz_upper_bound(gen) -> float:
+    """Product-of-layer-norms Lipschitz bound on the raw (pre-norm) map."""
+    if isinstance(gen, SubspaceGenerator):
+        return 1.0  # orthonormal columns: exactly norm-preserving
+    bound = 1.0
+    for layer in gen.layers:
+        bound *= float(np.linalg.norm(layer.weight, 2)) * _ACT_LIPSCHITZ[layer.activation]
+    return bound
 
 
 def finite_difference_gradient(f, z: np.ndarray, *, h: float = 1e-5) -> np.ndarray:

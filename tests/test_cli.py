@@ -625,7 +625,7 @@ class TestPriorFlags:
         out = tmp_path / "out"
         assert main([*argv, *flags, "--proj-lr", value, "--out", str(out)]) == 1
         (line,) = capsys.readouterr().err.strip().splitlines()
-        assert line.startswith("error:") and "'learning_rate' must be a finite number" in line
+        assert line.startswith("error:") and "learning_rate must be finite and positive" in line
         if command == "solve":
             assert "cannot build the range prior" in line
         assert not out.exists()

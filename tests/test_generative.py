@@ -22,7 +22,6 @@ from gepflow.generative import (
     backward,
     default_latent_radius,
     forward,
-    lipschitz_upper_bound,
     model_from_json,
     model_to_json,
     project_to_range,
@@ -34,7 +33,7 @@ from gepflow.generative import (
 from gepflow.priors import RangeProjector, project, projector_from_spec
 from gepflow.rng import NormalStream
 
-from oracles import finite_difference_gradient, reference_raw_decode
+from oracles import finite_difference_gradient, lipschitz_upper_bound, reference_raw_decode
 
 
 def _unit(v):

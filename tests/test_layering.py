@@ -2,7 +2,9 @@
 
 `linalg` sits under everything that works on matrix pairs, so it needs
 nothing but the error types; `theory` works on pairs and spectra alone,
-so it stays below the instance generators and the solvers. The package's
+so it stays below the instance generators and the solvers; the iterative
+solvers take only the input checks `as_sym_matrix` and `_typed` from
+`linalg`, so they run no dense eigensolve. The package's
 re-exports must be the modules' declared public names, and their set is
 pinned so that every added or dropped name shows in a diff.
 """
@@ -41,20 +43,30 @@ def test_theory_imports_neither_problems_nor_solvers():
     assert "solvers" not in imports
 
 
+def test_solvers_take_only_input_checks_from_linalg():
+    names = {
+        alias.name
+        for node in ast.walk(_tree("solvers"))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "linalg"
+        for alias in node.names
+    }
+    assert names == {"_typed", "as_sym_matrix"}
+
+
 #: The package's public names, sorted. One leaves only with its reason in CHANGES.md.
 PUBLIC_NAMES = [
-    "AllRestartsDegenerate", "AllRunsFailed", "ConvergenceConditions", "DegenerateClasses",
+    "AllRestartsDegenerate", "AllRunsFailed", "ConvergenceConditions",
     "DegenerateFit", "DegenerateGap", "DegenerateOutput", "DegenerateProjection",
     "DenominatorNonPositive", "GeneralizedSpectrum", "GepflowError", "LatentClampWarning",
     "LatentProjectionConfig", "Layer", "MatrixPair", "MlpGenerator", "NonConvergence",
     "NonPositiveAlignment", "NonPositiveRho", "NormalStream", "NotPositiveDefinite",
     "PerturbationReport", "ProblemInstance", "RangeProjection", "RangeProjector", "RestartResult",
-    "ResultRow", "RhoOutOfRange", "RunTrace", "SingularBlock", "SingularWithinScatter",
+    "ResultRow", "RhoOutOfRange", "RunTrace",
     "SolverConfig", "SparseProjector", "SphereProjector", "SubspaceGenerator", "SummaryCell",
-    "SweepSpec", "TraceRow", "Truth", "TruthMissing", "ZeroVector", "build_cca_pair",
-    "build_fda_pair", "check_lemma_coefficient", "check_lemma_inner", "check_lemma_sandwich",
+    "SweepSpec", "TraceRow", "Truth", "TruthMissing", "ZeroVector",
+    "check_lemma_coefficient", "check_lemma_inner", "check_lemma_sandwich",
     "cholesky", "compute_conditions", "conditions_from_gammas", "cosine_similarity",
-    "default_init", "exact_solve", "fit_loglog_slope", "gen_diag_b", "gen_phase_retrieval",
+    "default_init", "fit_loglog_slope", "gen_diag_b", "gen_phase_retrieval",
     "gen_spiked", "generalized_eig", "instance_from_json", "instance_to_json", "matrix_from_json",
     "matrix_to_json", "model_from_json", "model_to_json", "plateau_index", "ppower", "prfm",
     "project", "project_to_range", "projector_from_spec", "random_mlp", "random_subspace", "rifle",

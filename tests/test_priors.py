@@ -241,22 +241,29 @@ class TestProjectorFromSpec:
             projector_from_spec(spec)
 
     # int() and the unchecked "projection" values used to read each of these:
-    # 7.9 as 7, "3" as 3, true as 1, and a float step count failed inside Adam
+    # 7.9 as 7, "3" as 3, true as 1, and a float step count failed inside Adam.
+    # "s" and "k" are read as JSON integers; the projection values are
+    # checked by LatentProjectionConfig itself.
     @pytest.mark.parametrize(
-        "spec, key",
+        "spec, message",
         [
-            ({"prior": "sparse", "s": 7.9}, "s"),
-            ({"prior": "sparse", "s": "3"}, "s"),
-            ({"prior": "sparse", "s": True}, "s"),
-            ({"prior": "subspace", "k": 7.9}, "k"),
-            ({"prior": "subspace", "k": "3"}, "k"),
-            ({"prior": "subspace", "k": True}, "k"),
+            ({"prior": "sparse", "s": 7.9}, "'s' must be an integer"),
+            ({"prior": "sparse", "s": "3"}, "'s' must be an integer"),
+            ({"prior": "sparse", "s": True}, "'s' must be an integer"),
+            ({"prior": "subspace", "k": 7.9}, "'k' must be an integer"),
+            ({"prior": "subspace", "k": "3"}, "'k' must be an integer"),
+            ({"prior": "subspace", "k": True}, "'k' must be an integer"),
             *(
-                ({"prior": "range", "model_path": "mlp.json", "projection": {key: value}}, key)
-                for key, value in [
-                    ("steps", 5.5), ("restarts", 2.5), ("steps", True), ("seed", 1.5),
-                    ("learning_rate", "0.1"), ("learning_rate", True),
-                    ("learning_rate", math.inf),
+                ({"prior": "range", "model_path": "mlp.json", "projection": {key: value}},
+                 message)
+                for key, value, message in [
+                    ("steps", 5.5, "steps must be an integer"),
+                    ("restarts", 2.5, "restarts must be an integer"),
+                    ("steps", True, "steps must be an integer"),
+                    ("seed", 1.5, "seed must be an integer"),
+                    ("learning_rate", "0.1", "learning_rate must be a real number"),
+                    ("learning_rate", True, "learning_rate must be a real number"),
+                    ("learning_rate", math.inf, "learning_rate must be finite and positive"),
                 ]
             ),
         ],
@@ -264,17 +271,17 @@ class TestProjectorFromSpec:
              "steps-float", "restarts-float", "steps-true", "seed-float",
              "lr-digits", "lr-true", "lr-inf"],
     )
-    def test_coercible_spec_number_refused(self, tmp_path, monkeypatch, spec, key):
+    def test_coercible_spec_number_refused(self, tmp_path, monkeypatch, spec, message):
         (tmp_path / "mlp.json").write_text(json.dumps(model_to_json(random_mlp(8, 2, seed=91))))
         monkeypatch.chdir(tmp_path)
         truth = NormalStream(93, stream=0).unit_vector(8)
-        with pytest.raises(ValueError, match=f"'{key}' must be"):
+        with pytest.raises(ValueError, match=message):
             projector_from_spec(spec, truth=truth)
         sweep = SweepSpec(
             kind="spiked", m_values=(40,), n=8, solvers=("prfm",), trials=1,
             prior=spec, restarts=1, max_iters=2,
         )
-        with pytest.raises(ValueError, match=f"'{key}' must be"):
+        with pytest.raises(ValueError, match=message):
             run_sweep(sweep)
 
     def test_rejections(self, tmp_path, monkeypatch):

@@ -9,12 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gepflow.errors import (
-    DegenerateClasses,
-    SingularBlock,
-    SingularWithinScatter,
-    TruthMissing,
-)
+from gepflow.errors import TruthMissing
 from gepflow.generative import random_subspace
 from gepflow.linalg import (
     MatrixPair,
@@ -25,8 +20,6 @@ from gepflow.problems import (
     PerturbationReport,
     ProblemInstance,
     Truth,
-    build_cca_pair,
-    build_fda_pair,
     gen_diag_b,
     gen_phase_retrieval,
     gen_spiked,
@@ -236,112 +229,6 @@ class TestInstanceInvariants:
             )
         with pytest.raises(ValueError, match="v_star must be a finite unit vector"):
             gen_spiked(np.array([bad, 0.0]), 10, seed=1)
-
-
-class TestFdaPair:
-    @staticmethod
-    def _two_class_data(seed: int):
-        stream = NormalStream(seed, stream=0)
-        mu0 = np.zeros(4)
-        mu1 = np.array([2.0, 1.0, 0.0, -1.0])
-        x0 = mu0 + 0.7 * stream.matrix(30, 4)
-        x1 = mu1 + 0.7 * stream.matrix(30, 4)
-        samples = np.vstack([x0, x1])
-        labels = [0] * 30 + [1] * 30
-        return samples, labels
-
-    def test_two_class_closed_form(self):
-        samples, labels = self._two_class_data(16)
-        pair = build_fda_pair(samples, labels)
-        lead = generalized_eig(pair).leading_unit
-        mean0 = samples[:30].mean(axis=0)
-        mean1 = samples[30:].mean(axis=0)
-        oracle = np.linalg.solve(pair.b, mean1 - mean0)
-        oracle /= np.linalg.norm(oracle)
-        assert abs(float(lead @ oracle)) >= 1 - 1e-9
-
-    def test_scatter_normalization(self):
-        samples, labels = self._two_class_data(17)
-        pair = build_fda_pair(samples, labels)
-        n = len(labels)
-        mean0 = samples[:30].mean(axis=0)
-        mean1 = samples[30:].mean(axis=0)
-        mu = samples.mean(axis=0)
-        expected_b = (
-            30 * np.outer(mean0 - mu, mean0 - mu) + 30 * np.outer(mean1 - mu, mean1 - mu)
-        ) / n
-        assert_allclose(pair.a, expected_b, atol=1e-12)
-
-    def test_identical_samples_rejected(self):
-        samples = np.array([[0.0, 0.0]] * 3 + [[1.0, 1.0]] * 3)
-        with pytest.raises(SingularWithinScatter):
-            build_fda_pair(samples, [0, 0, 0, 1, 1, 1])
-
-    def test_single_class_rejected(self):
-        samples = NormalStream(18, stream=0).matrix(6, 3)
-        with pytest.raises(DegenerateClasses):
-            build_fda_pair(samples, [0] * 6)
-
-    def test_thin_class_rejected(self):
-        samples = NormalStream(19, stream=0).matrix(5, 3)
-        with pytest.raises(DegenerateClasses):
-            build_fda_pair(samples, [0, 0, 0, 0, 1])
-
-
-class TestCcaPair:
-    def test_perfect_correlation(self):
-        x = NormalStream(20, stream=0).matrix(60, 3)
-        pair = build_cca_pair(x, x)
-        top = float(generalized_eig(pair).eigenvalues[0])
-        assert top == pytest.approx(1.0, abs=1e-9)
-
-    def test_matches_whitened_svd_oracle(self):
-        stream = NormalStream(21, stream=0)
-        x = stream.matrix(200, 3)
-        y = 0.5 * x[:, :2] + 0.5 * stream.matrix(200, 2)
-        pair = build_cca_pair(x, y)
-        top = float(generalized_eig(pair).eigenvalues[0])
-        xc = x - x.mean(axis=0)
-        yc = y - y.mean(axis=0)
-        cxx = xc.T @ xc / 200
-        cyy = yc.T @ yc / 200
-        cxy = xc.T @ yc / 200
-        wx = np.linalg.cholesky(np.linalg.inv(cxx))
-        wy = np.linalg.cholesky(np.linalg.inv(cyy))
-        sigma = np.linalg.svd(wx.T @ cxy @ wy, compute_uv=False)
-        assert top == pytest.approx(float(sigma[0]), abs=1e-9)
-
-    def test_independent_streams_decorrelate(self):
-        stream = NormalStream(22, stream=0)
-        x = stream.matrix(100_000, 3)
-        y = stream.matrix(100_000, 2)
-        pair = build_cca_pair(x, y)
-        assert float(generalized_eig(pair).eigenvalues[0]) <= 0.05
-
-    def test_zero_diagonal_blocks(self):
-        stream = NormalStream(23, stream=0)
-        pair = build_cca_pair(stream.matrix(40, 3), stream.matrix(40, 2))
-        assert_allclose(pair.a[:3, :3], 0.0, atol=0)
-        assert_allclose(pair.a[3:, 3:], 0.0, atol=0)
-
-    def test_spectrum_symmetric_about_zero(self):
-        from gepflow.linalg import sym_eig
-
-        stream = NormalStream(24, stream=0)
-        pair = build_cca_pair(stream.matrix(50, 3), stream.matrix(50, 3))
-        w, _ = sym_eig(pair.a)
-        assert_allclose(w + w[::-1], 0.0, atol=1e-12)
-
-    def test_degenerate_block_rejected(self):
-        x = np.zeros((10, 2))
-        y = NormalStream(25, stream=0).matrix(10, 2)
-        with pytest.raises(SingularBlock):
-            build_cca_pair(x, y)
-
-    def test_count_mismatch_rejected(self):
-        stream = NormalStream(26, stream=0)
-        with pytest.raises(ValueError):
-            build_cca_pair(stream.matrix(10, 2), stream.matrix(11, 2))
 
 
 class TestVerifyPerturbation:

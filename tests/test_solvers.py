@@ -29,7 +29,6 @@ from gepflow.solvers import (
     RestartResult,
     SolverConfig,
     default_init,
-    exact_solve,
     ppower,
     prfm,
     rifle,
@@ -37,7 +36,7 @@ from gepflow.solvers import (
     trace_to_json,
 )
 
-from oracles import random_definite_pair, reference_rayleigh_quotient
+from oracles import exact_solve, random_definite_pair, reference_rayleigh_quotient
 
 SPHERE = SphereProjector()
 

@@ -1,0 +1,113 @@
+"""The config dataclasses refuse a non-integer count when they are built.
+
+A float, bool or string in an integer field (or a bool or string in
+`learning_rate`) used to build, then die later with a TypeError inside
+Adam, a slice or `range`, or run silently wrong (`max_iters=True` was a
+one-iteration run). Each case here builds the config and runs the call it
+feeds in one `pytest.raises(ValueError)` block, so a TypeError from the
+run fails the test.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gepflow.generative import LatentProjectionConfig, random_mlp
+from gepflow.harness import SweepSpec, run_sweep
+from gepflow.priors import RangeProjector, SparseProjector, SphereProjector, project
+from gepflow.solvers import SolverConfig, run_with_restarts
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+X = np.arange(6.0)
+SWEEP = dict(
+    kind="spiked", m_values=(20,), n=4, solvers=("prfm",), trials=1, restarts=1, max_iters=2
+)
+
+
+def _solve(**fields):
+    cfg = SolverConfig(step_size=0.1, **{"max_iters": 5, **fields})
+    return run_with_restarts("prfm", np.eye(3), np.eye(3), cfg, 1, 0, p=SphereProjector())
+
+
+def _range_project(**fields):
+    cfg = LatentProjectionConfig(**{"steps": 2, "restarts": 1, **fields})
+    return project(RangeProjector(model=random_mlp(6, 2, seed=1), config=cfg), X)
+
+
+def _sparse_project(s):
+    return project(SparseProjector(s=s), X)
+
+
+def _sweep(**fields):
+    if "s" in fields:
+        fields["solvers"] = ("rifle",)
+    return run_sweep(SweepSpec(**{**SWEEP, **fields}))
+
+
+#: (field, the call it feeds); every field but learning_rate is an integer.
+INTEGER_FIELDS = [
+    ("max_iters", _solve),
+    ("steps", _range_project),
+    ("restarts", _range_project),
+    ("seed", _range_project),
+    ("s", _sparse_project),
+    *((name, _sweep) for name in ("n", "trials", "restarts", "max_iters", "s", "base_seed")),
+]
+
+
+@pytest.mark.parametrize(
+    "run, field, value",
+    [
+        (_range_project, "steps", 5.5),
+        (_range_project, "learning_rate", "0.1"),
+        (_range_project, "learning_rate", True),
+        (_sparse_project, "s", 2.5),
+        (_solve, "max_iters", 2.5),
+        (_solve, "max_iters", True),
+        (_sweep, "trials", 2.5),
+        (_sweep, "n", 6.0),
+        (_sweep, "restarts", 2.0),
+        (_sweep, "base_seed", True),
+        (_sweep, "s", 2.5),
+    ],
+    ids=lambda v: getattr(v, "__name__", repr(v)),
+)
+def test_non_integer_refused_at_construction(run, field, value):
+    want = "a real number" if field == "learning_rate" else "an integer"
+    with pytest.raises(ValueError, match=f"^{field} must be {want}, got {value!r}"):
+        run(**{field: value})
+
+
+def test_numpy_integers_pass():
+    spec = SweepSpec(**{**SWEEP, "n": np.int64(4), "trials": np.int32(1), "max_iters": np.int64(2)})
+    assert run_sweep(spec, timing="zero") == run_sweep(SweepSpec(**SWEEP), timing="zero")
+    a = _solve(max_iters=np.int64(5))
+    b = _solve(max_iters=5)
+    assert a.estimate.tobytes() == b.estimate.tobytes()
+    assert _sparse_project(np.int64(2)).tobytes() == _sparse_project(2).tobytes()
+    point = _range_project(steps=np.int64(2), seed=np.uint8(3))
+    assert point.tobytes() == _range_project(steps=2, seed=3).tobytes()
+
+
+NOT_INTEGERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.booleans(), st.text(max_size=4)
+)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(INTEGER_FIELDS), NOT_INTEGERS)
+def test_integer_fields_refuse_floats_bools_and_strings(case, value):
+    field, run = case
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        run(**{field: value})
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(st.booleans(), st.text(max_size=4)))
+def test_learning_rate_refuses_bools_and_strings(value):
+    with pytest.raises(ValueError, match="^learning_rate must be a real number"):
+        _range_project(learning_rate=value)
