@@ -173,8 +173,8 @@ class LatentProjectionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _typed(self, "steps", "restarts", "seed")
-        _typed(self, "learning_rate", kind=numbers.Real)
+        _typed(steps=self.steps, restarts=self.restarts, seed=self.seed)
+        _typed(numbers.Real, learning_rate=self.learning_rate)
         if self.steps < 1 or self.restarts < 1:
             raise ValueError("steps and restarts must be >= 1")
         if not 0 < self.learning_rate < math.inf:

@@ -115,14 +115,18 @@ class SweepSpec:
     base_seed: int = 0
 
     def __post_init__(self):
-        _typed(self, "n", "trials", "restarts", "max_iters", "base_seed")
+        _typed(
+            n=self.n, trials=self.trials, restarts=self.restarts,
+            max_iters=self.max_iters, base_seed=self.base_seed,
+        )
         if self.s is not None:
-            _typed(self, "s")
+            _typed(s=self.s)
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
         ms = tuple(self.m_values)
-        if any(isinstance(m, bool) or not isinstance(m, int) for m in ms):
-            raise ValueError(f"m_values must be integers, got {ms}")
+        for m in ms:
+            _typed(m_values=m)
+        ms = tuple(map(int, ms))  # numpy integers pass; summary JSON needs Python ints
         if not ms or any(m < 1 for m in ms) or list(ms) != sorted(set(ms)):
             raise ValueError("m_values must be nonempty, positive, strictly ascending")
         object.__setattr__(self, "m_values", ms)
@@ -211,7 +215,6 @@ def _run_cell(
                 p=p,
                 s=spec.s,
                 eta_prime=spec.eta_prime,
-                v_star=truth_v,
             )
         except GepflowError as exc:
             wall = (perf_counter() - start) * 1000.0

@@ -283,12 +283,12 @@ def _number(obj: dict, key: str, cast, kind: str):
     return out
 
 
-def _typed(obj, *names: str, kind=numbers.Integral) -> None:
-    """Refuse each of `obj`'s fields `names` that is not a `kind` (an
-    integer unless told otherwise): a bool, a string, or a float where an
-    integer belongs is a ValueError naming the field. numpy scalars pass."""
-    for name in names:
-        value = getattr(obj, name)
+def _typed(kind=numbers.Integral, **values) -> None:
+    """Refuse each `name=value` whose value is not a `kind` (an integer
+    unless told otherwise): a bool, a string, or a float where an integer
+    belongs is a ValueError naming the field or argument. numpy scalars
+    pass."""
+    for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, kind):
             want = "an integer" if kind is numbers.Integral else "a real number"
             raise ValueError(f"{name} must be {want}, got {reprlib.repr(value)}")

@@ -57,7 +57,7 @@ class SparseProjector:
     s: int
 
     def __post_init__(self):
-        _typed(self, "s")
+        _typed(s=self.s)
         if self.s < 1:
             raise ValueError("sparsity level must be >= 1")
 
@@ -81,6 +81,8 @@ def sparse_truncate(x, s: int) -> NDArray[np.float64]:
     Raises ZeroVector when nothing survives truncation.
     """
     xv = np.asarray(x, dtype=np.float64).reshape(-1)
+    if type(s) is not int:  # rifle calls this every iterate; an int needs no check
+        _typed(s=s)
     if s < 1:
         raise ValueError("sparsity level must be >= 1")
     keep = (-np.abs(xv)).argsort(kind="stable")[:s]

@@ -7,6 +7,11 @@ spike-noise matrix Z (m x n, row-major), then the B-side sample matrix W
 does not use. This makes instances bit-reproducible from (kind, v*, m, seed)
 alone.
 
+Memory: a generator holds at most one m x n sample matrix at a time (plus
+draw chunks, one block of spike rows and n x n arrays). The spike is added
+into Z's buffer in row blocks, and each matrix is reduced to its Gram
+matrix and released before the next one is drawn.
+
 Models:
 
 * spiked:   x_i = 2 gamma_i v* + z_i, so E[A_hat] = 4 v* v*' + I; B truth I.
@@ -119,27 +124,46 @@ def _identity_b_truth(v: NDArray[np.float64], spike: float) -> Truth:
     return Truth(pair=pair, v_star=v, lambda1=spike + 1.0, lambda2=1.0, v_lead=v_lead)
 
 
+#: Entries per row block when the spike is added into Z; adding all of
+#: 2 gamma v' at once would make a whole m x n temporary.
+_BLOCK_ENTRIES = 1 << 15
+
+
 def _gram(x: NDArray[np.float64], m: int) -> NDArray[np.float64]:
     g = x.T @ x / m
     return (g + g.T) / 2.0
 
 
-def _spiked_draws(v, m: int, seed: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """A_hat of x_i = 2 gamma_i v + z_i, and the raw B-side samples W (m x n)."""
+def _spiked_draws(
+    v, m: int, seed: int, w0_scale: float = 1.0
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """A_hat of x_i = 2 gamma_i v + z_i, and B_hat of the samples w_i with
+    their first coordinate scaled by w0_scale (1.0 leaves every bit).
+
+    x is Z's own buffer with the spike added in row blocks, and it is
+    released before W is drawn.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     stream = NormalStream(seed, stream=0)
     gamma = stream.normals(m)
-    x = 2.0 * np.outer(gamma, v) + stream.matrix(m, v.shape[0])
-    return _gram(x, m), stream.matrix(m, v.shape[0])
+    x = stream.matrix(m, v.shape[0])
+    rows = max(1, _BLOCK_ENTRIES // v.shape[0])
+    for lo in range(0, m, rows):
+        x[lo : lo + rows] += 2.0 * np.outer(gamma[lo : lo + rows], v)
+    a_hat = _gram(x, m)
+    del x
+    w = stream.matrix(m, v.shape[0])
+    w[:, 0] *= w0_scale
+    return a_hat, _gram(w, m)
 
 
 def gen_spiked(v_star, m: int, seed: int) -> ProblemInstance:
     """Spiked-covariance model: truth A = 4 v* v*' + I, B = I (eigs 5 and 1)."""
     v = _unit_v(v_star)
-    a_hat, w = _spiked_draws(v, m, seed)
+    a_hat, b_hat = _spiked_draws(v, m, seed)
     return ProblemInstance(
-        a_hat=a_hat, b_hat=_gram(w, m), truth=_identity_b_truth(v, 4.0), m=m,
+        a_hat=a_hat, b_hat=b_hat, truth=_identity_b_truth(v, 4.0), m=m,
         kind="spiked", seed=seed,
     )
 
@@ -151,11 +175,11 @@ def gen_phase_retrieval(v_star, m: int, seed: int) -> ProblemInstance:
     if m < 1:
         raise ValueError("m must be >= 1")
     stream = NormalStream(seed, stream=0)
-    w = stream.matrix(m, n)
-    b_hat = _gram(w, m)
+    b_hat = _gram(stream.matrix(m, n), m)
     g = stream.matrix(m, n)
-    y = (g @ v) ** 2
-    a_hat = _gram(g * np.sqrt(y)[:, None], m)
+    g *= np.sqrt((g @ v) ** 2)[:, None]  # each row g_i scaled by |g_i'v*|
+    a_hat = _gram(g, m)
+    del g  # the truth and the instance checks below need only n x n arrays
     return ProblemInstance(
         a_hat=a_hat, b_hat=b_hat, truth=_identity_b_truth(v, 2.0), m=m,
         kind="phase_retrieval", seed=seed,
@@ -168,9 +192,7 @@ def gen_diag_b(v_star, m: int, seed: int) -> ProblemInstance:
     n = v.shape[0]
     if n < 2:
         raise ValueError("diag-B model needs dimension >= 2")
-    a_hat, w = _spiked_draws(v, m, seed)
-    w[:, 0] *= math.sqrt(2.0)
-    b_hat = _gram(w, m)
+    a_hat, b_hat = _spiked_draws(v, m, seed, math.sqrt(2.0))
     b_true = np.diag([2.0] + [1.0] * (n - 1))
     pair = MatrixPair(a=4.0 * np.outer(v, v) + np.eye(n), b=b_true)
     spectrum = generalized_eig(pair)

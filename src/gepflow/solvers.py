@@ -89,7 +89,7 @@ class SolverConfig:
     stop_tol: float | None = 1e-9
 
     def __post_init__(self):
-        _typed(self, "max_iters")
+        _typed(max_iters=self.max_iters)
         if not 0 < self.step_size < math.inf:
             raise ValueError("step_size must be finite and positive")
         if self.max_iters < 1:
@@ -293,6 +293,7 @@ def rifle(
     Requires rho_t to stay positive (it divides the step); a nonpositive
     quotient raises NonPositiveRho at the offending iteration.
     """
+    _typed(s=s)
     a, b = _pair(a_hat, b_hat)
     if not 0 < eta_prime < math.inf:
         raise ValueError("eta_prime must be finite and positive")
@@ -351,6 +352,7 @@ def run_with_restarts(
     """
     if solver not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {solver!r}")
+    _typed(restarts=restarts, seed=seed)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     given = {"p": p, "s": s, "eta_prime": eta_prime}

@@ -13,11 +13,12 @@ in one unchunked pass, `reference_project_to_range` restates the latent
 Adam descent of the range prior with its decoder's forward and backward
 passes inline, `reference_lemma_checks` / `reference_lemma_suites`
 restate the three inequality checkers and the randomized suite draw by
-draw, and `reference_loglog_fit` is the rate fit's least-squares line
-written out from its centered sums. `exact_solve` is the dense solve's
-leading direction with a gap guard, the target the iterative solvers are
-scored against, and `lipschitz_upper_bound` is the product-of-layer-norms
-bound on a decoder's raw map.
+draw, `reference_instance_draws` restates the three instance generators'
+full-matrix arithmetic, and `reference_loglog_fit` is the rate fit's
+least-squares line written out from its centered sums. `exact_solve` is
+the dense solve's leading direction with a gap guard, the target the
+iterative solvers are scored against, and `lipschitz_upper_bound` is the
+product-of-layer-norms bound on a decoder's raw map.
 """
 
 from __future__ import annotations
@@ -297,6 +298,34 @@ def reference_draws(seed: int, stream: int, calls) -> list[np.ndarray]:
 def reference_normals(seed: int, stream: int, count: int) -> np.ndarray:
     """The first `count` normals of NormalStream(seed, stream), per the contract."""
     return reference_draws(seed, stream, [("normals", count)])[0]
+
+
+def reference_instance_draws(kind: str, v: np.ndarray, m: int, seed: int):
+    """(A_hat, B_hat) of a spiked, diag_b or phase_retrieval instance.
+
+    Restates the generators' sampling with whole m x n matrices, drawn by
+    `reference_draws` from stream 0 in the documented order: spiked and
+    diag_b draw gamma, then Z, then W (diag_b scales W's first column by
+    sqrt 2) and take x = 2 gamma v' + Z; phase retrieval draws W, then G,
+    and takes the rows g_i |g_i'v|. Each Gram is (X'X / m) symmetrized.
+    """
+
+    def gram(x):
+        g = x.T @ x / m
+        return (g + g.T) / 2.0
+
+    n = v.shape[0]
+    if kind == "phase_retrieval":
+        w, g = (d.reshape(m, n) for d in reference_draws(seed, 0, [("normals", m * n)] * 2))
+        y = (g @ v) ** 2
+        return gram(g * np.sqrt(y)[:, None]), gram(w)
+    calls = [("normals", m), ("normals", m * n), ("normals", m * n)]
+    gamma, z, w = reference_draws(seed, 0, calls)
+    x = 2.0 * np.outer(gamma, v) + z.reshape(m, n)
+    w = w.reshape(m, n)
+    if kind == "diag_b":
+        w[:, 0] *= math.sqrt(2.0)
+    return gram(x), gram(w)
 
 
 def reference_raw_decode(gen, z):

@@ -109,7 +109,7 @@ class TestSweepSpec:
     @pytest.mark.parametrize("m", [12.9, 50.0, True, "50"])
     def test_non_integer_m_refused(self, m):
         # int() used to read 12.9 as 12 and True as 1
-        with pytest.raises(ValueError, match="m_values must be integers"):
+        with pytest.raises(ValueError, match="m_values must be an integer"):
             self._base(m_values=(m, 100))
 
     def test_validation(self):

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gepflow.errors import TruthMissing
@@ -17,6 +20,7 @@ from gepflow.linalg import (
     spectral_norm,
 )
 from gepflow.problems import (
+    _BLOCK_ENTRIES,
     PerturbationReport,
     ProblemInstance,
     Truth,
@@ -28,6 +32,10 @@ from gepflow.problems import (
     verify_perturbation,
 )
 from gepflow.rng import NormalStream
+
+from oracles import reference_instance_draws
+
+GENERATORS = {"spiked": gen_spiked, "diag_b": gen_diag_b, "phase_retrieval": gen_phase_retrieval}
 
 
 def _unit(v):
@@ -184,6 +192,48 @@ class TestDiagB:
     def test_dimension_floor(self):
         with pytest.raises(ValueError):
             gen_diag_b(np.array([1.0]), 10, seed=1)
+
+
+@st.composite
+def _sizes(draw):
+    """(n, m) with m often one row short of, on, or one past a spike block edge."""
+    n = draw(st.integers(2, 160))
+    rows = max(1, _BLOCK_ENTRIES // n)
+    m = draw(
+        st.one_of(
+            st.sampled_from((rows - 1, rows, rows + 1, 2 * rows + 1)).filter(lambda m: m >= 1),
+            st.integers(1, 300),
+        )
+    )
+    return n, m
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(GENERATORS)), _sizes(), st.integers(0, 2**40))
+def test_instances_match_full_matrix_oracle_bytes(kind, size, seed):
+    n, m = size
+    v = _nonneg_unit(n, seed + 1)
+    inst = GENERATORS[kind](v, m, seed=seed)
+    a_hat, b_hat = reference_instance_draws(kind, v, m, seed)
+    assert inst.a_hat.tobytes() == a_hat.tobytes()
+    assert inst.b_hat.tobytes() == b_hat.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_generator_holds_one_sample_matrix(kind):
+    # One m x n matrix plus the draw chunks, the spike block and n x n
+    # arrays: about 1.15 matrices here. Holding Z and the spike term, or
+    # W, G and the scaled G, together would peak at 2 or 3.
+    n, m = 128, 4000
+    v = _nonneg_unit(n, 3)
+    GENERATORS[kind](v, 10, seed=0)  # warm the imports and caches
+    tracemalloc.start()
+    try:
+        GENERATORS[kind](v, m, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * m * n * 8
 
 
 class TestInstanceInvariants:

@@ -1,11 +1,13 @@
-"""The config dataclasses refuse a non-integer count when they are built.
+"""The config dataclasses refuse a non-integer count when they are built,
+and the plain solver functions when they are called.
 
-A float, bool or string in an integer field (or a bool or string in
-`learning_rate`) used to build, then die later with a TypeError inside
-Adam, a slice or `range`, or run silently wrong (`max_iters=True` was a
-one-iteration run). Each case here builds the config and runs the call it
-feeds in one `pytest.raises(ValueError)` block, so a TypeError from the
-run fails the test.
+A float, bool or string in an integer field or argument (or a bool or
+string in `learning_rate`) used to build, then die later with a TypeError
+inside Adam, a slice or `range`, or run silently wrong (`max_iters=True`
+was a one-iteration run, `restarts=True` one restart). Each case here
+builds the config and runs the call it feeds in one
+`pytest.raises(ValueError)` block, so a TypeError from the run fails the
+test.
 """
 
 from __future__ import annotations
@@ -17,8 +19,14 @@ from hypothesis import strategies as st
 
 from gepflow.generative import LatentProjectionConfig, random_mlp
 from gepflow.harness import SweepSpec, run_sweep
-from gepflow.priors import RangeProjector, SparseProjector, SphereProjector, project
-from gepflow.solvers import SolverConfig, run_with_restarts
+from gepflow.priors import (
+    RangeProjector,
+    SparseProjector,
+    SphereProjector,
+    project,
+    sparse_truncate,
+)
+from gepflow.solvers import SolverConfig, rifle, run_with_restarts
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -48,6 +56,29 @@ def _sweep(**fields):
     return run_sweep(SweepSpec(**{**SWEEP, **fields}))
 
 
+def _sweep_m(m_values):
+    return _sweep(m_values=(m_values,))
+
+
+def _restarts(**args):
+    args = {"restarts": 2, "seed": 0, **args}
+    cfg = SolverConfig(step_size=0.1, max_iters=5)
+    return run_with_restarts("prfm", np.eye(3), np.eye(3), cfg, p=SphereProjector(), **args)
+
+
+def _rifle(s):
+    return rifle(np.eye(6), np.eye(6), s, 1.0, SolverConfig(step_size=0.1, max_iters=5))
+
+
+def _rifle_restarts(s):
+    cfg = SolverConfig(step_size=0.1, max_iters=5)
+    return run_with_restarts("rifle", np.eye(6), np.eye(6), cfg, 2, 0, s=s, eta_prime=1.0)
+
+
+def _truncate(s):
+    return sparse_truncate(X, s)
+
+
 #: (field, the call it feeds); every field but learning_rate is an integer.
 INTEGER_FIELDS = [
     ("max_iters", _solve),
@@ -56,6 +87,12 @@ INTEGER_FIELDS = [
     ("seed", _range_project),
     ("s", _sparse_project),
     *((name, _sweep) for name in ("n", "trials", "restarts", "max_iters", "s", "base_seed")),
+    ("m_values", _sweep_m),
+    ("restarts", _restarts),
+    ("seed", _restarts),
+    ("s", _rifle),
+    ("s", _rifle_restarts),
+    ("s", _truncate),
 ]
 
 
@@ -82,6 +119,40 @@ def test_non_integer_refused_at_construction(run, field, value):
         run(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "run, field, value",
+    [
+        (_restarts, "restarts", 2.5),
+        (_restarts, "restarts", True),
+        (_restarts, "seed", 1.5),
+        (_rifle_restarts, "s", 2.5),
+    ],
+    ids=repr,
+)
+def test_run_with_restarts_refuses_non_integer_counts(run, field, value):
+    # restarts=2.5 died in range(), restarts=True ran one restart
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}"):
+        run(**{field: value})
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3"], ids=repr)
+def test_rifle_refuses_non_integer_s(value):
+    with pytest.raises(ValueError, match=f"^s must be an integer, got {value!r}"):
+        _rifle(value)
+
+
+@pytest.mark.parametrize("value", [1.5, True, "3"], ids=repr)
+def test_sparse_truncate_refuses_non_integer_s(value):
+    with pytest.raises(ValueError, match=f"^s must be an integer, got {value!r}"):
+        _truncate(value)
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3"], ids=repr)
+def test_sweep_m_values_refuse_non_integers(value):
+    with pytest.raises(ValueError, match=f"^m_values must be an integer, got {value!r}"):
+        _sweep_m(value)
+
+
 def test_numpy_integers_pass():
     spec = SweepSpec(**{**SWEEP, "n": np.int64(4), "trials": np.int32(1), "max_iters": np.int64(2)})
     assert run_sweep(spec, timing="zero") == run_sweep(SweepSpec(**SWEEP), timing="zero")
@@ -91,6 +162,15 @@ def test_numpy_integers_pass():
     assert _sparse_project(np.int64(2)).tobytes() == _sparse_project(2).tobytes()
     point = _range_project(steps=np.int64(2), seed=np.uint8(3))
     assert point.tobytes() == _range_project(steps=2, seed=3).tobytes()
+    spec = SweepSpec(**{**SWEEP, "m_values": (np.int64(20), np.int32(30))})
+    assert spec.m_values == (20, 30) and all(type(m) is int for m in spec.m_values)
+    assert run_sweep(spec, timing="zero") == run_sweep(
+        SweepSpec(**{**SWEEP, "m_values": (20, 30)}), timing="zero"
+    )
+    a = _restarts(restarts=np.int64(2), seed=np.uint32(4))
+    assert a.estimate.tobytes() == _restarts(restarts=2, seed=4).estimate.tobytes()
+    assert _rifle(np.int64(2))[0].tobytes() == _rifle(2)[0].tobytes()
+    assert _truncate(np.int8(3)).tobytes() == _truncate(3).tobytes()
 
 
 NOT_INTEGERS = st.one_of(
