@@ -297,6 +297,7 @@ def _cmd_solve(args) -> int:
     payload["objective"] = result.objective
     payload["estimate"] = [float(x) for x in result.estimate]
     payload["restart_failures"] = list(result.failures)
+    suffix = ""
     if truth_v is not None:
         cos = cosine_similarity(truth_v, result.estimate)
         payload["metrics"] = {
@@ -304,15 +305,10 @@ def _cmd_solve(args) -> int:
             "abs_cos_sim": abs(cos),
             "signed_dist_min": signed_distance(result.estimate, truth_v),
         }
-        print(
-            f"{args.solver}: restart {result.restart_index} objective "
-            f"{result.objective:.6g} |cos| {abs(cos):.4f}"
-        )
-    else:
-        print(
-            f"{args.solver}: restart {result.restart_index} objective "
-            f"{result.objective:.6g}"
-        )
+        suffix = f" |cos| {abs(cos):.4f}"
+    print(
+        f"{args.solver}: restart {result.restart_index} objective {result.objective:.6g}{suffix}"
+    )
     _write_json(args.out, payload, prov)
     return 0
 

@@ -298,19 +298,12 @@ def _objective_and_grad(gen: Generator, z: NDArray[np.float64], x: NDArray[np.fl
     return value, grad, point
 
 
-def project_to_range(
-    gen: Generator,
-    x,
-    cfg: LatentProjectionConfig,
-    *,
-    warm_starts: tuple = (),
-) -> RangeProjection:
+def project_to_range(gen: Generator, x, cfg: LatentProjectionConfig) -> RangeProjection:
     """Approximate the closest range point to `x` by Adam in latent space.
 
-    Runs `cfg.restarts` independent descents on z -> ||forward(gen, z) - x||^2
-    (more if extra `warm_starts` are supplied; warm starts fill the first
-    slots). Random starts are uniform in the ball of radius 0.9 * r, drawn
-    from NormalStream(cfg.seed, stream=restart_index). After every Adam step
+    Runs `cfg.restarts` independent descents on z -> ||forward(gen, z) - x||^2.
+    Each starts uniform in the ball of radius 0.9 * r, drawn from
+    NormalStream(cfg.seed, stream=restart_index). After every Adam step
     the iterate is clipped back into the radius-r ball. Returns the best
     point seen anywhere along any trajectory, so the achieved distance never
     exceeds the distance at any sampled start; ties keep the earliest
@@ -318,7 +311,7 @@ def project_to_range(
 
     Raises AllRestartsDegenerate only if every restart dies with
     DegenerateOutput before recording a candidate, and ValueError on a
-    non-finite target or warm start.
+    non-finite target.
     """
     xv = np.asarray(x, dtype=np.float64).reshape(-1)
     if xv.shape[0] != gen.output_dim:
@@ -328,26 +321,14 @@ def project_to_range(
 
     k = gen.latent_dim
     radius = gen.latent_radius
-    total = max(cfg.restarts, len(warm_starts))
     beta1, beta2, lr, eps = _ADAM_BETA1, _ADAM_BETA2, cfg.learning_rate, _ADAM_EPS
     keep1, keep2 = 1.0 - beta1, 1.0 - beta2
     # NaN compares false, so the first candidate is always taken; a later one
     # replaces the best unless its distance is >= the best's.
     best_distance, best_point, best_z, best_restart = math.nan, None, None, -1
 
-    for restart in range(total):
-        if restart < len(warm_starts):
-            z = np.asarray(warm_starts[restart], dtype=np.float64).reshape(-1)
-            if z.shape[0] != k:
-                raise ValueError("warm start has wrong latent dimension")
-            if not np.all(np.isfinite(z)):
-                raise ValueError("warm start has non-finite entries")
-            norm = float(np.linalg.norm(z))
-            if norm > radius:
-                z = z * (radius / norm)
-        else:
-            z = _random_start(cfg.seed, restart, k, radius)
-
+    for restart in range(cfg.restarts):
+        z = _random_start(cfg.seed, restart, k, radius)
         m = np.zeros(k)
         v = np.zeros(k)
         for step in range(cfg.steps + 1):  # step 0 evaluates the start
@@ -369,7 +350,7 @@ def project_to_range(
                 best_distance, best_point, best_z, best_restart = distance, point, z, restart
 
     if best_point is None:
-        raise AllRestartsDegenerate(f"all {total} restarts hit degenerate outputs")
+        raise AllRestartsDegenerate(f"all {cfg.restarts} restarts hit degenerate outputs")
     return RangeProjection(
         point=best_point.copy(),
         latent=best_z.copy(),

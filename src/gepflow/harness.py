@@ -13,6 +13,7 @@ role (0 instance draws, 1 truth-vector draw, 2 prior construction,
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
@@ -98,6 +99,9 @@ class SweepSpec:
     sphere). A {"prior": "subspace", "k": int} prior is built per cell,
     around that cell's truth vector; every other prior is built once per
     sweep and shared by all cells.
+
+    `eta`, `max_iters` and `stop_tol` are checked by building
+    `solver_config`, the one SolverConfig every cell's solves share.
     """
 
     kind: str
@@ -115,10 +119,7 @@ class SweepSpec:
     base_seed: int = 0
 
     def __post_init__(self):
-        _typed(
-            n=self.n, trials=self.trials, restarts=self.restarts,
-            max_iters=self.max_iters, base_seed=self.base_seed,
-        )
+        _typed(n=self.n, trials=self.trials, restarts=self.restarts, base_seed=self.base_seed)
         if self.s is not None:
             _typed(s=self.s)
         if self.kind not in KINDS:
@@ -140,20 +141,25 @@ class SweepSpec:
             raise ValueError("trials must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if not (0 < self.eta < math.inf and 0 < self.eta_prime < math.inf):
-            raise ValueError("eta and eta_prime must be finite and positive")
+        self.solver_config  # checks eta, max_iters and stop_tol
+        if not 0 < self.eta_prime < math.inf:
+            raise ValueError("eta_prime must be finite and positive")
         if "rifle" in sv and (self.s is None or self.s < 1):
             raise ValueError("rifle requires a positive sparsity level s")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.stop_tol is not None and not 0 <= self.stop_tol < math.inf:
-            raise ValueError("stop_tol must be None or finite and >= 0")
         if self.base_seed < 0:
             raise ValueError("base_seed must be >= 0")
         if self.prior is not None and (
             not isinstance(self.prior, dict) or self.prior.get("prior") not in PRIOR_NAMES
         ):
             raise ValueError("unrecognized prior spec")
+
+    @functools.cached_property
+    def solver_config(self) -> SolverConfig:
+        # A row reads only iterations_run, so the trace rows are skipped.
+        return SolverConfig(
+            step_size=self.eta, max_iters=self.max_iters, stop_tol=self.stop_tol,
+            record_trace=False,
+        )
 
 
 @dataclass(frozen=True)
@@ -193,14 +199,6 @@ def _run_cell(
     # for anisotropic B the two differ and the optimum is the honest target.
     truth_v = instance.truth.v_lead
     p = shared or projector_from_spec(spec.prior, truth=truth_v, seed=key + 2)
-
-    # A row reads only iterations_run, so the trace rows are skipped.
-    cfg = SolverConfig(
-        step_size=spec.eta,
-        max_iters=spec.max_iters,
-        stop_tol=spec.stop_tol,
-        record_trace=False,
-    )
     rows: list[ResultRow] = []
     for solver in spec.solvers:
         start = perf_counter()
@@ -209,7 +207,7 @@ def _run_cell(
                 solver,
                 instance.a_hat,
                 instance.b_hat,
-                cfg,
+                spec.solver_config,
                 spec.restarts,
                 key + 3,
                 p=p,

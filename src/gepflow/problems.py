@@ -41,6 +41,7 @@ from .linalg import (
     _fix_signs,
     _floats,
     _number,
+    _typed,
     as_sym_matrix,
     generalized_eig,
     matrix_from_json,
@@ -129,6 +130,15 @@ def _identity_b_truth(v: NDArray[np.float64], spike: float) -> Truth:
 _BLOCK_ENTRIES = 1 << 15
 
 
+def _sample_stream(m: int, seed: int) -> NormalStream:
+    """The draw stream of an m-sample instance, after checking that `m` and
+    `seed` are integers and m >= 1."""
+    _typed(m=m, seed=seed)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return NormalStream(seed, stream=0)
+
+
 def _gram(x: NDArray[np.float64], m: int) -> NDArray[np.float64]:
     g = x.T @ x / m
     return (g + g.T) / 2.0
@@ -143,9 +153,7 @@ def _spiked_draws(
     x is Z's own buffer with the spike added in row blocks, and it is
     released before W is drawn.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    stream = NormalStream(seed, stream=0)
+    stream = _sample_stream(m, seed)
     gamma = stream.normals(m)
     x = stream.matrix(m, v.shape[0])
     rows = max(1, _BLOCK_ENTRIES // v.shape[0])
@@ -172,9 +180,7 @@ def gen_phase_retrieval(v_star, m: int, seed: int) -> ProblemInstance:
     """Quadratic-measurement model: A_hat = mean (g'v*)^2 gg'; truth 2 v* v*' + I."""
     v = _unit_v(v_star)
     n = v.shape[0]
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    stream = NormalStream(seed, stream=0)
+    stream = _sample_stream(m, seed)
     b_hat = _gram(stream.matrix(m, n), m)
     g = stream.matrix(m, n)
     g *= np.sqrt((g @ v) ** 2)[:, None]  # each row g_i scaled by |g_i'v*|
@@ -256,6 +262,7 @@ def verify_perturbation(
     Probe vectors are uniform unit vectors, or random decoder range points
     when a generator is supplied (S1 drawn first, then S2, one stream).
     """
+    _typed(set_size=set_size, seed=seed)
     if instance.truth is None:
         raise TruthMissing("verify_perturbation needs an instance with truth")
     if set_size < 1:

@@ -31,7 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DegenerateGap, NonPositiveAlignment, RhoOutOfRange
-from .linalg import GeneralizedSpectrum, MatrixPair, generalized_eig
+from .linalg import GeneralizedSpectrum, MatrixPair, _typed, generalized_eig
 from .rng import NormalStream, map_words
 
 __all__ = [
@@ -313,6 +313,7 @@ def run_lemma_suites(draws: int = 10_000, seed: int = 0) -> tuple[LemmaSuiteResu
     observed, a float (negative slack would mean a violation beyond
     tolerance).
     """
+    _typed(draws=draws, seed=seed)
     if draws < 1:
         raise ValueError("draws must be >= 1")
     pairs = (draws + _SUITE_DRAWS_PER_PAIR - 1) // _SUITE_DRAWS_PER_PAIR

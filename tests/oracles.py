@@ -353,7 +353,7 @@ def reference_raw_decode(gen, z):
     return h, cache
 
 
-def reference_project_to_range(gen, x, cfg, warm_starts=()):
+def reference_project_to_range(gen, x, cfg):
     """`project_to_range` restated restart by restart, for byte comparison.
 
     Every product is written with @; each random start is a fresh
@@ -397,14 +397,8 @@ def reference_project_to_range(gen, x, cfg, warm_starts=()):
 
     b1, b2, eps = 0.9, 0.999, 1e-8
     best = None
-    for restart in range(max(cfg.restarts, len(warm_starts))):
-        if restart < len(warm_starts):
-            z = np.asarray(warm_starts[restart], dtype=np.float64).reshape(-1)
-            norm = float(np.linalg.norm(z))
-            if norm > r:
-                z = z * (r / norm)
-        else:
-            z = NormalStream(cfg.seed, stream=restart).ball_point(gen.latent_dim, 0.9 * r)
+    for restart in range(cfg.restarts):
+        z = NormalStream(cfg.seed, stream=restart).ball_point(gen.latent_dim, 0.9 * r)
         m = np.zeros(z.shape[0])
         v = np.zeros(z.shape[0])
         try:

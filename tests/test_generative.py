@@ -391,15 +391,6 @@ class TestProjectToRange:
                 grid_best = min(grid_best, float(np.linalg.norm(forward(gen, z) - x)))
         assert result.distance <= grid_best + 0.02
 
-    def test_warm_start_at_solution_wins(self):
-        gen = random_subspace(12, 3, seed=14)
-        z_true = np.array([0.7, -0.2, 0.4])
-        x = forward(gen, z_true)
-        cfg = LatentProjectionConfig(steps=5, restarts=2, seed=9)
-        result = project_to_range(gen, x, cfg, warm_starts=(z_true,))
-        assert result.restart_index == 0
-        assert result.distance <= 1e-9
-
     def test_deterministic(self):
         gen = random_mlp(8, 3, hidden=(5,), activation="relu", seed=61)
         x = NormalStream(62, stream=0).unit_vector(8)
@@ -420,14 +411,6 @@ class TestProjectToRange:
         coeff = gen.basis.T @ result.point
         assert_allclose(gen.basis @ coeff, result.point, atol=1e-9)
         assert_allclose(np.linalg.norm(result.point), 1.0, atol=1e-12)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_warm_start_rejected(self, bad):
-        gen = random_subspace(6, 2, seed=16)
-        with pytest.raises(ValueError, match="non-finite"):
-            project_to_range(
-                gen, np.ones(6), LatentProjectionConfig(seed=1), warm_starts=([0.5, bad],)
-            )
 
     def test_all_restarts_degenerate(self):
         dead = Layer(

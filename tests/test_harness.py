@@ -257,6 +257,27 @@ class TestRunSweep:
             assert [r.iterations for r in solver_rows] == [t.iterations_run for t in traces]
             assert all(t.rows == () for t in traces)
 
+    def test_cells_share_the_spec_solver_config(self, monkeypatch):
+        import gepflow.solvers as solvers_mod
+
+        real = solvers_mod.run_with_restarts
+        seen = []
+
+        def spy(solver, a_hat, b_hat, cfg, *args, **kwargs):
+            seen.append(cfg)
+            return real(solver, a_hat, b_hat, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_with_restarts", spy)
+        spec = SweepSpec(
+            kind="spiked", m_values=(40, 80), n=6, solvers=("prfm", "ppower"),
+            trials=2, restarts=2, max_iters=15,
+        )
+        for jobs in (1, 2):
+            run_sweep(spec, jobs=jobs)
+        assert len(seen) == 16
+        assert all(cfg is spec.solver_config for cfg in seen)
+        assert spec.solver_config.record_trace is False
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_model_read_once_per_sweep(self, tmp_path, monkeypatch, jobs):
         import json

@@ -4,6 +4,9 @@
 oracle `reference_loglog_fit` keeps the plain centered-sum formula it
 replaced. `summarize` takes its means and standard deviations from the
 same module; numpy's `mean` and `std(ddof=1)` are the second route there.
+`SweepSpec` leaves its step, iteration cap and stop tolerance to the
+`SolverConfig` it builds, so it refuses exactly the values that
+`SolverConfig` refuses, with the same error.
 """
 
 import math
@@ -12,7 +15,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gepflow.harness import ResultRow, fit_loglog_slope, summarize
+from gepflow.harness import ResultRow, SweepSpec, fit_loglog_slope, summarize
+from gepflow.solvers import SolverConfig
 from oracles import reference_loglog_fit
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -86,3 +90,27 @@ def test_summary_statistics_match_numpy(rows):
             assert abs(mean - np.mean(values)) <= 1e-15
             want_std = np.std(values, ddof=1) if len(values) > 1 else 0.0
             assert abs(std - want_std) <= 1e-15
+
+
+MIXED = (math.nan, math.inf, -math.inf, -1, 0, 0.1, 2.5, True, "3", None)
+#: SweepSpec field -> the SolverConfig field it becomes
+SOLVER_FIELDS = {"eta": "step_size", "max_iters": "max_iters", "stop_tol": "stop_tol"}
+
+
+def _refusal(build, **values):
+    try:
+        build(**values)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@PROPERTY_SETTINGS
+@given(st.dictionaries(st.sampled_from(tuple(SOLVER_FIELDS)), st.sampled_from(MIXED)))
+def test_sweep_spec_refuses_solver_values_as_solver_config_does(values):
+    spec_refusal = _refusal(
+        SweepSpec, kind="spiked", m_values=(20,), n=4, solvers=("prfm",), trials=1, **values
+    )
+    config = {"step_size": 0.1, "max_iters": 5}
+    config.update({SOLVER_FIELDS[name]: value for name, value in values.items()})
+    assert spec_refusal == _refusal(SolverConfig, **config)

@@ -1,10 +1,12 @@
 """The config dataclasses refuse a non-integer count when they are built,
-and the plain solver functions when they are called.
+and the plain solver functions, the instance generators, `run_lemma_suites`
+and `verify_perturbation` when they are called.
 
 A float, bool or string in an integer field or argument (or a bool or
 string in `learning_rate`) used to build, then die later with a TypeError
 inside Adam, a slice or `range`, or run silently wrong (`max_iters=True`
-was a one-iteration run, `restarts=True` one restart). Each case here
+was a one-iteration run, `restarts=True` one restart, `seed=2.5` ran
+seed 2 and a generator recorded 2.5). Each case here
 builds the config and runs the call it feeds in one
 `pytest.raises(ValueError)` block, so a TypeError from the run fails the
 test.
@@ -26,11 +28,14 @@ from gepflow.priors import (
     project,
     sparse_truncate,
 )
+from gepflow.problems import gen_diag_b, gen_phase_retrieval, gen_spiked, verify_perturbation
 from gepflow.solvers import SolverConfig, rifle, run_with_restarts
+from gepflow.theory import run_lemma_suites
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
 X = np.arange(6.0)
+V = np.full(4, 0.5)
 SWEEP = dict(
     kind="spiked", m_values=(20,), n=4, solvers=("prfm",), trials=1, restarts=1, max_iters=2
 )
@@ -79,6 +84,25 @@ def _truncate(s):
     return sparse_truncate(X, s)
 
 
+def _generator(gen):
+    def run(**args):
+        return gen(V, **{"m": 20, "seed": 0, **args})
+
+    run.__name__ = gen.__name__
+    return run
+
+
+GENERATE = [_generator(gen) for gen in (gen_spiked, gen_phase_retrieval, gen_diag_b)]
+
+
+def _lemmas(**args):
+    return run_lemma_suites(**{"draws": 20, "seed": 0, **args})
+
+
+def _verify(**args):
+    return verify_perturbation(gen_spiked(V, 20, 0), **{"set_size": 5, "seed": 0, **args})
+
+
 #: (field, the call it feeds); every field but learning_rate is an integer.
 INTEGER_FIELDS = [
     ("max_iters", _solve),
@@ -93,6 +117,11 @@ INTEGER_FIELDS = [
     ("s", _rifle),
     ("s", _rifle_restarts),
     ("s", _truncate),
+    *((name, run) for run in GENERATE for name in ("m", "seed")),
+    ("draws", _lemmas),
+    ("seed", _lemmas),
+    ("set_size", _verify),
+    ("seed", _verify),
 ]
 
 
@@ -153,6 +182,27 @@ def test_sweep_m_values_refuse_non_integers(value):
         _sweep_m(value)
 
 
+@pytest.mark.parametrize(
+    "run, field, value",
+    [
+        (GENERATE[0], "seed", 2.5),
+        (GENERATE[0], "m", 20.0),
+        (GENERATE[0], "m", True),
+        (_lemmas, "seed", 2.5),
+        (_lemmas, "draws", 2.5),
+        (_lemmas, "draws", True),
+        (_verify, "seed", 2.5),
+        (_verify, "set_size", 2.5),
+    ],
+    ids=lambda v: getattr(v, "__name__", repr(v)),
+)
+def test_generator_suite_and_probe_counts_refuse_non_integers(run, field, value):
+    # seed=2.5 ran seed 2 (a generator recorded 2.5) and draws=True one
+    # draw; m=20.0, m=True, draws=2.5 and set_size=2.5 died with a TypeError
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}"):
+        run(**{field: value})
+
+
 def test_numpy_integers_pass():
     spec = SweepSpec(**{**SWEEP, "n": np.int64(4), "trials": np.int32(1), "max_iters": np.int64(2)})
     assert run_sweep(spec, timing="zero") == run_sweep(SweepSpec(**SWEEP), timing="zero")
@@ -171,6 +221,11 @@ def test_numpy_integers_pass():
     assert a.estimate.tobytes() == _restarts(restarts=2, seed=4).estimate.tobytes()
     assert _rifle(np.int64(2))[0].tobytes() == _rifle(2)[0].tobytes()
     assert _truncate(np.int8(3)).tobytes() == _truncate(3).tobytes()
+    for run in GENERATE:
+        a, b = run(m=np.int64(20), seed=np.uint8(3)), run(m=20, seed=3)
+        assert a.a_hat.tobytes() == b.a_hat.tobytes() and a.b_hat.tobytes() == b.b_hat.tobytes()
+    assert _lemmas(draws=np.int64(20), seed=np.int32(1)) == _lemmas(draws=20, seed=1)
+    assert _verify(set_size=np.int64(5), seed=np.int8(2)) == _verify(set_size=5, seed=2)
 
 
 NOT_INTEGERS = st.one_of(
