@@ -244,6 +244,7 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1, timing: str = "real") -> list[R
     timing="zero" blanks the wall_ms column so output files can be compared
     byte-for-byte across machines and parallelism degrees.
     """
+    _typed(jobs=jobs)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if timing not in ("real", "zero"):

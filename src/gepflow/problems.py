@@ -5,12 +5,13 @@ in a fixed documented order — spike coefficients gamma (m scalars), then the
 spike-noise matrix Z (m x n, row-major), then the B-side sample matrix W
 (m x n), then the measurement matrix G (m x n) — skipping draws the model
 does not use. This makes instances bit-reproducible from (kind, v*, m, seed)
-alone.
+alone. Drawing each matrix in row blocks leaves this order unchanged.
 
-Memory: a generator holds at most one m x n sample matrix at a time (plus
-draw chunks, one block of spike rows and n x n arrays). The spike is added
-into Z's buffer in row blocks, and each matrix is reduced to its Gram
-matrix and released before the next one is drawn.
+Memory: a generator holds one row block of a sample matrix at a time (plus
+draw chunks and n x n arrays), never a whole m x n matrix. A block has
+rows(n) = max(2, 2^15 // n rounded down to even) rows, changed in place by
+the spike or row scaling; each Gram is the in-order sum of the blocks'
+X_b' X_b, divided by m and symmetrized, so m <= rows(n) makes one block.
 
 Models:
 
@@ -125,8 +126,7 @@ def _identity_b_truth(v: NDArray[np.float64], spike: float) -> Truth:
     return Truth(pair=pair, v_star=v, lambda1=spike + 1.0, lambda2=1.0, v_lead=v_lead)
 
 
-#: Entries per row block when the spike is added into Z; adding all of
-#: 2 gamma v' at once would make a whole m x n temporary.
+#: Entries per row block of a sample matrix; see "Memory" above.
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -139,8 +139,19 @@ def _sample_stream(m: int, seed: int) -> NormalStream:
     return NormalStream(seed, stream=0)
 
 
-def _gram(x: NDArray[np.float64], m: int) -> NDArray[np.float64]:
-    g = x.T @ x / m
+def _block_gram(stream: NormalStream, m: int, n: int, fill=None) -> NDArray[np.float64]:
+    """Symmetrized X'X / m of the next m x n normal matrix X of `stream`,
+    drawn and summed in blocks of an even row count (so the stream moves as
+    one `stream.matrix(m, n)` call would); `fill(block, lo)` may change each
+    block, X's rows lo onward, in place first."""
+    rows = max(2, (_BLOCK_ENTRIES // n) & ~1)
+    g = np.zeros((n, n))
+    for lo in range(0, m, rows):
+        block = stream.matrix(min(rows, m - lo), n)
+        if fill is not None:
+            fill(block, lo)
+        g += block.T @ block
+    g /= m
     return (g + g.T) / 2.0
 
 
@@ -148,22 +159,20 @@ def _spiked_draws(
     v, m: int, seed: int, w0_scale: float = 1.0
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """A_hat of x_i = 2 gamma_i v + z_i, and B_hat of the samples w_i with
-    their first coordinate scaled by w0_scale (1.0 leaves every bit).
-
-    x is Z's own buffer with the spike added in row blocks, and it is
-    released before W is drawn.
-    """
+    their first coordinate scaled by w0_scale (1.0 leaves every bit)."""
     stream = _sample_stream(m, seed)
     gamma = stream.normals(m)
-    x = stream.matrix(m, v.shape[0])
-    rows = max(1, _BLOCK_ENTRIES // v.shape[0])
-    for lo in range(0, m, rows):
-        x[lo : lo + rows] += 2.0 * np.outer(gamma[lo : lo + rows], v)
-    a_hat = _gram(x, m)
-    del x
-    w = stream.matrix(m, v.shape[0])
-    w[:, 0] *= w0_scale
-    return a_hat, _gram(w, m)
+
+    def add_spike(z, lo):
+        spike = np.outer(gamma[lo : lo + z.shape[0]], v)
+        spike *= 2.0
+        z += spike
+
+    def scale_w0(w, lo):
+        w[:, 0] *= w0_scale
+
+    n = v.shape[0]
+    return _block_gram(stream, m, n, add_spike), _block_gram(stream, m, n, scale_w0)
 
 
 def gen_spiked(v_star, m: int, seed: int) -> ProblemInstance:
@@ -181,11 +190,12 @@ def gen_phase_retrieval(v_star, m: int, seed: int) -> ProblemInstance:
     v = _unit_v(v_star)
     n = v.shape[0]
     stream = _sample_stream(m, seed)
-    b_hat = _gram(stream.matrix(m, n), m)
-    g = stream.matrix(m, n)
-    g *= np.sqrt((g @ v) ** 2)[:, None]  # each row g_i scaled by |g_i'v*|
-    a_hat = _gram(g, m)
-    del g  # the truth and the instance checks below need only n x n arrays
+    b_hat = _block_gram(stream, m, n)
+
+    def scale_rows(g, lo):
+        g *= np.sqrt((g @ v) ** 2)[:, None]  # each row g_i scaled by |g_i'v*|
+
+    a_hat = _block_gram(stream, m, n, scale_rows)
     return ProblemInstance(
         a_hat=a_hat, b_hat=b_hat, truth=_identity_b_truth(v, 2.0), m=m,
         kind="phase_retrieval", seed=seed,

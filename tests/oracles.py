@@ -14,11 +14,12 @@ Adam descent of the range prior with its decoder's forward and backward
 passes inline, `reference_lemma_checks` / `reference_lemma_suites`
 restate the three inequality checkers and the randomized suite draw by
 draw, `reference_instance_draws` restates the three instance generators'
-full-matrix arithmetic, and `reference_loglog_fit` is the rate fit's
-least-squares line written out from its centered sums. `exact_solve` is
-the dense solve's leading direction with a gap guard, the target the
-iterative solvers are scored against, and `lipschitz_upper_bound` is the
-product-of-layer-norms bound on a decoder's raw map.
+row-block arithmetic on whole matrices, and `reference_loglog_fit` is the
+rate fit's least-squares line written out from its centered sums.
+`exact_solve` is the dense solve's leading direction with a gap guard, the
+target the iterative solvers are scored against, and
+`lipschitz_upper_bound` is the product-of-layer-norms bound on a decoder's
+raw map.
 """
 
 from __future__ import annotations
@@ -300,24 +301,35 @@ def reference_normals(seed: int, stream: int, count: int) -> np.ndarray:
     return reference_draws(seed, stream, [("normals", count)])[0]
 
 
-def reference_instance_draws(kind: str, v: np.ndarray, m: int, seed: int):
+def reference_instance_draws(kind: str, v: np.ndarray, m: int, seed: int, rows=None):
     """(A_hat, B_hat) of a spiked, diag_b or phase_retrieval instance.
 
     Restates the generators' sampling with whole m x n matrices, drawn by
     `reference_draws` from stream 0 in the documented order: spiked and
     diag_b draw gamma, then Z, then W (diag_b scales W's first column by
     sqrt 2) and take x = 2 gamma v' + Z; phase retrieval draws W, then G,
-    and takes the rows g_i |g_i'v|. Each Gram is (X'X / m) symmetrized.
+    and takes the rows g_i |g_i'v|. Each Gram is the in-order sum of
+    X[lo:hi]' X[lo:hi] over row blocks of `rows` rows, by default the
+    documented rows(n) = max(2, 2^15 // n rounded down to even), then / m,
+    then symmetrized; rows=m gives the full-matrix Gram X'X / m. The
+    products g_i'v are taken per block too, because the last bits of a
+    BLAS matrix-vector product depend on its row count.
     """
+    n = v.shape[0]
+    if rows is None:
+        rows = max(2, (2**15 // n) & ~1)
+    blocks = [slice(lo, lo + rows) for lo in range(0, m, rows)]
 
     def gram(x):
-        g = x.T @ x / m
+        g = np.zeros((n, n))
+        for b in blocks:
+            g += x[b].T @ x[b]
+        g /= m
         return (g + g.T) / 2.0
 
-    n = v.shape[0]
     if kind == "phase_retrieval":
         w, g = (d.reshape(m, n) for d in reference_draws(seed, 0, [("normals", m * n)] * 2))
-        y = (g @ v) ** 2
+        y = np.concatenate([g[b] @ v for b in blocks]) ** 2
         return gram(g * np.sqrt(y)[:, None]), gram(w)
     calls = [("normals", m), ("normals", m * n), ("normals", m * n)]
     gamma, z, w = reference_draws(seed, 0, calls)

@@ -24,6 +24,7 @@ from gepflow.problems import (
     PerturbationReport,
     ProblemInstance,
     Truth,
+    _block_gram,
     gen_diag_b,
     gen_phase_retrieval,
     gen_spiked,
@@ -194,14 +195,18 @@ class TestDiagB:
             gen_diag_b(np.array([1.0]), 10, seed=1)
 
 
+def _rows(n):
+    return max(2, (_BLOCK_ENTRIES // n) & ~1)
+
+
 @st.composite
 def _sizes(draw):
-    """(n, m) with m often one row short of, on, or one past a spike block edge."""
+    """(n, m) with m often one row short of, on, or one past a Gram block edge."""
     n = draw(st.integers(2, 160))
-    rows = max(1, _BLOCK_ENTRIES // n)
+    rows = _rows(n)
     m = draw(
         st.one_of(
-            st.sampled_from((rows - 1, rows, rows + 1, 2 * rows + 1)).filter(lambda m: m >= 1),
+            st.sampled_from((rows - 1, rows, rows + 1, 2 * rows + 1)),
             st.integers(1, 300),
         )
     )
@@ -210,7 +215,7 @@ def _sizes(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(GENERATORS)), _sizes(), st.integers(0, 2**40))
-def test_instances_match_full_matrix_oracle_bytes(kind, size, seed):
+def test_instances_match_block_gram_oracle_bytes(kind, size, seed):
     n, m = size
     v = _nonneg_unit(n, seed + 1)
     inst = GENERATORS[kind](v, m, seed=seed)
@@ -219,21 +224,58 @@ def test_instances_match_full_matrix_oracle_bytes(kind, size, seed):
     assert inst.b_hat.tobytes() == b_hat.tobytes()
 
 
-@pytest.mark.parametrize("kind", sorted(GENERATORS))
-def test_generator_holds_one_sample_matrix(kind):
-    # One m x n matrix plus the draw chunks, the spike block and n x n
-    # arrays: about 1.15 matrices here. Holding Z and the spike term, or
-    # W, G and the scaled G, together would peak at 2 or 3.
-    n, m = 128, 4000
-    v = _nonneg_unit(n, 3)
-    GENERATORS[kind](v, 10, seed=0)  # warm the imports and caches
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(GENERATORS)), _sizes(), st.integers(0, 2**40))
+def test_instances_match_full_matrix_gram(kind, size, seed):
+    # One block is the full-matrix Gram X'X / m itself; more blocks only
+    # move the summation order.
+    n, m = size
+    v = _nonneg_unit(n, seed + 1)
+    inst = GENERATORS[kind](v, m, seed=seed)
+    full = reference_instance_draws(kind, v, m, seed, rows=m)
+    for got, want in zip((inst.a_hat, inst.b_hat), full):
+        if m <= _rows(n):
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n, blocks", [(113, 3), (5, 3), (7, 4)])  # 2^15 // n is odd
+def test_row_blocks_concatenate_to_one_matrix_draw(n, blocks):
+    rows = _rows(n)
+    m = (blocks - 1) * rows + 3  # an odd last block: m * n is odd
+    stream = NormalStream(4, stream=0)
+    stream.normals(m)  # gamma
+    seen = []
+    _block_gram(stream, m, n, lambda block, lo: seen.append((lo, block.copy())))
+    whole = NormalStream(4, stream=0)
+    whole.normals(m)
+    assert [lo for lo, _ in seen] == list(range(0, m, rows))
+    assert np.concatenate([b for _, b in seen]).tobytes() == whole.matrix(m, n).tobytes()
+    assert stream.normals(3).tobytes() == whole.normals(3).tobytes()  # same next draw
+
+
+def _traced_peak(call):
     tracemalloc.start()
     try:
-        GENERATORS[kind](v, m, seed=0)
+        call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.3 * m * n * 8
+    return peak
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_generator_memory_does_not_grow_with_m(kind):
+    # One row block of 256 x 128 plus draw chunks and n x n arrays: about
+    # 0.3 to 0.42 of one 4000 x 128 matrix. Only spiked's gamma (m
+    # scalars) grows with m.
+    n = 128
+    v = _nonneg_unit(n, 3)
+    GENERATORS[kind](v, 10, seed=0)  # warm the imports and caches
+    peak = {m: _traced_peak(lambda: GENERATORS[kind](v, m, seed=0)) for m in (4000, 16000)}
+    assert peak[4000] < 0.5 * 4000 * n * 8
+    assert peak[16000] <= 1.15 * peak[4000]
 
 
 class TestInstanceInvariants:

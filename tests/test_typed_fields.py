@@ -1,6 +1,6 @@
 """The config dataclasses refuse a non-integer count when they are built,
-and the plain solver functions, the instance generators, `run_lemma_suites`
-and `verify_perturbation` when they are called.
+and the plain solver functions, the instance generators, `run_lemma_suites`,
+`verify_perturbation` and `run_sweep`'s `jobs` when they are called.
 
 A float, bool or string in an integer field or argument (or a bool or
 string in `learning_rate`) used to build, then die later with a TypeError
@@ -65,6 +65,10 @@ def _sweep_m(m_values):
     return _sweep(m_values=(m_values,))
 
 
+def _sweep_jobs(jobs):
+    return run_sweep(SweepSpec(**SWEEP), jobs=jobs, timing="zero")
+
+
 def _restarts(**args):
     args = {"restarts": 2, "seed": 0, **args}
     cfg = SolverConfig(step_size=0.1, max_iters=5)
@@ -112,6 +116,7 @@ INTEGER_FIELDS = [
     ("s", _sparse_project),
     *((name, _sweep) for name in ("n", "trials", "restarts", "max_iters", "s", "base_seed")),
     ("m_values", _sweep_m),
+    ("jobs", _sweep_jobs),
     ("restarts", _restarts),
     ("seed", _restarts),
     ("s", _rifle),
@@ -156,7 +161,7 @@ def test_non_integer_refused_at_construction(run, field, value):
         (_restarts, "seed", 1.5),
         (_rifle_restarts, "s", 2.5),
     ],
-    ids=repr,
+    ids=lambda v: getattr(v, "__name__", repr(v)),
 )
 def test_run_with_restarts_refuses_non_integer_counts(run, field, value):
     # restarts=2.5 died in range(), restarts=True ran one restart
@@ -180,6 +185,14 @@ def test_sparse_truncate_refuses_non_integer_s(value):
 def test_sweep_m_values_refuse_non_integers(value):
     with pytest.raises(ValueError, match=f"^m_values must be an integer, got {value!r}"):
         _sweep_m(value)
+
+
+@pytest.mark.parametrize("value", [2.5, True, "2"], ids=repr)
+def test_run_sweep_refuses_non_integer_jobs(value):
+    # jobs=2.5 ran a pool of max_workers=2.5, jobs=True ran serially and
+    # jobs="2" died with a TypeError from the comparison
+    with pytest.raises(ValueError, match=f"^jobs must be an integer, got {value!r}"):
+        _sweep_jobs(value)
 
 
 @pytest.mark.parametrize(
@@ -226,6 +239,7 @@ def test_numpy_integers_pass():
         assert a.a_hat.tobytes() == b.a_hat.tobytes() and a.b_hat.tobytes() == b.b_hat.tobytes()
     assert _lemmas(draws=np.int64(20), seed=np.int32(1)) == _lemmas(draws=20, seed=1)
     assert _verify(set_size=np.int64(5), seed=np.int8(2)) == _verify(set_size=5, seed=2)
+    assert _sweep_jobs(np.int64(2)) == _sweep_jobs(1)
 
 
 NOT_INTEGERS = st.one_of(
