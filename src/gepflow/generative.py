@@ -214,29 +214,20 @@ def _clamp_latent(gen: Generator, z) -> NDArray[np.float64]:
     return zv
 
 
-def _activate(name: str, x: NDArray[np.float64]) -> NDArray[np.float64]:
-    if name == "relu":
-        return np.maximum(x, 0.0)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-x))
-    return x
-
-
-def _activate_grad(name: str, pre: NDArray[np.float64], post: NDArray[np.float64]):
-    if name == "relu":
-        # Subgradient at exactly 0 is taken as 0.
-        return (pre > 0.0).astype(np.float64)
-    return post * (1.0 - post)  # sigmoid; identity layers skip the multiply
-
-
 def _decode(gen: Generator, z):
     """Clamp z into the latent ball, run the layers and normalize:
     (output, raw output norm, per-layer (pre, post) activations)."""
     h = _clamp_latent(gen, z)
     cache = []
     for layer in gen.layers:
-        pre = layer.weight.dot(h) + layer.bias
-        h = _activate(layer.activation, pre)
+        pre = layer.weight.dot(h)
+        pre += layer.bias
+        if layer.activation == "relu":
+            h = np.maximum(pre, 0.0)
+        elif layer.activation == "sigmoid":
+            h = 1.0 / (1.0 + np.exp(-pre))
+        else:
+            h = pre
         cache.append((pre, h))
     norm = math.sqrt(float(h.dot(h)))
     if not MIN_NORM_DEFAULT < norm < math.inf:  # NaN fails too
@@ -268,8 +259,10 @@ def backward(gen: Generator, z, cotangent) -> NDArray[np.float64]:
         raise ValueError(f"cotangent has length {cot.shape[0]}, expected {gen.output_dim}")
     grad = (cot - float(out.dot(cot)) * out) / norm
     for layer, (pre, post) in zip(reversed(gen.layers), reversed(cache)):
-        if layer.activation != "identity":
-            grad = grad * _activate_grad(layer.activation, pre, post)
+        if layer.activation == "relu":
+            grad = grad * (pre > 0.0)  # the mask casts to 1.0/0.0: subgradient 0 at kinks
+        elif layer.activation == "sigmoid":
+            grad = grad * (post * (1.0 - post))
         grad = layer.weight.T.dot(grad)
     return grad
 
@@ -309,6 +302,12 @@ def project_to_range(gen: Generator, x, cfg: LatentProjectionConfig) -> RangePro
     exceeds the distance at any sampled start; ties keep the earliest
     (lowest restart, earliest step) candidate.
 
+    The restarts advance together, as the rows of one block: Adam updates
+    every live row at once, elementwise, and each row is clipped, decoded
+    by one `forward` and one `backward` call on its own latent, and dropped
+    when it dies. So each row's arithmetic is a lone descent's, and the
+    result equals that of running the restarts one at a time.
+
     Raises AllRestartsDegenerate only if every restart dies with
     DegenerateOutput before recording a candidate, and ValueError on a
     non-finite target.
@@ -319,43 +318,55 @@ def project_to_range(gen: Generator, x, cfg: LatentProjectionConfig) -> RangePro
     if not np.all(np.isfinite(xv)):
         raise ValueError("target has non-finite entries")
 
-    k = gen.latent_dim
     radius = gen.latent_radius
     beta1, beta2, lr, eps = _ADAM_BETA1, _ADAM_BETA2, cfg.learning_rate, _ADAM_EPS
     keep1, keep2 = 1.0 - beta1, 1.0 - beta2
-    # NaN compares false, so the first candidate is always taken; a later one
-    # replaces the best unless its distance is >= the best's.
-    best_distance, best_point, best_z, best_restart = math.nan, None, None, -1
+    z = np.stack([_random_start(cfg.seed, i, gen.latent_dim, radius) for i in range(cfg.restarts)])
+    m = np.zeros_like(z)
+    v = np.zeros_like(z)
+    grad = np.empty_like(z)
+    live = list(range(cfg.restarts))  # the restart behind each row
+    # Each restart's first minimal candidate (distance, point, latent): NaN
+    # compares false, so its first candidate is always taken. The latent is
+    # a row of z, safe to keep because every step builds a new z.
+    best = [(math.nan, None, None)] * cfg.restarts
 
-    for restart in range(cfg.restarts):
-        z = _random_start(cfg.seed, restart, k, radius)
-        m = np.zeros(k)
-        v = np.zeros(k)
-        for step in range(cfg.steps + 1):  # step 0 evaluates the start
-            if step:
-                m = beta1 * m + keep1 * grad
-                v = beta2 * v + keep2 * grad * grad
-                m_hat = m / (1.0 - beta1**step)
-                v_hat = v / (1.0 - beta2**step)
-                z = z - lr * m_hat / (np.sqrt(v_hat) + eps)
-                norm = math.sqrt(float(z.dot(z)))
+    for step in range(cfg.steps + 1):  # step 0 evaluates the starts
+        if step:
+            m = beta1 * m + keep1 * grad
+            v = beta2 * v + keep2 * grad * grad
+            m_hat = m / (1.0 - beta1**step)
+            v_hat = v / (1.0 - beta2**step)
+            z = z - lr * m_hat / (np.sqrt(v_hat) + eps)
+            for row in z:
+                norm = math.sqrt(float(row.dot(row)))
                 if norm > radius:
-                    z = z * (radius / norm)
+                    row *= radius / norm
+        dead = []
+        for i, (restart, row) in enumerate(zip(live, z)):
             try:
-                value, grad, point = _objective_and_grad(gen, z, xv)
+                value, grad[i], point = _objective_and_grad(gen, row, xv)
             except DegenerateOutput:
-                break
+                dead.append(i)
+                continue
             distance = math.sqrt(max(value, 0.0))
-            if not distance >= best_distance:
-                best_distance, best_point, best_z, best_restart = distance, point, z, restart
+            if not distance >= best[restart][0]:
+                best[restart] = (distance, point, row)
+        if dead:
+            rows = [i for i in range(len(live)) if i not in dead]
+            z, m, v, grad = z[rows], m[rows], v[rows], grad[rows]
+            live = [live[i] for i in rows]
+            if not live:
+                break
 
-    if best_point is None:
+    found = [(d, p, zb, restart) for restart, (d, p, zb) in enumerate(best) if p is not None]
+    if not found:
         raise AllRestartsDegenerate(f"all {cfg.restarts} restarts hit degenerate outputs")
+    # Distances are never NaN (the point and the target are finite), so the
+    # first minimum in restart order is the one-restart-at-a-time winner.
+    distance, point, latent, restart = min(found, key=lambda c: c[0])
     return RangeProjection(
-        point=best_point.copy(),
-        latent=best_z.copy(),
-        distance=best_distance,
-        restart_index=best_restart,
+        point=point.copy(), latent=latent.copy(), distance=distance, restart_index=restart
     )
 
 
@@ -389,6 +400,8 @@ def random_mlp(
     The final layer uses the identity activation so outputs are not confined
     to an orthant; earlier layers use `activation`.
     """
+    _typed(output_dim=output_dim, latent_dim=latent_dim)
+    _typed(**{f"hidden[{i}]": width for i, width in enumerate(hidden)})
     if latent_dim >= output_dim:
         raise ValueError("latent_dim must be smaller than output_dim")
     stream = NormalStream(seed, stream=0)
@@ -413,6 +426,7 @@ def _orthonormalize(columns: NDArray[np.float64]) -> NDArray[np.float64]:
 def random_subspace(output_dim: int, latent_dim: int, *, seed: int = 0) -> SubspaceGenerator:
     """Uniformly random orthonormal basis (QR of a Gaussian matrix) with
     latent radius `default_latent_radius(latent_dim)`."""
+    _typed(output_dim=output_dim, latent_dim=latent_dim)
     raw = NormalStream(seed, stream=0).matrix(output_dim, latent_dim)
     return SubspaceGenerator(
         basis=_orthonormalize(raw), latent_radius=default_latent_radius(latent_dim)
@@ -426,6 +440,7 @@ def subspace_containing(vector, latent_dim: int, *, seed: int = 0) -> SubspaceGe
     latent_dim - 1 columns complete it with seeded Gaussian draws. The latent
     radius is `default_latent_radius(latent_dim)`.
     """
+    _typed(latent_dim=latent_dim)
     v = np.asarray(vector, dtype=np.float64).reshape(-1)
     norm = float(np.linalg.norm(v))
     if norm <= 1e-12:

@@ -47,6 +47,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
+from .linalg import _typed
+
 _U64 = np.uint64
 _SHIFT = _U64(11)
 _SCALE = 2.0**-53
@@ -95,9 +97,13 @@ class NormalStream:
     stream : int
         Substream id; reduced mod 2^64 into the second key word. Distinct
         (seed, stream) pairs give statistically independent streams.
+
+    Both must be integers (numpy integers included, `bool` not); anything
+    else is a ValueError naming the argument.
     """
 
     def __init__(self, seed: int, stream: int = 0):
+        _typed(seed=seed, stream=stream)
         self.seed = int(seed)
         self.stream = int(stream)
         key = np.array([self.seed % 2**64, self.stream % 2**64], dtype=_U64)

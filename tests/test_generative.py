@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gepflow import generative
 from gepflow.errors import AllRestartsDegenerate, DegenerateOutput, DegenerateProjection
 from gepflow.generative import (
     _random_start,
@@ -33,7 +34,12 @@ from gepflow.generative import (
 from gepflow.priors import RangeProjector, project, projector_from_spec
 from gepflow.rng import NormalStream
 
-from oracles import finite_difference_gradient, lipschitz_upper_bound, reference_raw_decode
+from oracles import (
+    finite_difference_gradient,
+    lipschitz_upper_bound,
+    reference_project_to_range,
+    reference_raw_decode,
+)
 
 
 def _unit(v):
@@ -434,6 +440,100 @@ def _overflowing_mlp() -> MlpGenerator:
         for layer in gen.layers
     )
     return MlpGenerator(layers=layers, latent_radius=gen.latent_radius)
+
+
+def _two_threshold_decoder(t1: float, t2: float) -> MlpGenerator:
+    """k = 1, n = 2: raw output (relu(z - t1), relu(z - t2)), so a latent at
+    or below t1 dies, one in (t1, t2] decodes to e1 with zero gradient, and
+    one above t2 turns toward (1, 1)."""
+    hidden = Layer(weight=np.ones((2, 1)), bias=np.array([-t1, -t2]), activation="relu")
+    top = Layer(weight=np.eye(2), bias=np.zeros(2), activation="identity")
+    return MlpGenerator(layers=(hidden, top), latent_radius=1.0)
+
+
+def _count_calls(monkeypatch, name: str) -> dict:
+    """Wrap gepflow.generative.<name> to count its calls and those that raised."""
+    tally = {"calls": 0, "raised": 0}
+    inner = getattr(generative, name)
+
+    def counted(*args):
+        tally["calls"] += 1
+        try:
+            return inner(*args)
+        except DegenerateOutput:
+            tally["raised"] += 1
+            raise
+
+    monkeypatch.setattr(generative, name, counted)
+    return tally
+
+
+def _same_projection(got, oracle) -> bool:
+    point, latent, distance, restart = oracle
+    return (
+        got.point.tobytes() == point.tobytes()
+        and got.latent.tobytes() == latent.tobytes()
+        and got.distance.hex() == distance.hex()
+        and got.restart_index == restart
+    )
+
+
+class TestLockstepRestarts:
+    """The restarts advance together and still pick the sequential scan's winner."""
+
+    def test_constant_decoder_ties_go_to_restart_zero_start(self):
+        bias = np.array([0.5, -1.0, 2.0])
+        gen = MlpGenerator(
+            layers=(Layer(weight=np.zeros((3, 2)), bias=bias, activation="identity"),),
+            latent_radius=1.0,
+        )
+        x = np.array([0.3, 0.1, -0.2])
+        cfg = LatentProjectionConfig(steps=5, restarts=4, seed=17)
+        got = project_to_range(gen, x, cfg)
+        assert got.restart_index == 0
+        assert got.latent.tobytes() == _random_start(17, 0, 2, 1.0).tobytes()
+        assert got.point.tobytes() == (bias / math.sqrt(float(bias.dot(bias)))).tobytes()
+        assert _same_projection(got, reference_project_to_range(gen, x, cfg))
+
+    def test_restart_dead_at_its_start_leaves_the_win_to_the_next(self, monkeypatch):
+        # seed 2: restart 0 starts at z = -0.775 (dead), restart 1 at 0.073
+        gen = _two_threshold_decoder(-0.05, 0.0)
+        x = np.array([1.0, 0.0])
+        cfg = LatentProjectionConfig(steps=4, learning_rate=0.1, restarts=2, seed=2)
+        tally = _count_calls(monkeypatch, "forward")
+        with pytest.raises(AllRestartsDegenerate):
+            project_to_range(gen, x, replace(cfg, restarts=1))
+        assert tally == {"calls": 1, "raised": 1}
+        got = project_to_range(gen, x, cfg)
+        assert got.restart_index == 1
+        assert _same_projection(got, reference_project_to_range(gen, x, cfg))
+
+    def test_restart_that_dies_mid_descent_keeps_its_candidates(self, monkeypatch):
+        # seed 0: restart 0 starts at z = 0.1, steps to 0.0003 and then
+        # dies at -0.076; restart 1 starts at 0.604 and lives all 4 steps
+        gen = _two_threshold_decoder(-0.05, 0.0)
+        x = np.array([1.0, 0.0])
+        cfg = LatentProjectionConfig(steps=4, learning_rate=0.1, restarts=2, seed=0)
+        tally = _count_calls(monkeypatch, "forward")
+        alone = project_to_range(gen, x, replace(cfg, restarts=1))
+        assert tally == {"calls": 3, "raised": 1}
+        got = project_to_range(gen, x, cfg)
+        assert tally == {"calls": 3 + 3 + cfg.steps + 1, "raised": 2}
+        assert got.restart_index == 0
+        assert got.latent.tobytes() == alone.latent.tobytes()
+        assert got.distance == alone.distance
+        assert _same_projection(got, reference_project_to_range(gen, x, cfg))
+
+    def test_each_live_row_decodes_once_per_step(self, monkeypatch):
+        # perfbench counts forward and backward calls: one of each per live
+        # row per step, as when the restarts ran one at a time
+        gen = random_mlp(10, 3, hidden=(6,), seed=4)
+        cfg = LatentProjectionConfig(steps=7, restarts=3, seed=5)
+        tallies = [_count_calls(monkeypatch, name) for name in ("forward", "backward")]
+        for target in range(2):
+            project_to_range(gen, NormalStream(6, stream=target).normals(10), cfg)
+            for tally in tallies:
+                assert tally == {"calls": (target + 1) * 3 * (7 + 1), "raised": 0}
 
 
 class TestRandomStarts:

@@ -4,7 +4,8 @@
 nothing but the error types; `theory` works on pairs and spectra alone,
 so it stays below the instance generators and the solvers; the iterative
 solvers take only the input checks `as_sym_matrix` and `_typed` from
-`linalg`, so they run no dense eigensolve. The package's
+`linalg`, so they run no dense eigensolve, and `rng` takes only `_typed`,
+its count check. The package's
 re-exports must be the modules' declared public names, and their set is
 pinned so that every added or dropped name shows in a diff.
 """
@@ -51,6 +52,16 @@ def test_solvers_take_only_input_checks_from_linalg():
         for alias in node.names
     }
     assert names == {"_typed", "as_sym_matrix"}
+
+
+def test_rng_takes_only_typed_from_linalg():
+    imports = {
+        (node.module, alias.name)
+        for node in ast.walk(_tree("rng"))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert imports == {("linalg", "_typed")}
 
 
 #: The package's public names, sorted. One leaves only with its reason in CHANGES.md.

@@ -7,8 +7,12 @@ point, latent, distance and restart index, or the same error class when
 every restart dies. Decoders: relu, sigmoid and identity MLPs with 0-2
 hidden layers, subspace decoders, and a ReLU decoder
 whose output vanishes on part of the latent ball, so restarts hit
-DegenerateOutput at their start or mid-descent.
+DegenerateOutput at their start or mid-descent. Over the same family the
+projection never clamps a latent: its starts lie inside 0.9 r and each
+step is clipped to the ball before it is decoded.
 """
+
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -63,7 +67,7 @@ def projection_case(draw):
     cfg = LatentProjectionConfig(
         steps=draw(st.integers(1, 12)),
         learning_rate=draw(st.sampled_from((0.05, 0.1, 0.5))),
-        restarts=draw(st.integers(1, 3)),
+        restarts=draw(st.integers(1, 6)),
         seed=seed,
     )
     stream = NormalStream(seed, stream=2**20)
@@ -88,3 +92,15 @@ def test_project_to_range_matches_oracle_bytes(case):
     assert got.latent.tobytes() == latent.tobytes()
     assert got.distance.hex() == distance.hex()
     assert got.restart_index == restart
+
+
+@PROPERTY_SETTINGS
+@given(case=projection_case())
+def test_project_to_range_never_clamps(case):
+    gen, x, cfg = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            project_to_range(gen, x, cfg)
+        except AllRestartsDegenerate:
+            pass

@@ -1,6 +1,7 @@
 """The config dataclasses refuse a non-integer count when they are built,
 and the plain solver functions, the instance generators, `run_lemma_suites`,
-`verify_perturbation` and `run_sweep`'s `jobs` when they are called.
+`verify_perturbation`, `run_sweep`'s `jobs`, `NormalStream` and the seeded
+decoder constructors when they are called.
 
 A float, bool or string in an integer field or argument (or a bool or
 string in `learning_rate`) used to build, then die later with a TypeError
@@ -14,12 +15,20 @@ test.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gepflow.generative import LatentProjectionConfig, random_mlp
+from gepflow.generative import (
+    LatentProjectionConfig,
+    model_to_json,
+    random_mlp,
+    random_subspace,
+    subspace_containing,
+)
 from gepflow.harness import SweepSpec, run_sweep
 from gepflow.priors import (
     RangeProjector,
@@ -29,6 +38,7 @@ from gepflow.priors import (
     sparse_truncate,
 )
 from gepflow.problems import gen_diag_b, gen_phase_retrieval, gen_spiked, verify_perturbation
+from gepflow.rng import NormalStream
 from gepflow.solvers import SolverConfig, rifle, run_with_restarts
 from gepflow.theory import run_lemma_suites
 
@@ -99,6 +109,22 @@ def _generator(gen):
 GENERATE = [_generator(gen) for gen in (gen_spiked, gen_phase_retrieval, gen_diag_b)]
 
 
+def _stream(**args):
+    return NormalStream(**{"seed": 0, "stream": 0, **args}).normals(3)
+
+
+def _mlp(**args):
+    return random_mlp(**{"output_dim": 6, "latent_dim": 2, "hidden": (3,), "seed": 0, **args})
+
+
+def _subspace(**args):
+    return random_subspace(**{"output_dim": 6, "latent_dim": 2, "seed": 0, **args})
+
+
+def _containing(**args):
+    return subspace_containing(V, **{"latent_dim": 2, "seed": 0, **args})
+
+
 def _lemmas(**args):
     return run_lemma_suites(**{"draws": 20, "seed": 0, **args})
 
@@ -127,6 +153,10 @@ INTEGER_FIELDS = [
     ("seed", _lemmas),
     ("set_size", _verify),
     ("seed", _verify),
+    *((name, _stream) for name in ("seed", "stream")),
+    *((name, _mlp) for name in ("output_dim", "latent_dim", "seed")),
+    *((name, _subspace) for name in ("output_dim", "latent_dim", "seed")),
+    *((name, _containing) for name in ("latent_dim", "seed")),
 ]
 
 
@@ -240,6 +270,58 @@ def test_numpy_integers_pass():
     assert _lemmas(draws=np.int64(20), seed=np.int32(1)) == _lemmas(draws=20, seed=1)
     assert _verify(set_size=np.int64(5), seed=np.int8(2)) == _verify(set_size=5, seed=2)
     assert _sweep_jobs(np.int64(2)) == _sweep_jobs(1)
+
+
+@pytest.mark.parametrize(
+    "run, field, value",
+    [
+        (_stream, "seed", 1.5),
+        (_stream, "stream", 2.7),
+        (_mlp, "output_dim", 6.0),
+        (_mlp, "latent_dim", 2.0),
+        (_mlp, "hidden", (3.0,)),
+        (_mlp, "seed", 1.5),
+        (_subspace, "output_dim", 6.0),
+        (_subspace, "latent_dim", 2.5),
+        (_subspace, "seed", True),
+        (_containing, "latent_dim", True),
+        (_containing, "seed", 1.5),
+    ],
+    ids=lambda v: getattr(v, "__name__", repr(v)),
+)
+def test_streams_and_seeded_decoders_refuse_non_integer_counts(run, field, value):
+    # NormalStream(1.5, stream=2.7) drew NormalStream(1, 2)'s values and
+    # random_mlp(6, 2, seed=1.5) built the seed-1 model; random_mlp(6, 2.0)
+    # and random_subspace(6, 2.5) died inside numpy
+    name, shown = ("hidden[0]", value[0]) if field == "hidden" else (field, value)
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer, got {shown!r}"):
+        run(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "run, field, value",
+    [
+        (_stream, "seed", np.uint64(2**64 - 1)),
+        (_stream, "stream", np.int8(-3)),
+        (_mlp, "output_dim", np.int64(6)),
+        (_mlp, "latent_dim", np.int32(2)),
+        (_mlp, "hidden", (np.uint8(3),)),
+        (_mlp, "seed", np.int16(5)),
+        (_subspace, "output_dim", np.int64(6)),
+        (_subspace, "latent_dim", np.uint16(2)),
+        (_subspace, "seed", np.int64(7)),
+        (_containing, "latent_dim", np.int64(2)),
+        (_containing, "seed", np.uint32(9)),
+    ],
+    ids=lambda v: getattr(v, "__name__", repr(v)),
+)
+def test_streams_and_seeded_decoders_take_numpy_integers(run, field, value):
+    plain = tuple(int(w) for w in value) if field == "hidden" else int(value)
+    a, b = run(**{field: value}), run(**{field: plain})
+    if run is _stream:
+        assert a.tobytes() == b.tobytes()
+    else:
+        assert model_to_json(a) == model_to_json(b)
 
 
 NOT_INTEGERS = st.one_of(
