@@ -20,17 +20,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import (
     AllRunsFailed,
+    DegenerateProjection,
     DenominatorNonPositive,
     GepflowError,
     NonPositiveRho,
     ZeroVector,
 )
+from .generative import SubspaceGenerator
 from .linalg import _typed, as_sym_matrix
 from .priors import Projector, project, sparse_truncate
 from .rng import NormalStream
@@ -62,6 +65,9 @@ DENOMINATOR_FLOOR = 1e-10
 #: ((max_iters - iterations_run) / 2 + 1) * stop_tol of the max_iters point.
 _CYCLE_STEP_FACTOR = 1e3
 _CYCLE_HOLD = 2
+
+#: Restarts within _RESTART_RTOL * max(|best|, 1) of the best quotient tie.
+_RESTART_RTOL = 1e-12
 
 
 def default_init(n: int) -> NDArray[np.float64]:
@@ -180,10 +186,32 @@ def _row(t: int, rho: float, u, v) -> TraceRow:
     return TraceRow(t=t, rho=rho, cos_sim=float(u @ v), dist=_norm(u - v))
 
 
-def _flow(a, b, cfg: SolverConfig, v_star, step) -> tuple[NDArray[np.float64], RunTrace]:
+def _unit_in_span(c: NDArray[np.float64]) -> NDArray[np.float64]:
+    """subspace_project in the basis' coordinates, with its guard on ||c||."""
+    norm = _norm(c)
+    if norm <= 1e-12:
+        raise DegenerateProjection("target is orthogonal to the subspace")
+    return c / norm
+
+
+def _compress(m, q):
+    """Q'MQ built column by column as Q'(M q_j). A stacked np.matmul runs one
+    gemv per column; a 2-D product would call gemm, which the sweeps call
+    nowhere else, and its work buffer adds 0.13 MB to a sweep's peak memory."""
+    qt = np.ascontiguousarray(q.T)
+    return np.matmul(qt, np.matmul(m, qt[:, :, None]))[:, :, 0].T.copy()
+
+
+def _flow(a, b, cfg: SolverConfig, v_star, step, p=None) -> tuple[NDArray[np.float64], RunTrace]:
     """The loop all three solvers share: per iterate u_t, compute A u_t and
     B u_t once (no B u_t when b is None), take rho_t from them, record a
-    trace row if asked, and move to step(t, u_t, A u_t, B u_t, rho_t).
+    trace row if asked, and move to step(t, u_t, A u_t, B u_t, rho_t, proj),
+    proj being the projection onto prior p.
+
+    Under a subspace prior every iterate after the first is Q c, so from t = 1
+    the loop carries c = Q'u_1 on (Q'AQ, Q'BQ) with proj _unit_in_span: the
+    same rho and movements in exact arithmetic. Rows, the final vector and its
+    quotient use the lifted Q c, as does the t = 1 cycle test against u_0.
 
     Stops once an update moves u by at most cfg.stop_tol ("converged"), or
     after cfg.max_iters updates ("max_iters"). With stop_tol set it also
@@ -204,27 +232,44 @@ def _flow(a, b, cfg: SolverConfig, v_star, step) -> tuple[NDArray[np.float64], R
     iterations = 0
     stop_reason = "max_iters"
     tol = cfg.stop_tol
-    u_prev = None
+    u_prev = moved_prev = q = None
     held = 0
+    loop_a, loop_b = a, b
+    slack = (a.shape[0] + 4) * 2.0**-52
+    proj = partial(project, p)
     for t in range(cfg.max_iters):
+        if t == 1 and isinstance(p, SubspaceGenerator):
+            q = p.basis
+            loop_a, loop_b = _compress(a, q), None if b is None else _compress(b, q)
+            u, proj, moved_prev = q.T.dot(u), _unit_in_span, None
+            slack = (q.shape[1] + 4) * 2.0**-52
         # ndarray.dot, here, in _rho and in the projections, not @: both reach
         # the same BLAS call, but @'s ufunc dispatch adds up to a microsecond
         # to each of these per-iterate products.
-        au = a.dot(u)
-        bu = None if b is None else b.dot(u)
+        au = loop_a.dot(u)
+        bu = None if loop_b is None else loop_b.dot(u)
         rho = _rho(u, au, bu, cfg.denominator_floor, t)
         if record:
-            rows.append(_row(t, rho, u, v))
-        u_next = step(t, u, au, bu, rho)
+            rows.append(_row(t, rho, u if q is None else q.dot(u), v))
+        u_next = step(t, u, au, bu, rho, proj)
         iterations = t + 1
         if tol is not None:
             moved = _norm(u_next - u)
+            # The cycle test skips its second norm when that must exceed tol:
+            # ||u_{t+1} - u_{t-1}|| >= |moved - moved_prev|, and a computed norm of
+            # a d-vector difference is within kappa = (d + 3) 2^-53 of the exact
+            # one, relatively, so a gap above tol + 2 kappa (moved + moved_prev)
+            # suffices (slack = (d + 4) 2^-52 >= 2 kappa), stop_tol = 0 included.
             if moved <= tol:
                 stop_reason = "converged"
             elif (
                 u_prev is not None
                 and moved > _CYCLE_STEP_FACTOR * tol
-                and _norm(u_next - u_prev) <= tol
+                and (
+                    moved_prev is None
+                    or abs(moved - moved_prev) <= tol + slack * (moved + moved_prev)
+                )
+                and _norm((u_next if t != 1 or q is None else q.dot(u_next)) - u_prev) <= tol
             ):
                 held += 1
                 if held == _CYCLE_HOLD:
@@ -233,10 +278,12 @@ def _flow(a, b, cfg: SolverConfig, v_star, step) -> tuple[NDArray[np.float64], R
                         u_next = u
             else:
                 held = 0
+            moved_prev = moved
         u_prev, u = u, u_next
         if stop_reason != "max_iters":
             break
 
+    u = u if q is None else q.dot(u)
     rho = _rho(u, a.dot(u), None if b is None else b.dot(u), cfg.denominator_floor, iterations)
     if record:
         rows.append(_row(iterations, rho, u, v))
@@ -274,10 +321,10 @@ def prfm(
     """
     a, b = _pair(a_hat, b_hat)
 
-    def step(t, u, au, bu, rho):
-        return project(p, u + cfg.step_size * (au - rho * bu))
+    def step(t, u, au, bu, rho, proj):
+        return proj(u + cfg.step_size * (au - rho * bu))
 
-    return _flow(a, b, cfg, v_star, step)
+    return _flow(a, b, cfg, v_star, step, p)
 
 
 def rifle(
@@ -298,7 +345,7 @@ def rifle(
     if not 0 < eta_prime < math.inf:
         raise ValueError("eta_prime must be finite and positive")
 
-    def step(t, u, au, bu, rho):
+    def step(t, u, au, bu, rho, proj):
         if rho <= cfg.denominator_floor:
             raise NonPositiveRho(t, rho)
         return sparse_truncate(u + (eta_prime / rho) * (au - rho * bu), s)
@@ -320,12 +367,12 @@ def ppower(
     """
     a = as_sym_matrix(a_hat, name="a_hat")
 
-    def step(t, u, au, bu, rho):
+    def step(t, u, au, bu, rho, proj):
         if _norm(au) <= 1e-12:
             raise ZeroVector(f"a_hat @ u vanished at iteration {t}")
-        return project(p, au)
+        return proj(au)
 
-    return _flow(a, None, cfg, v_star, step)
+    return _flow(a, None, cfg, v_star, step, p)
 
 
 def run_with_restarts(
@@ -347,8 +394,9 @@ def run_with_restarts(
     uniform random unit vector pushed into the nonnegative orthant (absolute
     value), drawn from NormalStream(seed, stream=j). The winner maximizes
     its run's final quotient (u'Au)/(u'Bu), or u'Au for the B-blind power
-    baseline (RunTrace.final_rho); individual failures are collected and
-    only a full wipeout raises AllRunsFailed.
+    baseline (RunTrace.final_rho), with runs within _RESTART_RTOL of the
+    best tied and won by the lowest restart index; individual failures are
+    collected and only a full wipeout raises AllRunsFailed.
     """
     if solver not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {solver!r}")
@@ -365,7 +413,7 @@ def run_with_restarts(
     if solver in ("prfm", "rifle") and b is None:
         raise ValueError(f"{solver} needs b_hat")
 
-    best: RestartResult | None = None
+    runs: list[RestartResult] = []
     failures: list[str] = []
     for j in range(restarts):
         if j == 0:
@@ -384,16 +432,13 @@ def run_with_restarts(
         except GepflowError as exc:
             failures.append(f"restart {j}: {type(exc).__name__}: {exc}")
             continue
-        if best is None or trace.final_rho > best.objective:
-            best = RestartResult(
-                estimate=estimate,
-                trace=trace,
-                objective=trace.final_rho,
-                restart_index=j,
-                failures=(),
-            )
-    if best is None:
+        runs.append(RestartResult(estimate, trace, trace.final_rho, j, ()))
+    if not runs:
         raise AllRunsFailed("; ".join(failures))
+    top = max(run.objective for run in runs)
+    floor = top - _RESTART_RTOL * max(abs(top), 1.0)
+    # a NaN first quotient compares False and keeps the win, as it always did
+    best = next((run for run in runs if run.objective >= floor), runs[0])
     return replace(best, failures=tuple(failures))
 
 

@@ -8,6 +8,9 @@ test_linalg.py, and the eigen-residual and B-orthonormality checks, which
 test a solution by its defining equations. `reference_rayleigh_quotient`
 is the generalized quotient with its denominator guard, `reference_flow`
 restates the three iterative solvers from their update rules alone,
+`reference_restart_winner` restates the restart tie rule,
+`reference_compressed_solve` is the leading direction of a pair restricted
+to a subspace, the limit a subspace-prior flow converges to,
 `reference_draws` restates the Philox/Box-Muller contract of `gepflow.rng`
 in one unchunked pass, `reference_project_to_range` restates the latent
 Adam descent of the range prior with its decoder's forward and backward
@@ -192,6 +195,7 @@ def reference_flow(
     floor: float = 1e-10,
     v_star: np.ndarray | None = None,
     cycle_stop: bool = True,
+    compressed: bool = True,
 ):
     """prfm, rifle or ppower written straight from their update rules.
 
@@ -204,6 +208,17 @@ def reference_flow(
     the (t, rho, cos_sim, dist) of each visited iterate, the final one
     included; raises the package's error class for each failure.
 
+    Under a ("subspace", Q) prior, prfm and ppower take their first step as
+    above and then, with compressed=True, run in Q's coordinates: c = Q'u_1
+    and, with A_k = Q'AQ and B_k = Q'BQ built column by column as Q'(A q_j),
+    prfm:   c <- y / ||y||, y = c + eta (A_k c - rho B_k c), rho = c'A_k c / c'B_k c
+    ppower: c <- A_k c / ||A_k c||,                         rho = c'A_k c
+    where ||y|| <= 1e-12 raises DegenerateProjection and ||A_k c|| <= 1e-12
+    ZeroVector. Rows are taken on Q c, as is the final vector, whose quotient
+    uses A and B. Each step's movement is ||c_{t+1} - c_t||, and a distance
+    to the start u_0 is ||Q c - u_0||. compressed=False keeps the
+    n-dimensional update throughout.
+
     With stop_tol set, the run stops as "converged" once
     ||u_{t+1} - u_t|| <= stop_tol, and as "cycled" once both u_{t+1} and u_t
     are in orbit: u_k is when ||u_k - u_{k-2}|| <= stop_tol and
@@ -211,6 +226,8 @@ def reference_flow(
     max_iters - (t+1) is even, else u_t. cycle_stop=False leaves out the
     cycled stop.
     """
+    basis = prior[1] if compressed and prior[0] == "subspace" and solver != "rifle" else None
+    a_full, b_full = a, b
 
     def rho_at(u, t):
         if solver == "ppower":
@@ -220,22 +237,39 @@ def reference_flow(
             raise DenominatorNonPositive(t, den)
         return float(u @ (a @ u)) / den
 
+    def lifted(u):
+        return basis @ u if switched else u
+
     def row(t, rho, u):
         if v_star is None:
             return (t, rho, None, None)
         return (t, rho, float(u @ v_star), float(np.linalg.norm(u - v_star)))
 
+    def gap(i, j):
+        if switched and j == 0:  # an iterate in Q's coordinates against the start
+            return float(np.linalg.norm(basis @ path[i] - path[0]))
+        return float(np.linalg.norm(path[i] - path[j]))
+
     def in_orbit(k):
-        return (
-            k >= 2
-            and float(np.linalg.norm(path[k] - path[k - 2])) <= stop_tol
-            and float(np.linalg.norm(path[k] - path[k - 1])) > 1e3 * stop_tol
-        )
+        return k >= 2 and gap(k, k - 2) <= stop_tol and gap(k, k - 1) > 1e3 * stop_tol
+
+    def unit(x):
+        norm = np.linalg.norm(x)
+        if norm <= 1e-12:
+            raise DegenerateProjection("orthogonal to the subspace")
+        return x / norm
 
     u = np.array(u0, dtype=np.float64)
     path = [u]
+    switched = False
     rows, iterations, stop_reason = [], 0, "max_iters"
     for t in range(max_iters):
+        if t == 1 and basis is not None:
+            qt = np.ascontiguousarray(basis.T)
+            a = np.column_stack([qt @ (a_full @ q) for q in qt])
+            b = None if b_full is None else np.column_stack([qt @ (b_full @ q) for q in qt])
+            u = path[1] = basis.T @ u
+            switched = True
         rho = rho_at(u, t)
         if solver == "prfm":
             target = u + step_size * (a @ u - rho * (b @ u))
@@ -247,8 +281,8 @@ def reference_flow(
             if np.linalg.norm(a @ u) <= 1e-12:
                 raise ZeroVector(f"A u vanished at iteration {t}")
             target = a @ u
-        rows.append(row(t, rho, u))
-        u_next = _reference_projection(prior, target)
+        rows.append(row(t, rho, lifted(u)))
+        u_next = unit(target) if switched else _reference_projection(prior, target)
         iterations = t + 1
         moved = float(np.linalg.norm(u_next - u))
         if stop_tol is not None and moved <= stop_tol:
@@ -262,8 +296,35 @@ def reference_flow(
             stop_reason = "cycled"
             break
         u = u_next
+    u = lifted(u)
+    a, b = a_full, b_full
     rows.append(row(iterations, rho_at(u, iterations), u))
     return u, iterations, rows, stop_reason
+
+
+def reference_restart_winner(objectives, rtol: float = 1e-12) -> int:
+    """Index of the restart `run_with_restarts` keeps, from the successful
+    runs' (restart index, final quotient) pairs in index order: the lowest
+    index whose quotient lies within rtol * max(|best|, 1) of the best."""
+    best = max(value for _, value in objectives)
+    band = rtol * max(abs(best), 1.0)
+    return min(j for j, value in objectives if best - value <= band)
+
+
+def reference_compressed_solve(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Unit leading generalized eigenvector of (a, b) restricted to span(q),
+    lifted to R^n: the Rayleigh-Ritz pair (q'aq, q'bq) is whitened by the
+    Cholesky factor L of q'bq, C = L^-1 (q'aq) L^-T is solved by
+    np.linalg.eigh, and the top vector y gives q L^-T y. With b the identity
+    this is the top eigenvector of q'aq, ppower's limit under the prior."""
+    ak = q.T @ a @ q
+    bk = q.T @ b @ q
+    low = np.linalg.cholesky((bk + bk.T) / 2.0)
+    half = np.linalg.solve(low, (ak + ak.T) / 2.0)
+    c = np.linalg.solve(low, half.T)
+    _, vecs = np.linalg.eigh((c + c.T) / 2.0)
+    x = q @ np.linalg.solve(low.T, vecs[:, -1])
+    return x / np.linalg.norm(x)
 
 
 def reference_draws(seed: int, stream: int, calls) -> list[np.ndarray]:

@@ -4,7 +4,9 @@
 nothing but the error types; `theory` works on pairs and spectra alone,
 so it stays below the instance generators and the solvers; the iterative
 solvers take only the input checks `as_sym_matrix` and `_typed` from
-`linalg`, so they run no dense eigensolve, and `rng` takes only `_typed`,
+`linalg`, so they run no dense eigensolve, and only `SubspaceGenerator`
+from `generative`, the type that sends a run to the prior's coordinates,
+so no decoder code reaches the solver layer; `rng` takes only `_typed`,
 its count check. The package's
 re-exports must be the modules' declared public names, and their set is
 pinned so that every added or dropped name shows in a diff.
@@ -52,6 +54,17 @@ def test_solvers_take_only_input_checks_from_linalg():
         for alias in node.names
     }
     assert names == {"_typed", "as_sym_matrix"}
+
+
+def test_solvers_take_only_the_subspace_type_from_generative():
+    imports = {
+        (node.module, alias.name)
+        for node in ast.walk(_tree("solvers"))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert {name for module, name in imports if module == "generative"} == {"SubspaceGenerator"}
+    assert _package_imports("solvers") == {"errors", "generative", "linalg", "priors", "rng"}
 
 
 def test_rng_takes_only_typed_from_linalg():

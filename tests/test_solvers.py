@@ -4,25 +4,30 @@ from __future__ import annotations
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gepflow import solvers
 from gepflow.errors import (
     AllRunsFailed,
     DegenerateGap,
+    DegenerateProjection,
     DenominatorNonPositive,
     NonPositiveRho,
     ZeroVector,
 )
 from gepflow.generative import (
     LatentProjectionConfig,
+    SubspaceGenerator,
     random_subspace,
     subspace_containing,
+    subspace_project,
 )
 from gepflow.linalg import MatrixPair
-from gepflow.priors import RangeProjector, SphereProjector
+from gepflow.priors import RangeProjector, SparseProjector, SphereProjector, project
 from gepflow.rng import NormalStream
 from gepflow.solvers import (
     DENOMINATOR_FLOOR,
@@ -274,6 +279,103 @@ class TestPpower:
             assert c_next >= c_prev - 1e-9
 
 
+class TestSubspaceCoordinates:
+    """After its first step, a subspace-prior prfm or ppower run carries the
+    iterate's coordinates in the prior's basis Q and iterates on (Q'AQ, Q'BQ)."""
+
+    def test_null_compressed_target_raises_subspace_projections_error(self):
+        # prfm's own update y = c + eta (A_k - rho B_k) c has c'y = c'c = 1, so
+        # its coefficient cannot vanish; this step sends a null one after t = 0
+        p = random_subspace(6, 3, seed=1)
+        a, b, _ = _spiked_pair(6, seed=2)
+        shapes = []
+
+        def step(t, u, au, bu, rho, proj):
+            shapes.append(u.shape)
+            return proj(u + 0.1 * (au - rho * bu) if t == 0 else np.zeros_like(u))
+
+        cfg = SolverConfig(step_size=0.1, max_iters=5)
+        with pytest.raises(DegenerateProjection) as raised:
+            solvers._flow(a, b, cfg, None, step, p)
+        assert shapes == [(6,), (3,)]
+        orthogonal = np.linalg.svd(p.basis, full_matrices=True)[0][:, -1]
+        with pytest.raises(DegenerateProjection) as expected:
+            subspace_project(p, orthogonal)
+        assert str(raised.value) == str(expected.value)
+
+    def test_ppower_guard_reads_the_compressed_image(self):
+        # Q = [e1, e2] and Q'AQ = 0 while A u_1 = (0, 0, sqrt 2): the guard on
+        # ||A_k c|| raises ZeroVector at t = 1, where the n-dimensional loop
+        # failed in the projection of A u_1 instead
+        a = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        p = SubspaceGenerator(basis=np.eye(3)[:, :2], latent_radius=1.0)
+        cfg = SolverConfig(step_size=1.0, max_iters=5)
+        with pytest.raises(ZeroVector, match="vanished at iteration 1"):
+            ppower(a, p, cfg)
+        with pytest.raises(DegenerateProjection):
+            subspace_project(p, a @ np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0))
+
+    @pytest.mark.parametrize("solver", ["prfm", "ppower"])
+    def test_trace_rows_are_the_lifted_iterates(self, solver):
+        # a run cut at max_iters = t returns its iterate t lifted; from t = 2 on
+        # that is the traced row's vector bit for bit, and the traced rho is
+        # the lifted iterate's quotient to rounding
+        a, b, v = _spiked_pair(12, seed=7)
+        a = a + 0.1 * np.diag(np.arange(12.0))
+        p = subspace_containing(v, 4, seed=8)
+
+        def run(max_iters, record):
+            cfg = SolverConfig(step_size=7 / 32, max_iters=max_iters, stop_tol=None,
+                               record_trace=record)
+            return prfm(a, b, p, cfg, v_star=v) if solver == "prfm" else ppower(a, p, cfg, v_star=v)
+
+        _, trace = run(8, True)
+        assert len(trace.rows) == 9
+        for t in range(1, 9):
+            u, cut = run(t, False)
+            row = trace.rows[t]
+            if t >= 2:
+                assert row.cos_sim == float(u @ v) and row.dist == float(np.linalg.norm(u - v))
+            else:  # u_1 itself against its lift Q Q'u_1
+                assert row.cos_sim == pytest.approx(float(u @ v), abs=1e-15)
+            assert row.rho == pytest.approx(cut.final_rho, rel=1e-13)
+        assert trace.rows[-1].rho == trace.final_rho
+
+    def test_orbit_from_the_start_is_caught_by_the_lifted_t1_cycle_test(self):
+        # A = diag(1, -1), B = I and eta = 1 / cos(2 theta_0) map (cos, sin)
+        # theta_0 to its mirror image and back, so u_2 = u_0: with Q = I the
+        # t = 1 test compares Q c_2 with the start and the run stops cycled
+        # at iteration 3, as the n-dimensional loop under the sphere prior does
+        u0 = np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)])
+        cfg = SolverConfig(step_size=2.0, max_iters=10, init=u0)
+        a = np.diag([1.0, -1.0])
+        identity = SubspaceGenerator(basis=np.eye(2), latent_radius=1.0)
+        runs = [prfm(a, np.eye(2), p, cfg) for p in (identity, SPHERE)]
+        for u, trace in runs:
+            assert (trace.stop_reason, trace.iterations_run) == ("cycled", 3)
+            assert_allclose(u, u0, atol=1e-12)
+
+    @pytest.mark.parametrize("prior", ["subspace", "range"])
+    def test_first_step_goes_through_project(self, prior):
+        # the subspace prior projects once per run; a range projector over the
+        # same generator still projects (by Adam) at every iterate
+        a, b, v = _spiked_pair(8, seed=9)
+        gen = subspace_containing(v, 3, seed=10)
+        p = gen if prior == "subspace" else RangeProjector(
+            gen, LatentProjectionConfig(steps=3, restarts=1)
+        )
+        calls = []
+
+        def counted(p, x):
+            calls.append(1)
+            return project(p, x)
+
+        cfg = SolverConfig(step_size=7 / 32, max_iters=6, stop_tol=None)
+        with mock.patch.object(solvers, "project", counted):
+            prfm(a, b, p, cfg)
+        assert len(calls) == (1 if prior == "subspace" else 6)
+
+
 class TestRunWithRestarts:
     def test_single_restart_identical_to_direct_run(self):
         a, b, v = _spiked_pair(10, seed=29)
@@ -305,6 +407,28 @@ class TestRunWithRestarts:
         assert len(result.failures) == 1
         assert "NonPositiveRho" in result.failures[0]
         assert_allclose(np.abs(result.estimate), np.eye(n)[0], atol=1e-9)
+
+    def test_near_tied_restarts_go_to_the_lower_index(self):
+        # Under a 1-sparse prior a run stays on the coordinate vector its first
+        # step picks. Restart 0 starts on e1 (quotient 1); restart 1 starts
+        # where its second entry dominates and ends on e2, whose quotient is
+        # larger by about 3e-15, inside the tie band, so restart 0 wins.
+        a = np.diag([1.0, 1.0 + 3e-15])
+        seed = next(
+            s for s in range(50)
+            if abs(NormalStream(s, stream=1).unit_vector(2)[1])
+            > abs(NormalStream(s, stream=1).unit_vector(2)[0])
+        )
+        e1 = np.array([1.0, 0.0])
+        cfg = SolverConfig(step_size=0.1, max_iters=20, init=e1)
+        p = SparseProjector(1)
+        result = run_with_restarts("prfm", a, np.eye(2), cfg, 2, seed, p=p)
+        assert result.restart_index == 0
+        assert np.array_equal(result.estimate, e1) and result.objective == 1.0
+        u1 = _unit(np.abs(NormalStream(seed, stream=1).unit_vector(2)))
+        other, trace = prfm(a, np.eye(2), p, SolverConfig(0.1, 20, init=u1))
+        assert np.array_equal(other, [0.0, 1.0])
+        assert 2e-15 < trace.final_rho - result.objective < 4e-15
 
     def test_all_runs_failed(self):
         b = -np.eye(3)
