@@ -32,25 +32,6 @@ from .errors import AllRestartsDegenerate, DegenerateOutput, DegenerateProjectio
 from .linalg import _floats, _number, _typed
 from .rng import NormalStream
 
-__all__ = [
-    "LatentClampWarning",
-    "Layer",
-    "MlpGenerator",
-    "SubspaceGenerator",
-    "LatentProjectionConfig",
-    "RangeProjection",
-    "forward",
-    "backward",
-    "project_to_range",
-    "subspace_project",
-    "random_mlp",
-    "random_subspace",
-    "subspace_containing",
-    "default_latent_radius",
-    "model_to_json",
-    "model_from_json",
-]
-
 #: Pre-normalization norm floor below which decoding is considered degenerate.
 MIN_NORM_DEFAULT = 1e-6
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -453,10 +434,7 @@ def subspace_containing(vector, latent_dim: int, *, seed: int = 0) -> SubspaceGe
     cols[:, 0] = v / norm
     for j in range(1, latent_dim):
         cols[:, j] = stream.normals(n)
-    q = _orthonormalize(cols)
-    # QR keeps column 0 equal to +/- the input direction; force +.
-    if float(q[:, 0] @ v) < 0.0:
-        q[:, 0] = -q[:, 0]
+    q = _orthonormalize(cols)  # R[0, 0] = +/-1 turns +, so column 0 stays v / ||v||
     return SubspaceGenerator(basis=q, latent_radius=default_latent_radius(latent_dim))
 
 

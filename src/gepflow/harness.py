@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -29,22 +30,6 @@ from .priors import PRIOR_NAMES, Projector, projector_from_spec
 from .problems import ProblemInstance, gen_diag_b, gen_phase_retrieval, gen_spiked
 from .rng import NormalStream
 from .solvers import SOLVER_NAMES, SolverConfig, run_with_restarts
-
-__all__ = [
-    "SweepSpec",
-    "ResultRow",
-    "SummaryCell",
-    "cosine_similarity",
-    "signed_distance",
-    "plateau_index",
-    "run_sweep",
-    "fit_loglog_slope",
-    "summarize",
-    "rows_to_csv",
-    "summary_to_text",
-    "summary_to_json",
-    "CSV_HEADER",
-]
 
 GENERATORS = {
     "spiked": gen_spiked,
@@ -142,6 +127,7 @@ class SweepSpec:
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         self.solver_config  # checks eta, max_iters and stop_tol
+        _typed(numbers.Real, eta_prime=self.eta_prime)
         if not 0 < self.eta_prime < math.inf:
             raise ValueError("eta_prime must be finite and positive")
         if "rifle" in sv and (self.s is None or self.s < 1):

@@ -24,18 +24,6 @@ from numpy.typing import NDArray
 
 from .errors import NonConvergence, NotPositiveDefinite
 
-__all__ = [
-    "MatrixPair",
-    "GeneralizedSpectrum",
-    "as_sym_matrix",
-    "sym_eig",
-    "cholesky",
-    "generalized_eig",
-    "spectral_norm",
-    "matrix_to_json",
-    "matrix_from_json",
-]
-
 #: Cholesky pivots at or below this are treated as "not positive definite".
 PIVOT_FLOOR = 1e-12
 

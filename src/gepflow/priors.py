@@ -32,17 +32,14 @@ from .generative import (
 )
 from .linalg import _number, _typed
 
-__all__ = [
-    "SphereProjector",
-    "SparseProjector",
-    "RangeProjector",
-    "Projector",
-    "project",
-    "sparse_truncate",
-    "projector_from_spec",
-]
-
-PRIOR_NAMES = ("sphere", "sparse", "subspace", "range")
+#: Each prior's spec keys besides "prior"; a subspace spec takes one of its two.
+_SPEC_KEYS = {
+    "sphere": (),
+    "sparse": ("s",),
+    "subspace": ("k", "model_path"),
+    "range": ("model_path", "projection"),
+}
+PRIOR_NAMES = tuple(_SPEC_KEYS)
 
 
 @dataclass(frozen=True)
@@ -129,11 +126,19 @@ def projector_from_spec(spec: dict, *, truth=None, seed: int = 0) -> Projector:
     "restarts", "seed"; any other key is refused), each checked by the
     config itself. "s" and "k" are JSON integers. A model path is opened
     as given, so a relative one is read from the working directory. Only a
-    "k" spec reads `truth` and `seed`.
+    "k" spec reads `truth` and `seed`. A key the named prior does not read,
+    or a subspace spec with both "k" and "model_path", is refused.
     """
     if not isinstance(spec, dict) or "prior" not in spec:
         raise ValueError("prior spec must be an object with a 'prior' key")
     kind = spec["prior"]
+    if kind not in PRIOR_NAMES:
+        raise ValueError(f"unknown prior {kind!r}")
+    for key in spec:
+        if key != "prior" and key not in _SPEC_KEYS[kind]:
+            raise ValueError(f"{kind} prior does not read {key!r}")
+    if kind == "subspace" and "k" in spec and "model_path" in spec:
+        raise ValueError("subspace prior takes 'k' or 'model_path', not both")
     if kind == "sphere":
         return SphereProjector()
     if kind == "sparse":
@@ -142,19 +147,17 @@ def projector_from_spec(spec: dict, *, truth=None, seed: int = 0) -> Projector:
         if truth is None:
             raise ValueError("a 'k' subspace prior needs the truth vector")
         return subspace_containing(truth, _number(spec, "k", int, "subspace prior"), seed=seed)
-    if kind in ("subspace", "range"):
-        path = spec.get("model_path")
-        if not path:
-            raise ValueError(f"{kind} prior needs a 'model_path'")
-        with open(path) as fh:
-            model = model_from_json(json.load(fh))
-        if kind == "subspace":
-            if not isinstance(model, SubspaceGenerator):
-                raise ValueError("subspace prior requires a basis-form model")
-            return model
-        proj = spec.get("projection", {})
-        names = {f.name for f in fields(LatentProjectionConfig)}
-        if not isinstance(proj, dict) or not proj.keys() <= names:
-            raise ValueError(f"bad 'projection' object: {proj!r}")
-        return RangeProjector(model=model, config=LatentProjectionConfig(**proj))
-    raise ValueError(f"unknown prior {kind!r}")
+    path = spec.get("model_path")
+    if not path:
+        raise ValueError(f"{kind} prior needs a 'model_path'")
+    with open(path) as fh:
+        model = model_from_json(json.load(fh))
+    if kind == "subspace":
+        if not isinstance(model, SubspaceGenerator):
+            raise ValueError("subspace prior requires a basis-form model")
+        return model
+    proj = spec.get("projection", {})
+    names = {f.name for f in fields(LatentProjectionConfig)}
+    if not isinstance(proj, dict) or not proj.keys() <= names:
+        raise ValueError(f"bad 'projection' object: {proj!r}")
+    return RangeProjector(model=model, config=LatentProjectionConfig(**proj))

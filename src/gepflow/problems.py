@@ -51,18 +51,6 @@ from .linalg import (
 )
 from .rng import NormalStream
 
-__all__ = [
-    "Truth",
-    "ProblemInstance",
-    "PerturbationReport",
-    "gen_spiked",
-    "gen_phase_retrieval",
-    "gen_diag_b",
-    "verify_perturbation",
-    "instance_to_json",
-    "instance_from_json",
-]
-
 
 @dataclass(frozen=True, eq=False)
 class Truth:

@@ -19,6 +19,7 @@ the configured start vector), so parallel and serial execution agree.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
@@ -37,19 +38,6 @@ from .generative import SubspaceGenerator
 from .linalg import _typed, as_sym_matrix
 from .priors import Projector, project, sparse_truncate
 from .rng import NormalStream
-
-__all__ = [
-    "SolverConfig",
-    "TraceRow",
-    "RunTrace",
-    "RestartResult",
-    "default_init",
-    "prfm",
-    "rifle",
-    "ppower",
-    "run_with_restarts",
-    "trace_to_json",
-]
 
 SOLVER_NAMES = ("prfm", "rifle", "ppower")
 
@@ -96,6 +84,9 @@ class SolverConfig:
 
     def __post_init__(self):
         _typed(max_iters=self.max_iters)
+        _typed(numbers.Real, step_size=self.step_size, denominator_floor=self.denominator_floor)
+        if self.stop_tol is not None:
+            _typed(numbers.Real, stop_tol=self.stop_tol)
         if not 0 < self.step_size < math.inf:
             raise ValueError("step_size must be finite and positive")
         if self.max_iters < 1:
@@ -341,6 +332,7 @@ def rifle(
     quotient raises NonPositiveRho at the offending iteration.
     """
     _typed(s=s)
+    _typed(numbers.Real, eta_prime=eta_prime)
     a, b = _pair(a_hat, b_hat)
     if not 0 < eta_prime < math.inf:
         raise ValueError("eta_prime must be finite and positive")

@@ -25,6 +25,7 @@ suite failing indicates an implementation bug.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,20 +34,6 @@ from numpy.typing import NDArray
 from .errors import DegenerateGap, NonPositiveAlignment, RhoOutOfRange
 from .linalg import GeneralizedSpectrum, MatrixPair, _typed, generalized_eig
 from .rng import NormalStream, map_words
-
-__all__ = [
-    "ConvergenceConditions",
-    "SandwichCheck",
-    "InnerCheck",
-    "CoefficientCheck",
-    "LemmaSuiteResult",
-    "compute_conditions",
-    "conditions_from_gammas",
-    "check_lemma_sandwich",
-    "check_lemma_inner",
-    "check_lemma_coefficient",
-    "run_lemma_suites",
-]
 
 LEMMA_SLACK = 1e-9
 #: Lemma-suite pairs cycle over dimensions 2.._SUITE_N_MAX, each reused for
@@ -125,6 +112,7 @@ def compute_conditions(
     [-1, 1] (a unit start equal to the truth can round just past 1), and may
     come out negative: the report flags it rather than erroring.
     """
+    _typed(numbers.Real, eta=eta)
     if not 0 <= eta < math.inf:
         raise ValueError("eta must be finite and >= 0")
     lam = spectrum.eigenvalues

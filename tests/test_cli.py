@@ -1003,3 +1003,41 @@ class TestProvenanceHash:
     def test_changing_one_option_changes_the_hash(self, command, dest):
         base = HASH_BASES[command]
         assert self._hash([*base, *HASHED_OPTION_CHANGES[command][dest]]) != self._hash(base)
+
+
+def _zero_gap_theory_check(tmp_path):
+    obj = json.loads(_generate(tmp_path).read_text())
+    obj["truth"]["a"] = obj["truth"]["b"]  # the identity pair: every eigenvalue is 1
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(obj))
+    return ["theory-check", "--in", str(path), "--draws", "20"]
+
+
+def _all_failed_sweep(tmp_path):
+    model = model_to_json(random_mlp(8, 2, hidden=(4,), seed=0))
+    for layer in model["layers"]:  # an all-zero decoder: every output is degenerate
+        layer["weight"] = [[0.0] * len(row) for row in layer["weight"]]
+        layer["bias"] = [0.0] * len(layer["bias"])
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(model))
+    return [
+        "sweep", "--kind", "spiked", "--n", "8", "--m-values", "40", "--solvers", "prfm",
+        "--trials", "2", "--restarts", "1", "--max-iters", "5", "--prior", "range",
+        "--model", str(path), "--timing", "zero", "--out", str(tmp_path / "out.csv"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, line",
+    [
+        (_zero_gap_theory_check, 2, "err",
+         "condition computation failed: leading gap 0.000e+00 <= 1e-10"),
+        (_all_failed_sweep, 0, "out", "note: 2/2 runs failed; see status column"),
+    ],
+    ids=["theory-check-zero-gap", "sweep-all-runs-failed"],
+)
+def test_failures_are_reported(tmp_path, capsys, argv, code, stream, line):
+    args = argv(tmp_path)
+    capsys.readouterr()
+    assert main(args) == code
+    assert line in getattr(capsys.readouterr(), stream).splitlines()

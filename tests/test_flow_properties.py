@@ -9,8 +9,9 @@ quotient as its objective. Inputs come from seeded NormalStream draws: n in
 positive- or negative-definite B. Under a subspace prior the oracle's
 n-dimensional update is a second route, and the compressed pair's leading
 direction (`oracles.reference_compressed_solve`) a third that replays no
-iteration. The restart winner must not move with last-bit noise in the
-final quotients.
+iteration. Check 06's prfm winners, rebuilt cell by cell from the
+harness's seed layout, are held to that third route too. The restart
+winner must not move with last-bit noise in the final quotients.
 """
 
 import math
@@ -20,11 +21,12 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gepflow import solvers
+from gepflow import harness, solvers
 from gepflow.errors import AllRunsFailed, DenominatorNonPositive, GepflowError, ZeroVector
 from gepflow.generative import random_subspace, subspace_containing
+from gepflow.harness import SweepSpec, cosine_similarity, run_sweep
 from gepflow.linalg import generalized_eig
-from gepflow.priors import SparseProjector, SphereProjector
+from gepflow.priors import SparseProjector, SphereProjector, projector_from_spec
 from gepflow.problems import gen_diag_b, gen_spiked
 from gepflow.rng import NormalStream
 from gepflow.solvers import RunTrace, SolverConfig, ppower, prfm, rifle, run_with_restarts
@@ -255,6 +257,59 @@ def test_converged_subspace_winners_reach_the_compressed_optimum(case):
         result = run_with_restarts(solver, inst.a_hat, inst.b_hat, cfg, 3, case["seed"], p=p)
         if result.trace.stop_reason == "converged":
             assert abs(float(result.estimate @ target)) >= 1.0 - 1e-8
+
+
+def test_check_06_prfm_winners_reach_the_compressed_optimum():
+    """Acceptance check 06's sweep (diag-B, n = 64, m in {100, 200, 300}, 20
+    trials, k = 8 subspace prior, base seed 0), replayed cell by cell: the
+    cell key from `harness._cell_key`, the truth from key + 1, the instance
+    from key, the prior from key + 2 and the restarts from key + 3. Each prfm
+    winner's |cos| is the sweep row's, and every converged winner is the
+    leading direction of the compressed pair (Q'AQ, Q'BQ) to 1e-8 in |cos|."""
+    spec = SweepSpec(
+        kind="diag_b", m_values=(100, 200, 300), n=64, solvers=("prfm", "ppower", "rifle"),
+        trials=20, prior={"prior": "subspace", "k": 8}, s=20,
+    )
+    rows = {(r.m, r.trial): r.abs_cos_sim for r in run_sweep(spec) if r.solver == "prfm"}
+    stops = {"converged": 0, "cycled": 0, "max_iters": 0}
+    for mi, m in enumerate(spec.m_values):
+        for trial in range(spec.trials):
+            key = harness._cell_key(spec, mi, trial)
+            v = np.abs(NormalStream(key + 1, stream=0).unit_vector(spec.n))
+            inst = gen_diag_b(v / np.linalg.norm(v), m, seed=key)
+            truth = inst.truth.v_lead
+            p = projector_from_spec(spec.prior, truth=truth, seed=key + 2)
+            result = run_with_restarts(
+                "prfm", inst.a_hat, inst.b_hat, spec.solver_config, spec.restarts, key + 3, p=p
+            )
+            assert abs(cosine_similarity(truth, result.estimate)) == rows[(m, trial)]
+            stops[result.trace.stop_reason] += 1
+            if result.trace.stop_reason == "converged":
+                target = reference_compressed_solve(inst.a_hat, inst.b_hat, p.basis)
+                assert abs(float(result.estimate @ target)) >= 1.0 - 1e-8, (m, trial)
+    print(f"check 06 prfm winners by stop reason: {stops}")
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(1, 39).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+            st.integers(1, n),
+            st.integers(-6, 6),
+            st.integers(0, 2**31 - 1),
+        )
+    )
+)
+def test_subspace_containing_keeps_the_vector_as_its_first_column(case):
+    """Column 0 of `subspace_containing(v, k)` is +v/||v|| to 1e-12 for signed
+    v of any scale: the QR sign fix alone turns it to +v, with no later flip."""
+    entries, k, exponent, seed = case
+    v = np.array(entries) * 10.0**exponent
+    norm = float(np.linalg.norm(v))
+    assume(norm > 1e-12)
+    basis = subspace_containing(v, k, seed=seed).basis
+    assert np.max(np.abs(basis[:, 0] - v / norm)) <= 1e-12
 
 
 def _bump(x: float, ulps: int) -> float:

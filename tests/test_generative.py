@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -673,3 +674,43 @@ class TestSerialization:
         obj = {**model_to_json(random_mlp(9, 3, seed=70)), "layers": layers}
         with pytest.raises(ValueError, match="'layers' must be a list of objects"):
             model_from_json(obj)
+
+
+_MLP = random_mlp(6, 2, hidden=(4,), seed=1)
+_SUB = random_subspace(6, 2, seed=0)
+
+#: Every input refusal of the module that no other test reaches: (call,
+#: error class, the whole message).
+REFUSALS = [
+    pytest.param(lambda: LatentProjectionConfig(steps=0), ValueError,
+                 "steps and restarts must be >= 1", id="config-steps"),
+    pytest.param(lambda: LatentProjectionConfig(restarts=0), ValueError,
+                 "steps and restarts must be >= 1", id="config-restarts"),
+    pytest.param(lambda: forward(_MLP, np.ones(3)), ValueError,
+                 "latent has length 3, expected 2", id="forward-latent-length"),
+    pytest.param(lambda: backward(_MLP, np.full(2, 0.5), np.ones(5)), ValueError,
+                 "cotangent has length 5, expected 6", id="backward-cotangent-length"),
+    pytest.param(lambda: subspace_project(_SUB, np.ones(5)), ValueError,
+                 "target has length 5, expected 6", id="subspace-target-length"),
+    pytest.param(lambda: project_to_range(_MLP, np.ones(5), LatentProjectionConfig()),
+                 ValueError, "target has length 5, expected 6", id="range-target-length"),
+    pytest.param(lambda: project_to_range(_MLP, [1.0, math.nan, 0, 0, 0, 0],
+                                          LatentProjectionConfig()),
+                 ValueError, "target has non-finite entries", id="range-target-nan"),
+    pytest.param(lambda: random_mlp(4, 4), ValueError,
+                 "latent_dim must be smaller than output_dim", id="mlp-latent-too-wide"),
+    pytest.param(lambda: subspace_containing(np.zeros(4), 2), ValueError,
+                 "vector must be nonzero", id="containing-zero-vector"),
+    pytest.param(lambda: subspace_containing(np.ones(4), 5), ValueError,
+                 "need 1 <= latent_dim <= len(vector)", id="containing-k-above-n"),
+    pytest.param(lambda: subspace_containing(np.ones(4), 0), ValueError,
+                 "need 1 <= latent_dim <= len(vector)", id="containing-k-zero"),
+    pytest.param(lambda: model_from_json([]), ValueError,
+                 "model JSON must be an object", id="model-not-object"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_input_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

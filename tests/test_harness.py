@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -467,3 +468,21 @@ class TestOutputs:
         assert list(payload[0]) == [f.name for f in dataclasses.fields(SummaryCell)]
         assert payload[0]["mean_abs_cos"] is None
         json.dumps(payload)  # strict-JSON serializable
+
+
+_SPEC = dict(kind="spiked", m_values=(20,), n=4, solvers=("prfm",), trials=1)
+
+#: Every input refusal of the module that no other test reaches: (call,
+#: error class, the whole message).
+REFUSALS = [
+    pytest.param(lambda: SweepSpec(**{**_SPEC, "n": 1}), ValueError, "n must be >= 2",
+                 id="n-below-two"),
+    pytest.param(lambda: SweepSpec(**{**_SPEC, "restarts": 0}), ValueError,
+                 "restarts must be >= 1", id="restarts-zero"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_input_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

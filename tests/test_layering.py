@@ -7,9 +7,9 @@ solvers take only the input checks `as_sym_matrix` and `_typed` from
 `linalg`, so they run no dense eigensolve, and only `SubspaceGenerator`
 from `generative`, the type that sends a run to the prior's coordinates,
 so no decoder code reaches the solver layer; `rng` takes only `_typed`,
-its count check. The package's
-re-exports must be the modules' declared public names, and their set is
-pinned so that every added or dropped name shows in a diff.
+its count check. `gepflow/__init__.py`'s import list is the one
+declaration of the public names: no module assigns `__all__`, and the set
+is pinned so that every added or dropped name shows in a diff.
 """
 
 from __future__ import annotations
@@ -113,16 +113,24 @@ def test_public_names_are_pinned():
     assert sorted(alias.asname or alias.name for _, alias in _reexports()) == PUBLIC_NAMES
 
 
-def test_package_reexports_are_declared_public_names():
+def test_package_reexports_are_public_module_names():
+    """Each re-export is a non-underscore name of its module, exported as
+    the very object the module holds."""
     reexports = _reexports()
     assert reexports
     for module_name, alias in reexports:
         module = importlib.import_module(f"gepflow.{module_name}")
-        declared = getattr(module, "__all__", None)
-        if declared is None:
-            # errors and rng declare no __all__: every public name is exported
-            assert not alias.name.startswith("_"), (module_name, alias.name)
-        else:
-            assert alias.name in declared, (module_name, alias.name)
+        assert not alias.name.startswith("_"), (module_name, alias.name)
         exported = getattr(gepflow, alias.asname or alias.name)
         assert exported is getattr(module, alias.name), (module_name, alias.name)
+
+
+def test_no_module_assigns_all():
+    """A module `__all__` would be a second list of the public names."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        assigned = {
+            node.id
+            for node in ast.walk(_tree(path.stem))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
+        assert "__all__" not in assigned, path.name

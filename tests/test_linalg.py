@@ -6,6 +6,7 @@ Reference routes: numpy/LAPACK, exact characteristic-polynomial roots
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -259,3 +260,19 @@ class TestValidationAndSerialization:
         # int() used to read 2.5 and 2.0 as 2, true as 1 and "2" as 2
         with pytest.raises(ValueError, match="matrix JSON 'dim' must be an integer"):
             matrix_from_json({"dim": dim, "rows": [[1.0, 0.0], [0.0, 1.0]]})
+
+
+#: Every input refusal of the module that no other test reaches: (call,
+#: error class, the whole message).
+REFUSALS = [
+    pytest.param(lambda: as_sym_matrix(np.ones((2, 3)), name="a_hat"), ValueError,
+                 "a_hat must be square, got shape (2, 3)", id="not-square"),
+    pytest.param(lambda: as_sym_matrix(np.zeros((0, 0))), ValueError,
+                 "matrix must have dim >= 1", id="empty"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_input_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -284,6 +285,41 @@ class TestProjectorFromSpec:
         with pytest.raises(ValueError, match=message):
             run_sweep(sweep)
 
+    # Each of these used to build while dropping the key: a "k" subspace
+    # dropped its model, a misspelled "projections" ran 100 Adam steps.
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"prior": "sphere", "s": 3}, "sphere prior does not read 's'"),
+            ({"prior": "sparse", "s": 3, "k": 4}, "sparse prior does not read 'k'"),
+            ({"prior": "sparse", "s": 3, "model_path": "basis.json"},
+             "sparse prior does not read 'model_path'"),
+            ({"prior": "subspace", "k": 3, "s": 2}, "subspace prior does not read 's'"),
+            ({"prior": "subspace", "model_path": "basis.json", "projection": {}},
+             "subspace prior does not read 'projection'"),
+            ({"prior": "subspace", "k": 3, "model_path": "basis.json"},
+             "subspace prior takes 'k' or 'model_path', not both"),
+            ({"prior": "range", "model_path": "mlp.json", "projections": {"steps": 5}},
+             "range prior does not read 'projections'"),
+            ({"prior": "range", "model_path": "mlp.json", "k": 3}, "range prior does not read 'k'"),
+        ],
+        ids=["sphere-s", "sparse-k", "sparse-model", "subspace-s", "subspace-projection",
+             "subspace-k-and-model", "range-projections", "range-k"],
+    )
+    def test_key_the_prior_does_not_read_refused(self, tmp_path, monkeypatch, spec, message):
+        (tmp_path / "mlp.json").write_text(json.dumps(model_to_json(random_mlp(8, 2, seed=91))))
+        (tmp_path / "basis.json").write_text(json.dumps(model_to_json(random_subspace(8, 2))))
+        monkeypatch.chdir(tmp_path)
+        truth = NormalStream(93, stream=0).unit_vector(8)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            projector_from_spec(spec, truth=truth)
+        sweep = SweepSpec(
+            kind="spiked", m_values=(40,), n=8, solvers=("prfm",), trials=1,
+            prior=spec, restarts=1, max_iters=2,
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_sweep(sweep)
+
     def test_rejections(self, tmp_path, monkeypatch):
         with pytest.raises(ValueError):
             projector_from_spec({"prior": "banana"})
@@ -297,3 +333,23 @@ class TestProjectorFromSpec:
         monkeypatch.chdir(tmp_path)
         with pytest.raises(ValueError):
             projector_from_spec({"prior": "subspace", "model_path": "mlp.json"})
+
+
+#: Every input refusal of the module that no other test reaches: (call,
+#: error class, the whole message).
+REFUSALS = [
+    pytest.param(lambda: SparseProjector(s=0), ValueError, "sparsity level must be >= 1",
+                 id="sparse-projector-s-zero"),
+    pytest.param(lambda: sparse_truncate(np.ones(3), 0), ValueError,
+                 "sparsity level must be >= 1", id="truncate-s-zero"),
+    pytest.param(lambda: project(object(), np.ones(3)), TypeError,
+                 "unknown projector type object", id="unknown-projector"),
+    pytest.param(lambda: projector_from_spec(["sphere"]), ValueError,
+                 "prior spec must be an object with a 'prior' key", id="spec-not-object"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_input_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

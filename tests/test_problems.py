@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -471,3 +472,23 @@ class TestInstanceJson:
         blob["truth"][key] = value
         with pytest.raises(ValueError, match=f"'{key}' must be"):
             instance_from_json(blob)
+
+
+_V = np.full(4, 0.5)
+
+#: Every input refusal of the module that no other test reaches: (call,
+#: error class, the whole message).
+REFUSALS = [
+    pytest.param(lambda: gen_spiked(_V, 0, seed=0), ValueError, "m must be >= 1",
+                 id="m-zero"),
+    pytest.param(lambda: verify_perturbation(gen_spiked(_V, 20, seed=0), 0, 0), ValueError,
+                 "set_size must be >= 1", id="set-size-zero"),
+    pytest.param(lambda: instance_from_json([]), ValueError,
+                 "instance bundle must be an object", id="bundle-not-object"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_input_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

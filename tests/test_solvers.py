@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -588,3 +589,29 @@ class TestTraceJson:
         blob = json.loads(json.dumps(trace_to_json("prfm", cfg, trace)))
         assert blob["rows"][0]["cos_sim"] is None
         assert blob["rows"][0]["dist"] is None
+
+
+_CFG = SolverConfig(step_size=0.1, max_iters=5)
+
+#: Every input refusal of the module that no other test reaches: (call,
+#: error class, the whole message).
+REFUSALS = [
+    pytest.param(
+        lambda: prfm(np.eye(3), np.eye(3), SphereProjector(),
+                     SolverConfig(step_size=0.1, max_iters=5, init=np.full(4, 0.5))),
+        ValueError, "init has length 4, expected 3", id="init-length"),
+    pytest.param(lambda: prfm(np.eye(3), np.eye(4), SphereProjector(), _CFG), ValueError,
+                 "a_hat and b_hat dimensions differ", id="pair-dimensions"),
+    pytest.param(lambda: run_with_restarts("prfm", np.eye(3), np.eye(3), _CFG, 0, 0,
+                                           p=SphereProjector()),
+                 ValueError, "restarts must be >= 1", id="restarts-zero"),
+    pytest.param(lambda: run_with_restarts("prfm", np.eye(3), None, _CFG, 1, 0,
+                                           p=SphereProjector()),
+                 ValueError, "prfm needs b_hat", id="prfm-without-b"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_input_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

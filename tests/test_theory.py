@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -468,3 +469,19 @@ class TestContractionConsistency:
         cosines = [row.cos_sim for row in trace.rows]
         for prev, nxt in zip(cosines, cosines[1:]):
             assert nxt >= prev - 1e-12
+
+
+_ONE = MatrixPair(a=[[2.0]], b=[[1.0]])
+
+#: Every input refusal of the module that no other test reaches: (call,
+#: error class, the whole message).
+REFUSALS = [
+    pytest.param(lambda: compute_conditions(generalized_eig(_ONE), _ONE, 0.1, [1.0]),
+                 DegenerateGap, "need at least two eigenvalues", id="single-eigenvalue"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_input_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,7 +1,8 @@
 """The config dataclasses refuse a non-integer count when they are built,
 and the plain solver functions, the instance generators, `run_lemma_suites`,
 `verify_perturbation`, `run_sweep`'s `jobs`, `NormalStream` and the seeded
-decoder constructors when they are called.
+decoder constructors when they are called. Every real-valued setting that a
+command-line flag feeds refuses a bool or a string the same way.
 
 A float, bool or string in an integer field or argument (or a bool or
 string in `learning_rate`) used to build, then die later with a TypeError
@@ -10,12 +11,15 @@ was a one-iteration run, `restarts=True` one restart, `seed=2.5` ran
 seed 2 and a generator recorded 2.5). Each case here
 builds the config and runs the call it feeds in one
 `pytest.raises(ValueError)` block, so a TypeError from the run fails the
-test.
+test. `step_size=True` used to run with a step of 1.0 (and `trace_to_json`
+wrote `"step_size": true`), and `step_size="0.5"` died with a TypeError
+from the range check.
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from gepflow.generative import (
     subspace_containing,
 )
 from gepflow.harness import SweepSpec, run_sweep
+from gepflow.linalg import generalized_eig
 from gepflow.priors import (
     RangeProjector,
     SparseProjector,
@@ -40,7 +45,7 @@ from gepflow.priors import (
 from gepflow.problems import gen_diag_b, gen_phase_retrieval, gen_spiked, verify_perturbation
 from gepflow.rng import NormalStream
 from gepflow.solvers import SolverConfig, rifle, run_with_restarts
-from gepflow.theory import run_lemma_suites
+from gepflow.theory import compute_conditions, run_lemma_suites
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -52,7 +57,7 @@ SWEEP = dict(
 
 
 def _solve(**fields):
-    cfg = SolverConfig(step_size=0.1, **{"max_iters": 5, **fields})
+    cfg = SolverConfig(**{"step_size": 0.1, "max_iters": 5, **fields})
     return run_with_restarts("prfm", np.eye(3), np.eye(3), cfg, 1, 0, p=SphereProjector())
 
 
@@ -342,3 +347,53 @@ def test_integer_fields_refuse_floats_bools_and_strings(case, value):
 def test_learning_rate_refuses_bools_and_strings(value):
     with pytest.raises(ValueError, match="^learning_rate must be a real number"):
         _range_project(learning_rate=value)
+
+
+def _rifle_eta(eta_prime):
+    return rifle(np.eye(6), np.eye(6), 2, eta_prime, SolverConfig(step_size=0.1, max_iters=5))
+
+
+def _sweep_eta_prime(eta_prime):
+    spec = SweepSpec(**{**SWEEP, "solvers": ("rifle",), "s": 2, "eta_prime": eta_prime})
+    return run_sweep(spec, timing="zero")
+
+
+def _conditions(eta):
+    pair = gen_spiked(V, 20, 0).truth.pair
+    return compute_conditions(generalized_eig(pair), pair, eta, V)
+
+
+#: (field, the call it feeds) for every real-valued setting a CLI flag feeds.
+REAL_FIELDS = [
+    ("learning_rate", _range_project),
+    *((name, _solve) for name in ("step_size", "denominator_floor", "stop_tol")),
+    ("eta_prime", _sweep_eta_prime),
+    ("eta_prime", _rifle_eta),
+    ("eta", _conditions),
+]
+
+
+@pytest.mark.parametrize("value", [True, "0.5"], ids=repr)
+@pytest.mark.parametrize("field, run", REAL_FIELDS, ids=lambda v: getattr(v, "__name__", v))
+def test_real_fields_refuse_bools_and_strings(field, run, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a real number, got {value!r}$"):
+        run(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "value, plain",
+    [(np.float64(0.5), 0.5), (1, 1.0), (Fraction(1, 4), 0.25)],
+    ids=repr,
+)
+@pytest.mark.parametrize("field, run", REAL_FIELDS, ids=lambda v: getattr(v, "__name__", v))
+def test_real_fields_take_numpy_floats_ints_and_fractions(field, run, value, plain):
+    a, b = run(**{field: value}), run(**{field: plain})
+    if run is _range_project:
+        assert a.tobytes() == b.tobytes()
+    elif run is _solve:
+        assert a.estimate.tobytes() == b.estimate.tobytes()
+    elif run is _rifle_eta:
+        assert a[0].tobytes() == b[0].tobytes()
+    else:
+        assert a == b
+
