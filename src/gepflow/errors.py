@@ -17,7 +17,7 @@ class GepflowError(Exception):
 
 
 class NonConvergence(GepflowError):
-    """An iterative routine exhausted its iteration budget."""
+    """LAPACK's symmetric eigensolver (`eigh`, in `sym_eig`) failed to converge."""
 
 
 class NotPositiveDefinite(GepflowError):

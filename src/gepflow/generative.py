@@ -156,6 +156,7 @@ class LatentProjectionConfig:
     def __post_init__(self):
         _typed(steps=self.steps, restarts=self.restarts, seed=self.seed)
         _typed(numbers.Real, learning_rate=self.learning_rate)
+        object.__setattr__(self, "learning_rate", float(self.learning_rate))
         if self.steps < 1 or self.restarts < 1:
             raise ValueError("steps and restarts must be >= 1")
         if not 0 < self.learning_rate < math.inf:
@@ -444,26 +445,19 @@ def subspace_containing(vector, latent_dim: int, *, seed: int = 0) -> SubspaceGe
 
 def model_to_json(gen: Generator) -> dict:
     """Serialize a generator to its JSON model schema."""
-    if isinstance(gen, SubspaceGenerator):
-        return {
-            "latent_dim": gen.latent_dim,
-            "output_dim": gen.output_dim,
-            "latent_radius": float(gen.latent_radius),
-            "basis": [[float(x) for x in row] for row in gen.basis],
-        }
-    return {
+    head = {
         "latent_dim": gen.latent_dim,
         "output_dim": gen.output_dim,
         "latent_radius": float(gen.latent_radius),
-        "layers": [
-            {
-                "activation": layer.activation,
-                "weight": [[float(x) for x in row] for row in layer.weight],
-                "bias": [float(x) for x in layer.bias],
-            }
-            for layer in gen.layers
-        ],
     }
+    if isinstance(gen, SubspaceGenerator):
+        return {**head, "basis": gen.basis.tolist()}
+    layers = [
+        {"activation": layer.activation, "weight": layer.weight.tolist(),
+         "bias": layer.bias.tolist()}
+        for layer in gen.layers
+    ]
+    return {**head, "layers": layers}
 
 
 def model_from_json(obj: dict) -> Generator:

@@ -128,6 +128,7 @@ class SweepSpec:
             raise ValueError("restarts must be >= 1")
         self.solver_config  # checks eta, max_iters and stop_tol
         _typed(numbers.Real, eta_prime=self.eta_prime)
+        object.__setattr__(self, "eta_prime", float(self.eta_prime))
         if not 0 < self.eta_prime < math.inf:
             raise ValueError("eta_prime must be finite and positive")
         if "rifle" in sv and (self.s is None or self.s < 1):

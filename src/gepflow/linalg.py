@@ -58,7 +58,8 @@ class MatrixPair:
     Construction validates symmetry, matching dimensions, and positive
     definiteness of `b` (Cholesky with all pivots > 1e-12); the lower
     Cholesky factor computed during validation is cached on the instance,
-    and so are B's extreme eigenvalues once `b_extremes` is first read.
+    and so are B's extreme eigenvalues and the pair's generalized spectrum
+    once `b_extremes` and `spectrum` are first read.
     """
 
     a: NDArray[np.float64]
@@ -79,6 +80,11 @@ class MatrixPair:
         """(lambda_min(B), lambda_max(B)), from one ``eigvalsh`` per pair."""
         eigs = np.linalg.eigvalsh(self.b)  # ascending
         return float(eigs[0]), float(eigs[-1])
+
+    @cached_property
+    def spectrum(self) -> GeneralizedSpectrum:
+        """The pair's :func:`generalized_eig`, solved once per pair."""
+        return generalized_eig(self)
 
 
 @dataclass(frozen=True, eq=False)

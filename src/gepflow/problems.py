@@ -44,7 +44,6 @@ from .linalg import (
     _number,
     _typed,
     as_sym_matrix,
-    generalized_eig,
     matrix_from_json,
     matrix_to_json,
     spectral_norm,
@@ -73,7 +72,8 @@ class Truth:
 
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
-    """A sampled (A_hat, B_hat) pair plus provenance and optional truth."""
+    """A sampled (A_hat, B_hat) pair plus provenance and optional truth of
+    the same dimension; `m` and `seed` are stored as Python ints."""
 
     a_hat: NDArray[np.float64]
     b_hat: NDArray[np.float64]
@@ -87,10 +87,16 @@ class ProblemInstance:
         b = as_sym_matrix(self.b_hat, name="b_hat")
         if a.shape != b.shape:
             raise ValueError("a_hat and b_hat dimensions differ")
+        _typed(m=self.m, seed=self.seed)
         if self.m < 1:
             raise ValueError("m must be >= 1")
+        truth_dim = len(a) if self.truth is None else len(self.truth.pair.a)
+        if truth_dim != len(a):
+            raise ValueError(f"truth pair has dimension {truth_dim}, a_hat has dimension {len(a)}")
         object.__setattr__(self, "a_hat", a)
         object.__setattr__(self, "b_hat", b)
+        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def dim(self) -> int:
@@ -199,7 +205,7 @@ def gen_diag_b(v_star, m: int, seed: int) -> ProblemInstance:
     a_hat, b_hat = _spiked_draws(v, m, seed, math.sqrt(2.0))
     b_true = np.diag([2.0] + [1.0] * (n - 1))
     pair = MatrixPair(a=4.0 * np.outer(v, v) + np.eye(n), b=b_true)
-    spectrum = generalized_eig(pair)
+    spectrum = pair.spectrum
     truth = Truth(
         pair=pair,
         v_star=v,

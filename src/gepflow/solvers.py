@@ -85,8 +85,11 @@ class SolverConfig:
     def __post_init__(self):
         _typed(max_iters=self.max_iters)
         _typed(numbers.Real, step_size=self.step_size, denominator_floor=self.denominator_floor)
+        object.__setattr__(self, "step_size", float(self.step_size))
+        object.__setattr__(self, "denominator_floor", float(self.denominator_floor))
         if self.stop_tol is not None:
             _typed(numbers.Real, stop_tol=self.stop_tol)
+            object.__setattr__(self, "stop_tol", float(self.stop_tol))
         if not 0 < self.step_size < math.inf:
             raise ValueError("step_size must be finite and positive")
         if self.max_iters < 1:
@@ -333,6 +336,7 @@ def rifle(
     """
     _typed(s=s)
     _typed(numbers.Real, eta_prime=eta_prime)
+    eta_prime = float(eta_prime)
     a, b = _pair(a_hat, b_hat)
     if not 0 < eta_prime < math.inf:
         raise ValueError("eta_prime must be finite and positive")

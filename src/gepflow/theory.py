@@ -32,7 +32,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DegenerateGap, NonPositiveAlignment, RhoOutOfRange
-from .linalg import GeneralizedSpectrum, MatrixPair, _typed, generalized_eig
+from .linalg import MatrixPair, _typed
 from .rng import NormalStream, map_words
 
 LEMMA_SLACK = 1e-9
@@ -102,19 +102,19 @@ def conditions_from_gammas(
     )
 
 
-def compute_conditions(
-    spectrum: GeneralizedSpectrum, pair: MatrixPair, eta: float, u0
-) -> ConvergenceConditions:
-    """Evaluate the descent conditions for a population spectrum and start.
+def compute_conditions(pair: MatrixPair, eta: float, u0) -> ConvergenceConditions:
+    """Evaluate the descent conditions for a population pair and start.
 
-    `spectrum` must come from the population `pair`, not sample estimates;
-    the pair's cached B extremes enter the gammas. nu0 is clamped into
-    [-1, 1] (a unit start equal to the truth can round just past 1), and may
-    come out negative: the report flags it rather than erroring.
+    `pair` must be the population pair, not sample estimates; its cached
+    spectrum and B extremes enter the gammas. nu0 is clamped into [-1, 1]
+    (a unit start equal to the truth can round just past 1), and may come
+    out negative: the report flags it rather than erroring.
     """
     _typed(numbers.Real, eta=eta)
+    eta = float(eta)
     if not 0 <= eta < math.inf:
         raise ValueError("eta must be finite and >= 0")
+    spectrum = pair.spectrum
     lam = spectrum.eigenvalues
     if lam.shape[0] < 2:
         raise DegenerateGap("need at least two eigenvalues")
@@ -154,12 +154,12 @@ class CoefficientCheck:
     holds: bool
 
 
-def _prepare(pair: MatrixPair, spectrum: GeneralizedSpectrum, x):
+def _prepare(pair: MatrixPair, x):
     """The checkers' shared start: x as a flat float64 vector, B x, and the
     leading coefficient f1 = v1' B x."""
     xv = np.asarray(x, dtype=np.float64).reshape(-1)
     bx = pair.b.dot(xv)
-    return xv, bx, float(spectrum.eigenvectors[:, 0].dot(bx))
+    return xv, bx, float(pair.spectrum.eigenvectors[:, 0].dot(bx))
 
 
 def _check_rho(rho: float, lam) -> None:
@@ -169,11 +169,8 @@ def _check_rho(rho: float, lam) -> None:
         )
 
 
-def check_lemma_sandwich(
-    pair: MatrixPair, rho: float, x, spectrum: GeneralizedSpectrum
-) -> SandwichCheck:
-    """Two-sided bound on x'(rho B - A)x via the extreme eigenvalues;
-    `spectrum` is `generalized_eig(pair)`.
+def check_lemma_sandwich(pair: MatrixPair, rho: float, x) -> SandwichCheck:
+    """Two-sided bound on x'(rho B - A)x via the extreme eigenvalues.
 
     With f1 = v1' B x the leading coefficient of x in the B-orthonormal
     eigenbasis:
@@ -182,8 +179,8 @@ def check_lemma_sandwich(
           <= x'(rho B - A) x <=
         (rho - lambda_n) lambda_max(B) ||x||^2 - (lambda_1 - lambda_n) f1^2
     """
-    xv, bx, f1 = _prepare(pair, spectrum, x)
-    lam = spectrum.eigenvalues
+    xv, bx, f1 = _prepare(pair, x)
+    lam = pair.spectrum.eigenvalues
     _check_rho(rho, lam)
     b_min, b_max = pair.b_extremes
     nsq = float(xv.dot(xv))
@@ -194,11 +191,8 @@ def check_lemma_sandwich(
     return SandwichCheck(lower=lower, middle=middle, upper=upper, holds=holds)
 
 
-def check_lemma_inner(
-    pair: MatrixPair, rho: float, eta: float, x, y, spectrum: GeneralizedSpectrum
-) -> InnerCheck:
-    """Lower bound on the step inner product eta <(rho B - A) x, y>;
-    `spectrum` is `generalized_eig(pair)`.
+def check_lemma_inner(pair: MatrixPair, rho: float, eta: float, x, y) -> InnerCheck:
+    """Lower bound on the step inner product eta <(rho B - A) x, y>.
 
     With tau1 = eta (rho - lambda_2) lambda_min(B) and
     tau2 = eta (rho - lambda_n) lambda_max(B):
@@ -208,9 +202,9 @@ def check_lemma_inner(
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    xv, bx, f1 = _prepare(pair, spectrum, x)
-    yv, _, g1 = _prepare(pair, spectrum, y)
-    lam = spectrum.eigenvalues
+    xv, bx, f1 = _prepare(pair, x)
+    yv, _, g1 = _prepare(pair, y)
+    lam = pair.spectrum.eigenvalues
     _check_rho(rho, lam)
     b_min, b_max = pair.b_extremes
     tau1 = eta * (rho - float(lam[1])) * b_min
@@ -224,26 +218,23 @@ def check_lemma_inner(
     return InnerCheck(lhs=lhs, rhs=rhs, holds=lhs >= rhs - LEMMA_SLACK)
 
 
-def check_lemma_coefficient(
-    pair: MatrixPair, x, spectrum: GeneralizedSpectrum
-) -> CoefficientCheck:
-    """Bound the leading-coefficient error by the chord to the optimum;
-    `spectrum` is `generalized_eig(pair)`.
+def check_lemma_coefficient(pair: MatrixPair, x) -> CoefficientCheck:
+    """Bound the leading-coefficient error by the chord to the optimum.
 
     For unit x with nu = x'v* > 0, h = x - v*, and d = 1/||v1||_2:
 
         (f1 - d)^2 <= (lambda_max(B) - (1 + nu) lambda_min(B) / 2) ||h||^2
     """
-    xv, _, f1 = _prepare(pair, spectrum, x)
+    xv, _, f1 = _prepare(pair, x)
     if abs(math.sqrt(xv.dot(xv)) - 1.0) > 1e-10:
         raise ValueError("x must be a unit vector")
-    v_star = spectrum.leading_unit
+    v_star = pair.spectrum.leading_unit
     nu = float(xv.dot(v_star))
     if nu <= 0:
         raise NonPositiveAlignment(f"x'v* = {nu:.6g} <= 0")
     b_min, b_max = pair.b_extremes
     h = xv - v_star
-    lhs = (f1 - spectrum.scale_d) ** 2
+    lhs = (f1 - pair.spectrum.scale_d) ** 2
     rhs = (b_max - (1.0 + nu) * b_min / 2.0) * float(h.dot(h))
     return CoefficientCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + LEMMA_SLACK)
 
@@ -319,11 +310,10 @@ def run_lemma_suites(draws: int = 10_000, seed: int = 0) -> tuple[LemmaSuiteResu
         stream = NormalStream(seed, stream=i)
         n = 2 + (i % (_SUITE_N_MAX - 1))
         pair = _random_population_pair(stream, n)
-        spectrum = generalized_eig(pair)
-        lam = spectrum.eigenvalues
-        if float(lam[0] - lam[1]) <= 1e-8:
+        spectrum = pair.spectrum
+        if spectrum.gap <= 1e-8:
             continue  # skip near-degenerate gaps; rho range would be empty
-        lam1, gap = float(lam[1]), float(lam[0] - lam[1])
+        lam1, gap = float(spectrum.eigenvalues[1]), spectrum.gap
         v_star = spectrum.leading_unit
         todo = min(_SUITE_DRAWS_PER_PAIR, draws - done)
         fracs, xs, ys, etas = _draw_tuples(stream, n, todo)
@@ -331,16 +321,16 @@ def run_lemma_suites(draws: int = 10_000, seed: int = 0) -> tuple[LemmaSuiteResu
             rho = lam1 + max(frac, 1e-12) * gap
             eta = 0.5 * u
 
-            s = check_lemma_sandwich(pair, rho, x, spectrum=spectrum)
+            s = check_lemma_sandwich(pair, rho, x)
             record("sandwich", s.holds, s.middle - s.lower, s.upper - s.middle)
-            r = check_lemma_inner(pair, rho, eta, x, y, spectrum=spectrum)
+            r = check_lemma_inner(pair, rho, eta, x, y)
             record("inner", r.holds, r.lhs - r.rhs)
 
             xu = x / math.sqrt(x.dot(x))
             if float(xu.dot(v_star)) < 0:
                 xu = -xu
             if float(xu.dot(v_star)) > 0:
-                c = check_lemma_coefficient(pair, xu, spectrum=spectrum)
+                c = check_lemma_coefficient(pair, xu)
                 record("coefficient", c.holds, c.rhs - c.lhs)
         done += todo
         if done >= draws:

@@ -500,10 +500,10 @@ def reference_project_to_range(gen, x, cfg):
 
 
 def reference_lemma_checks(pair, spec, rho, eta, x, y, xu):
-    """The fields of check_lemma_sandwich(pair, rho, x, spec),
-    check_lemma_inner(pair, rho, eta, x, y, spec) and
-    check_lemma_coefficient(pair, xu, spec), in dataclass field order, written
-    with @ and np.linalg.norm: ((lower, middle, upper, holds),
+    """The fields of check_lemma_sandwich(pair, rho, x),
+    check_lemma_inner(pair, rho, eta, x, y) and check_lemma_coefficient(pair,
+    xu) for a pair whose spectrum is `spec`, in dataclass field order,
+    written with @ and np.linalg.norm: ((lower, middle, upper, holds),
     (lhs, rhs, holds), (lhs, rhs, holds))."""
     lam = spec.eigenvalues
     l1, l2, ln = float(lam[0]), float(lam[1]), float(lam[-1])

@@ -148,8 +148,7 @@ def test_04_monitored_convergence_under_valid_step():
     inst = gen_spiked(v, 2000, seed=43)
     u0 = np.ones(n) / math.sqrt(n)
 
-    spec = generalized_eig(inst.truth.pair)
-    cond = compute_conditions(spec, inst.truth.pair, 7 / 32, u0)
+    cond = compute_conditions(inst.truth.pair, 7 / 32, u0)
     gammas_ok = abs(cond.gamma1 - 7 / 8) <= 1e-12 and abs(cond.gamma2 - 7 / 8) <= 1e-12
     flags_ok = cond.step_sum_ok and cond.step_floor_ok and cond.nu0_positive
 

@@ -235,6 +235,27 @@ class TestSolve:
         assert f"'{key}' must be" in lines[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_truth_of_another_dimension_refused(self, tmp_path, capsys, command):
+        # verify used to exit 0 with the 1 x 1 truth broadcast against the
+        # 16 x 16 sample, and solve died on a matmul error.
+        obj = json.loads(_generate(tmp_path).read_text())
+        obj["truth"].update(
+            a={"dim": 1, "rows": [[2.0]]}, b={"dim": 1, "rows": [[1.0]]},
+            v_star=[1.0], v_lead=[1.0],
+        )
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        out = tmp_path / "t.json"
+        argv = ["solve", "--solver", "prfm"] if command == "solve" else ["verify"]
+        assert main([*argv, "--in", str(bad), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [
+            f"error: invalid instance file {bad}: "
+            "truth pair has dimension 1, a_hat has dimension 16"
+        ]
+        assert not out.exists()
+
     def test_missing_instance_file(self, tmp_path, capsys):
         code = main([
             "solve", "--solver", "prfm", "--in", str(tmp_path / "absent.json"),

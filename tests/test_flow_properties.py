@@ -25,7 +25,6 @@ from gepflow import harness, solvers
 from gepflow.errors import AllRunsFailed, DenominatorNonPositive, GepflowError, ZeroVector
 from gepflow.generative import random_subspace, subspace_containing
 from gepflow.harness import SweepSpec, cosine_similarity, run_sweep
-from gepflow.linalg import generalized_eig
 from gepflow.priors import SparseProjector, SphereProjector, projector_from_spec
 from gepflow.problems import gen_diag_b, gen_spiked
 from gepflow.rng import NormalStream
@@ -237,15 +236,14 @@ def test_converged_subspace_winners_reach_the_compressed_optimum(case):
     v /= np.linalg.norm(v)
     generate = gen_spiked if case["kind"] == "spiked" else gen_diag_b
     inst = generate(v, case["m"], seed=case["seed"])
-    spectrum = generalized_eig(inst.truth.pair)
-    lam = spectrum.eigenvalues
+    lam = inst.truth.pair.spectrum.eigenvalues
     b_min, b_max = inst.truth.pair.b_extremes
     g1, g2 = float(lam[0] - lam[1]) * b_min, float(lam[0] - lam[-1]) * b_max
     lo, hi = 3.0 / (3.0 * g1 + g2), 2.0 / (g1 + g2)
     assume(lo < hi)
     eta = lo + case["frac"] * (hi - lo)
     u0 = np.ones(case["n"]) / math.sqrt(case["n"])
-    cond = compute_conditions(spectrum, inst.truth.pair, eta, u0)
+    cond = compute_conditions(inst.truth.pair, eta, u0)
     assert cond.step_sum_ok and cond.step_floor_ok
     p = subspace_containing(inst.truth.v_lead, case["k"], seed=case["seed"] + 1)
     cfg = SolverConfig(step_size=eta, max_iters=300, record_trace=False)

@@ -1,15 +1,17 @@
 """Module layering of the package, read from its import statements.
 
 `linalg` sits under everything that works on matrix pairs, so it needs
-nothing but the error types; `theory` works on pairs and spectra alone,
-so it stays below the instance generators and the solvers; the iterative
-solvers take only the input checks `as_sym_matrix` and `_typed` from
-`linalg`, so they run no dense eigensolve, and only `SubspaceGenerator`
-from `generative`, the type that sends a run to the prior's coordinates,
-so no decoder code reaches the solver layer; `rng` takes only `_typed`,
-its count check. `gepflow/__init__.py`'s import list is the one
-declaration of the public names: no module assigns `__all__`, and the set
-is pinned so that every added or dropped name shows in a diff.
+nothing but the error types, and it alone solves a pair's spectrum
+(`MatrixPair.spectrum`); `theory` works on pairs alone, taking only
+`MatrixPair` and `_typed` from `linalg`, so it stays below the instance
+generators and the solvers; the iterative solvers take only the input
+checks `as_sym_matrix` and `_typed` from `linalg`, so they run no dense
+eigensolve, and only `SubspaceGenerator` from `generative`, the type that
+sends a run to the prior's coordinates, so no decoder code reaches the
+solver layer; `rng` takes only `_typed`, its count check.
+`gepflow/__init__.py`'s import list is the one declaration of the public
+names: no module assigns `__all__`, and the set is pinned so that every
+added or dropped name shows in a diff.
 """
 
 from __future__ import annotations
@@ -46,14 +48,46 @@ def test_theory_imports_neither_problems_nor_solvers():
     assert "solvers" not in imports
 
 
-def test_solvers_take_only_input_checks_from_linalg():
-    names = {
+def _names_from(module: str, source: str) -> set[str]:
+    """The names `module` imports from the package module `source`."""
+    return {
         alias.name
-        for node in ast.walk(_tree("solvers"))
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "linalg"
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == source
         for alias in node.names
     }
-    assert names == {"_typed", "as_sym_matrix"}
+
+
+def test_theory_takes_only_pairs_and_typed_from_linalg():
+    assert _names_from("theory", "linalg") == {"MatrixPair", "_typed"}
+
+
+def test_only_linalg_names_generalized_eig():
+    """Every other module reads a pair's cached `spectrum`; the package
+    only re-exports the function."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "linalg":
+            continue
+        tree = _tree(path.stem)
+        used = [
+            node
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "generalized_eig")
+            or (isinstance(node, ast.Attribute) and node.attr == "generalized_eig")
+        ]
+        assert not used, path.name
+        if path.stem != "__init__":
+            imported = {
+                alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+            }
+            assert "generalized_eig" not in imported, path.name
+
+
+def test_solvers_take_only_input_checks_from_linalg():
+    assert _names_from("solvers", "linalg") == {"_typed", "as_sym_matrix"}
 
 
 def test_solvers_take_only_the_subspace_type_from_generative():

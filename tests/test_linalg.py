@@ -232,6 +232,19 @@ class TestValidationAndSerialization:
             assert pair.b_extremes == (float(w[0]), float(w[-1]))
             assert pair.b_extremes is pair.b_extremes  # solved once, then cached
 
+    def test_spectrum_is_the_cached_generalized_eig(self):
+        rng = np.random.default_rng(16)
+        for n in (1, 2, 5, 9):
+            a, b = random_definite_pair(rng, n)
+            pair = MatrixPair(a, b)
+            assert pair.spectrum is pair.spectrum  # solved once, then cached
+            expected = generalized_eig(pair)
+            for name in ("eigenvalues", "eigenvectors", "leading_unit"):
+                got = getattr(pair.spectrum, name)
+                assert got.tobytes() == getattr(expected, name).tobytes(), (n, name)
+            assert pair.spectrum.scale_d == expected.scale_d
+            assert pair.spectrum.gap == expected.gap
+
     def test_json_round_trip_bit_stable(self):
         rng = np.random.default_rng(14)
         a = rng.standard_normal((5, 5))

@@ -400,6 +400,15 @@ class TestInstanceJson:
         assert_allclose(back.truth.v_lead, inst.truth.v_lead, rtol=0, atol=0)
         assert back.truth.lambda1 == inst.truth.lambda1
 
+    def test_round_trip_with_numpy_integer_m_and_seed(self):
+        # numpy integers used to be stored as given and fail json.dumps.
+        inst = gen_spiked(_nonneg_unit(6, 31), np.int64(12), seed=np.int64(8))
+        assert type(inst.m) is int and type(inst.seed) is int
+        text = json.dumps(instance_to_json(inst))
+        assert text == json.dumps(instance_to_json(gen_spiked(_nonneg_unit(6, 31), 12, seed=8)))
+        back = instance_from_json(json.loads(text))
+        assert back.m == 12 and back.seed == 8
+
     def test_round_trip_without_truth(self):
         inst = ProblemInstance(
             a_hat=np.eye(3), b_hat=2.0 * np.eye(3), truth=None, m=4, kind="custom", seed=2
@@ -475,6 +484,14 @@ class TestInstanceJson:
 
 
 _V = np.full(4, 0.5)
+_TRUTH_1 = Truth(pair=MatrixPair(a=[[2.0]], b=[[1.0]]), v_star=[1.0], lambda1=2.0, lambda2=2.0,
+                 v_lead=[1.0])
+
+
+def _instance(**fields):
+    return ProblemInstance(**{"a_hat": np.eye(8), "b_hat": np.eye(8), "truth": None, "m": 5,
+                              "kind": "x", "seed": 0, **fields})
+
 
 #: Every input refusal of the module that no other test reaches: (call,
 #: error class, the whole message).
@@ -485,6 +502,15 @@ REFUSALS = [
                  "set_size must be >= 1", id="set-size-zero"),
     pytest.param(lambda: instance_from_json([]), ValueError,
                  "instance bundle must be an object", id="bundle-not-object"),
+    # each of these used to build, and a 1 x 1 truth was broadcast against the sample
+    pytest.param(lambda: _instance(truth=_TRUTH_1), ValueError,
+                 "truth pair has dimension 1, a_hat has dimension 8", id="truth-dim"),
+    pytest.param(lambda: _instance(m=2.5), ValueError, "m must be an integer, got 2.5",
+                 id="m-float"),
+    pytest.param(lambda: _instance(m=True), ValueError, "m must be an integer, got True",
+                 id="m-true"),
+    pytest.param(lambda: _instance(seed="x"), ValueError, "seed must be an integer, got 'x'",
+                 id="seed-str"),
 ]
 
 

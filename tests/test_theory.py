@@ -25,7 +25,7 @@ from gepflow.errors import (
     NotPositiveDefinite,
     RhoOutOfRange,
 )
-from gepflow.linalg import MatrixPair, generalized_eig
+from gepflow.linalg import MatrixPair
 from gepflow.priors import SphereProjector
 from gepflow.problems import gen_spiked
 from gepflow.rng import NormalStream
@@ -60,16 +60,15 @@ def _spiked_population(n: int, seed: int = 3):
     v = NormalStream(seed, stream=0).unit_vector(n)
     a = 4.0 * np.outer(v, v) + np.eye(n)
     pair = MatrixPair(a=(a + a.T) / 2.0, b=np.eye(n))
-    spec = generalized_eig(pair)
-    if float(v @ spec.leading_unit) < 0:
+    if float(v @ pair.spectrum.leading_unit) < 0:
         v = -v
-    return pair, v, spec
+    return pair, v
 
 
 class TestComputeConditions:
     def test_spiked_protocol_step_size(self):
-        pair, v, spec = _spiked_population(16)
-        cond = compute_conditions(spec, pair, 7.0 / 32.0, v)
+        pair, v = _spiked_population(16)
+        cond = compute_conditions(pair, 7.0 / 32.0, v)
         assert_allclose(cond.gamma1, 0.875, atol=1e-9)
         assert_allclose(cond.gamma2, 0.875, atol=1e-9)
         assert_allclose(cond.kappa_b, 1.0, atol=1e-12)
@@ -80,8 +79,8 @@ class TestComputeConditions:
     def test_perfect_alignment_contracts_fast(self):
         # nu0 = 1 kills both alignment penalty terms: b0 = 2 - 2*gamma,
         # c0 = 0, contraction = b0 = 0.25 at the protocol step size.
-        pair, v, spec = _spiked_population(12)
-        cond = compute_conditions(spec, pair, 7.0 / 32.0, v)
+        pair, v = _spiked_population(12)
+        cond = compute_conditions(pair, 7.0 / 32.0, v)
         assert_allclose(cond.nu0, 1.0, atol=1e-12)
         assert_allclose(cond.c0, 0.0, atol=1e-9)
         assert_allclose(cond.b0, 0.25, atol=1e-8)
@@ -90,8 +89,8 @@ class TestComputeConditions:
         assert cond.contraction_ok
 
     def test_zero_step_size_is_reported_not_rejected(self):
-        pair, v, spec = _spiked_population(8)
-        cond = compute_conditions(spec, pair, 0.0, v)
+        pair, v = _spiked_population(8)
+        cond = compute_conditions(pair, 0.0, v)
         assert cond.gamma1 == 0.0 and cond.gamma2 == 0.0
         assert_allclose(cond.b0, 2.0, atol=1e-12)
         assert_allclose(cond.contraction, 2.0, atol=1e-12)
@@ -116,22 +115,21 @@ class TestComputeConditions:
         assert not cond.contraction_ok
 
     def test_negative_alignment_is_flagged(self):
-        pair, v, spec = _spiked_population(10)
-        cond = compute_conditions(spec, pair, 7.0 / 32.0, -v)
+        pair, v = _spiked_population(10)
+        cond = compute_conditions(pair, 7.0 / 32.0, -v)
         assert_allclose(cond.nu0, -1.0, atol=1e-12)
         assert not cond.nu0_positive
 
     def test_degenerate_gap_rejected(self):
         pair = MatrixPair(a=np.eye(6), b=np.eye(6))
-        spec = generalized_eig(pair)
         with pytest.raises(DegenerateGap):
-            compute_conditions(spec, pair, 0.1, np.ones(6) / math.sqrt(6))
+            compute_conditions(pair, 0.1, np.ones(6) / math.sqrt(6))
 
     def test_validation(self):
-        pair, v, spec = _spiked_population(6)
+        pair, v = _spiked_population(6)
         for eta in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="eta must be finite"):
-                compute_conditions(spec, pair, eta, v)
+                compute_conditions(pair, eta, v)
         with pytest.raises(NotPositiveDefinite):
             MatrixPair(a=pair.a, b=np.diag([1.0, -1.0, 1, 1, 1, 1]))
         with pytest.raises(ValueError):
@@ -149,9 +147,8 @@ class TestComputeConditions:
         # 1.0000000000000002, which used to fail sqrt(2 (1 - nu0)).
         v = default_init(16)
         inst = gen_spiked(v, 100, seed=0)
-        spec = generalized_eig(inst.truth.pair)
-        assert float(v @ spec.leading_unit) > 1.0
-        cond = compute_conditions(spec, inst.truth.pair, 7.0 / 32.0, v)
+        assert float(v @ inst.truth.pair.spectrum.leading_unit) > 1.0
+        cond = compute_conditions(inst.truth.pair, 7.0 / 32.0, v)
         assert cond.nu0 == 1.0
 
     def test_gamma_lipschitz_in_spectrum(self):
@@ -159,19 +156,24 @@ class TestComputeConditions:
         # whole spectrum by eps moves them far less than eta*eps*lambda_max;
         # shifting a single eigenvalue saturates that bound exactly, which
         # needs a cushion wide enough for the float subtraction at gamma
-        # scale.
+        # scale. Each shifted spectrum is seeded into a copy of the pair.
+        def with_spectrum(pair, spectrum):
+            copy = dataclasses.replace(pair)
+            vars(copy)["spectrum"] = spectrum
+            return copy
+
         rng = np.random.default_rng(11)
         eta, eps = 0.2, 1e-6
         for _ in range(10):
             a, b = random_definite_pair(rng, 6, min_gap=0.05)
             pair = MatrixPair(a=a, b=b)
-            spec = generalized_eig(pair)
+            spec = pair.spectrum
             b_max = float(np.max(np.linalg.eigvalsh(b)))
             u0 = NormalStream(1, stream=0).unit_vector(6)
-            base = compute_conditions(spec, pair, eta, u0)
+            base = compute_conditions(pair, eta, u0)
 
             uniform = dataclasses.replace(spec, eigenvalues=spec.eigenvalues + eps)
-            new = compute_conditions(uniform, pair, eta, u0)
+            new = compute_conditions(with_spectrum(pair, uniform), eta, u0)
             bound = eta * eps * b_max * (1.0 + 1e-12)
             assert abs(new.gamma1 - base.gamma1) <= bound
             assert abs(new.gamma2 - base.gamma2) <= bound
@@ -182,7 +184,7 @@ class TestComputeConditions:
                 shifted = dataclasses.replace(
                     spec, eigenvalues=lam, gap=float(lam[0] - lam[1])
                 )
-                new = compute_conditions(shifted, pair, eta, u0)
+                new = compute_conditions(with_spectrum(pair, shifted), eta, u0)
                 bound = eta * eps * b_max * (1.0 + 1e-8)
                 assert abs(new.gamma1 - base.gamma1) <= bound
                 assert abs(new.gamma2 - base.gamma2) <= bound
@@ -191,14 +193,14 @@ class TestComputeConditions:
 class TestSandwich:
     def test_leading_eigenvector_collapses_to_zero(self):
         pair = MatrixPair(a=np.diag([3.0, 1.0, 0.0]), b=np.eye(3))
-        out = check_lemma_sandwich(pair, 3.0, np.array([1.0, 0.0, 0.0]), generalized_eig(pair))
+        out = check_lemma_sandwich(pair, 3.0, np.array([1.0, 0.0, 0.0]))
         assert_allclose([out.lower, out.middle, out.upper], 0.0, atol=1e-12)
         assert out.holds
 
     def test_two_by_two_equality(self):
         # n = 2 with B = I makes both bounds coincide with the middle.
         pair = MatrixPair(a=np.diag([2.0, 0.0]), b=np.eye(2))
-        out = check_lemma_sandwich(pair, 1.5, np.array([1.0, 1.0]), generalized_eig(pair))
+        out = check_lemma_sandwich(pair, 1.5, np.array([1.0, 1.0]))
         assert_allclose(out.lower, 1.0, atol=1e-12)
         assert_allclose(out.middle, 1.0, atol=1e-12)
         assert_allclose(out.upper, 1.0, atol=1e-12)
@@ -206,17 +208,16 @@ class TestSandwich:
 
     def test_zero_vector(self):
         pair = MatrixPair(a=np.diag([2.0, 0.0]), b=np.eye(2))
-        out = check_lemma_sandwich(pair, 1.0, np.zeros(2), generalized_eig(pair))
+        out = check_lemma_sandwich(pair, 1.0, np.zeros(2))
         assert out.lower == out.middle == out.upper == 0.0
         assert out.holds
 
     def test_rho_out_of_range(self):
         pair = MatrixPair(a=np.diag([2.0, 0.0]), b=np.eye(2))
-        spec = generalized_eig(pair)
         with pytest.raises(RhoOutOfRange):
-            check_lemma_sandwich(pair, 0.0, np.ones(2), spec)  # rho == lambda_2
+            check_lemma_sandwich(pair, 0.0, np.ones(2))  # rho == lambda_2
         with pytest.raises(RhoOutOfRange):
-            check_lemma_sandwich(pair, 2.1, np.ones(2), spec)
+            check_lemma_sandwich(pair, 2.1, np.ones(2))
 
     def test_random_pairs_never_violate(self):
         rng = np.random.default_rng(5)
@@ -224,13 +225,13 @@ class TestSandwich:
         for _ in range(60):
             a, b = random_definite_pair(rng, 5, min_gap=0.05)
             pair = MatrixPair(a=a, b=b)
-            spec = generalized_eig(pair)
+            spec = pair.spectrum
             lam = spec.eigenvalues
             for _ in range(5):
                 frac = float(stream.uniforms(1)[0])
                 rho = float(lam[1]) + max(frac, 1e-9) * float(lam[0] - lam[1])
                 x = stream.normals(5) * 2.0
-                out = check_lemma_sandwich(pair, rho, x, spectrum=spec)
+                out = check_lemma_sandwich(pair, rho, x)
                 assert out.holds, (out, rho)
 
 
@@ -240,7 +241,7 @@ class TestInner:
         # term, which the direct evaluation matches exactly.
         pair = MatrixPair(a=np.diag([2.0, 0.0]), b=np.eye(2))
         out = check_lemma_inner(
-            pair, 1.5, 0.1, np.array([1.0, 1.0]), np.array([1.0, -1.0]), generalized_eig(pair)
+            pair, 1.5, 0.1, np.array([1.0, 1.0]), np.array([1.0, -1.0])
         )
         assert_allclose(out.lhs, -0.2, atol=1e-12)
         assert_allclose(out.rhs, -0.2, atol=1e-12)
@@ -249,7 +250,7 @@ class TestInner:
     def test_zero_y(self):
         pair = MatrixPair(a=np.diag([2.0, 0.0, -1.0]), b=np.eye(3))
         out = check_lemma_inner(
-            pair, 1.0, 0.3, np.array([1.0, 2.0, 3.0]), np.zeros(3), generalized_eig(pair)
+            pair, 1.0, 0.3, np.array([1.0, 2.0, 3.0]), np.zeros(3)
         )
         assert out.lhs == 0.0
         assert out.rhs <= 0.0
@@ -257,16 +258,15 @@ class TestInner:
 
     def test_zero_eta_collapses(self):
         pair = MatrixPair(a=np.diag([2.0, 0.0]), b=np.eye(2))
-        out = check_lemma_inner(pair, 1.0, 0.0, np.ones(2), np.ones(2), generalized_eig(pair))
+        out = check_lemma_inner(pair, 1.0, 0.0, np.ones(2), np.ones(2))
         assert out.lhs == 0.0 and out.rhs == 0.0 and out.holds
 
     def test_validation(self):
         pair = MatrixPair(a=np.diag([2.0, 0.0]), b=np.eye(2))
-        spec = generalized_eig(pair)
         with pytest.raises(ValueError):
-            check_lemma_inner(pair, 1.0, -0.1, np.ones(2), np.ones(2), spec)
+            check_lemma_inner(pair, 1.0, -0.1, np.ones(2), np.ones(2))
         with pytest.raises(RhoOutOfRange):
-            check_lemma_inner(pair, 3.0, 0.1, np.ones(2), np.ones(2), spec)
+            check_lemma_inner(pair, 3.0, 0.1, np.ones(2), np.ones(2))
 
     def test_random_pairs_never_violate(self):
         rng = np.random.default_rng(7)
@@ -274,7 +274,7 @@ class TestInner:
         for _ in range(60):
             a, b = random_definite_pair(rng, 4, min_gap=0.05)
             pair = MatrixPair(a=a, b=b)
-            spec = generalized_eig(pair)
+            spec = pair.spectrum
             lam = spec.eigenvalues
             for _ in range(5):
                 frac = float(stream.uniforms(1)[0])
@@ -282,7 +282,7 @@ class TestInner:
                 x = stream.normals(4)
                 y = stream.normals(4)
                 eta = 0.4 * float(stream.uniforms(1)[0])
-                out = check_lemma_inner(pair, rho, eta, x, y, spectrum=spec)
+                out = check_lemma_inner(pair, rho, eta, x, y)
                 assert out.holds, (out, rho, eta)
 
 
@@ -290,8 +290,8 @@ class TestCoefficient:
     def test_optimum_is_exact(self):
         a, b = random_definite_pair(np.random.default_rng(9), 5, min_gap=0.05)
         pair = MatrixPair(a=a, b=b)
-        spec = generalized_eig(pair)
-        out = check_lemma_coefficient(pair, spec.leading_unit, spectrum=spec)
+        spec = pair.spectrum
+        out = check_lemma_coefficient(pair, spec.leading_unit)
         assert_allclose(out.lhs, 0.0, atol=1e-12)
         assert_allclose(out.rhs, 0.0, atol=1e-12)
         assert out.holds
@@ -301,18 +301,17 @@ class TestCoefficient:
         pair = MatrixPair(a=np.diag([2.0, 0.0]), b=np.eye(2))
         theta = math.pi / 3.0
         x = np.array([math.cos(theta), math.sin(theta)])
-        out = check_lemma_coefficient(pair, x, generalized_eig(pair))
+        out = check_lemma_coefficient(pair, x)
         assert_allclose(out.lhs, 0.25, atol=1e-12)
         assert_allclose(out.rhs, 0.25, atol=1e-12)
         assert out.holds
 
     def test_rejects_bad_inputs(self):
         pair = MatrixPair(a=np.diag([2.0, 0.0]), b=np.eye(2))
-        spec = generalized_eig(pair)
         with pytest.raises(ValueError):
-            check_lemma_coefficient(pair, np.array([1.0, 1.0]), spec)  # not unit
+            check_lemma_coefficient(pair, np.array([1.0, 1.0]))  # not unit
         with pytest.raises(NonPositiveAlignment):
-            check_lemma_coefficient(pair, -spec.leading_unit, spectrum=spec)
+            check_lemma_coefficient(pair, -pair.spectrum.leading_unit)
 
     def test_random_pairs_never_violate(self):
         rng = np.random.default_rng(13)
@@ -320,14 +319,14 @@ class TestCoefficient:
         for _ in range(60):
             a, b = random_definite_pair(rng, 6, min_gap=0.05)
             pair = MatrixPair(a=a, b=b)
-            spec = generalized_eig(pair)
+            spec = pair.spectrum
             for _ in range(5):
                 x = stream.unit_vector(6)
                 if float(x @ spec.leading_unit) < 0:
                     x = -x
                 if float(x @ spec.leading_unit) <= 0:
                     continue
-                out = check_lemma_coefficient(pair, x, spectrum=spec)
+                out = check_lemma_coefficient(pair, x)
                 assert out.holds, out
 
 
@@ -413,7 +412,7 @@ def test_checkers_match_matmul_formulas(seed, n, frac, eta, scale):
     rng = np.random.default_rng(seed)
     a, b = random_definite_pair(rng, n, min_gap=1e-6)
     pair = MatrixPair(a=a, b=b)
-    spec = generalized_eig(pair)
+    spec = pair.spectrum
     lam = spec.eigenvalues
     rho = float(lam[1]) + frac * float(lam[0] - lam[1])
     x = scale * rng.standard_normal(n)
@@ -422,11 +421,11 @@ def test_checkers_match_matmul_formulas(seed, n, frac, eta, scale):
     if float(xu @ spec.leading_unit) < 0:
         xu = -xu
     sandwich, inner, coefficient = reference_lemma_checks(pair, spec, rho, eta, x, y, xu)
-    got = check_lemma_sandwich(pair, rho, x, spectrum=spec)
+    got = check_lemma_sandwich(pair, rho, x)
     assert _bits(dataclasses.astuple(got)) == _bits(sandwich)
-    got = check_lemma_inner(pair, rho, eta, x, y, spectrum=spec)
+    got = check_lemma_inner(pair, rho, eta, x, y)
     assert _bits(dataclasses.astuple(got)) == _bits(inner)
-    got = check_lemma_coefficient(pair, xu, spectrum=spec)
+    got = check_lemma_coefficient(pair, xu)
     assert _bits(dataclasses.astuple(got)) == _bits(coefficient)
 
 
@@ -436,13 +435,13 @@ class TestContractionConsistency:
         # distance ratio before the floating-point plateau should stay
         # below the predicted contraction factor (with a small cushion).
         n = 16
-        pair, v, spec = _spiked_population(n, seed=6)
+        pair, v = _spiked_population(n, seed=6)
         w = NormalStream(8, stream=0).unit_vector(n)
         w = w - (w @ v) * v
         w /= np.linalg.norm(w)
         nu0 = 0.99
         u0 = nu0 * v + math.sqrt(1.0 - nu0**2) * w
-        cond = compute_conditions(spec, pair, 7.0 / 32.0, u0)
+        cond = compute_conditions(pair, 7.0 / 32.0, u0)
         assert_allclose(cond.b0, 0.6299810601229374, atol=1e-8)
         assert cond.contraction_ok
 
@@ -459,7 +458,7 @@ class TestContractionConsistency:
         # Empirical observation on the noiseless spiked flow; recorded as a
         # regression check, not a general theorem.
         n = 16
-        pair, v, _ = _spiked_population(n, seed=6)
+        pair, v = _spiked_population(n, seed=6)
         w = NormalStream(8, stream=0).unit_vector(n)
         w = w - (w @ v) * v
         w /= np.linalg.norm(w)
@@ -476,7 +475,7 @@ _ONE = MatrixPair(a=[[2.0]], b=[[1.0]])
 #: Every input refusal of the module that no other test reaches: (call,
 #: error class, the whole message).
 REFUSALS = [
-    pytest.param(lambda: compute_conditions(generalized_eig(_ONE), _ONE, 0.1, [1.0]),
+    pytest.param(lambda: compute_conditions(_ONE, 0.1, [1.0]),
                  DegenerateGap, "need at least two eigenvalues", id="single-eigenvalue"),
 ]
 

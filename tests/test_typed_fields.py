@@ -18,6 +18,7 @@ from the range check.
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 
@@ -34,7 +35,6 @@ from gepflow.generative import (
     subspace_containing,
 )
 from gepflow.harness import SweepSpec, run_sweep
-from gepflow.linalg import generalized_eig
 from gepflow.priors import (
     RangeProjector,
     SparseProjector,
@@ -44,7 +44,7 @@ from gepflow.priors import (
 )
 from gepflow.problems import gen_diag_b, gen_phase_retrieval, gen_spiked, verify_perturbation
 from gepflow.rng import NormalStream
-from gepflow.solvers import SolverConfig, rifle, run_with_restarts
+from gepflow.solvers import SolverConfig, rifle, run_with_restarts, trace_to_json
 from gepflow.theory import compute_conditions, run_lemma_suites
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
@@ -360,7 +360,7 @@ def _sweep_eta_prime(eta_prime):
 
 def _conditions(eta):
     pair = gen_spiked(V, 20, 0).truth.pair
-    return compute_conditions(generalized_eig(pair), pair, eta, V)
+    return compute_conditions(pair, eta, V)
 
 
 #: (field, the call it feeds) for every real-valued setting a CLI flag feeds.
@@ -382,18 +382,40 @@ def test_real_fields_refuse_bools_and_strings(field, run, value):
 
 @pytest.mark.parametrize(
     "value, plain",
-    [(np.float64(0.5), 0.5), (1, 1.0), (Fraction(1, 4), 0.25)],
+    [(np.float64(0.5), 0.5), (1, 1.0), (Fraction(1, 4), 0.25), (np.float32(0.25), 0.25),
+     (Fraction(7, 32), 0.21875)],
     ids=repr,
 )
 @pytest.mark.parametrize("field, run", REAL_FIELDS, ids=lambda v: getattr(v, "__name__", v))
 def test_real_fields_take_numpy_floats_ints_and_fractions(field, run, value, plain):
+    # Each value is stored as its float, so a float32 or a Fraction neither
+    # narrows the arithmetic nor reaches the trace JSON.
     a, b = run(**{field: value}), run(**{field: plain})
     if run is _range_project:
         assert a.tobytes() == b.tobytes()
     elif run is _solve:
         assert a.estimate.tobytes() == b.estimate.tobytes()
+        cfgs = [SolverConfig(**{"step_size": 0.1, "max_iters": 5, field: v})
+                for v in (value, plain)]
+        texts = [json.dumps(trace_to_json("prfm", c, r.trace)) for c, r in zip(cfgs, (a, b))]
+        assert texts[0] == texts[1]
     elif run is _rifle_eta:
         assert a[0].tobytes() == b[0].tobytes()
     else:
         assert a == b
+
+
+@pytest.mark.parametrize("value", [np.float32(0.25), Fraction(7, 32), 1], ids=repr)
+@pytest.mark.parametrize(
+    "field", ["step_size", "denominator_floor", "stop_tol", "eta_prime", "learning_rate"]
+)
+def test_checked_real_fields_are_stored_as_floats(field, value):
+    if field == "eta_prime":
+        built = SweepSpec(**SWEEP, eta_prime=value)
+    elif field == "learning_rate":
+        built = LatentProjectionConfig(learning_rate=value)
+    else:
+        built = SolverConfig(**{"step_size": 0.1, "max_iters": 5, field: value})
+    got = getattr(built, field)
+    assert type(got) is float and got == float(value)
 
