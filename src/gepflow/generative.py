@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -41,10 +40,6 @@ ACTIVATIONS = ("relu", "sigmoid", "identity")
 
 class LatentClampWarning(UserWarning):
     """Raised (as a warning) when a latent input is clamped to the ball."""
-
-
-def _positive(x) -> bool:
-    return math.isfinite(x) and x > 0
 
 
 def default_latent_radius(latent_dim: int) -> float:
@@ -94,8 +89,7 @@ class MlpGenerator:
             dims.append(layer.weight.shape[0])
         if dims[0] >= dims[-1]:
             raise ValueError("latent_dim must be smaller than output_dim")
-        if not _positive(self.latent_radius):
-            raise ValueError("latent_radius must be finite and positive")
+        vars(self).update(_typed(float, 0, latent_radius=self.latent_radius))
         object.__setattr__(self, "layers", tuple(self.layers))
 
     @property
@@ -123,8 +117,7 @@ class SubspaceGenerator:
         gram = q.T @ q
         if np.max(np.abs(gram - np.eye(q.shape[1]))) > 1e-10:
             raise ValueError("basis columns are not orthonormal within 1e-10")
-        if not _positive(self.latent_radius):
-            raise ValueError("latent_radius must be finite and positive")
+        vars(self).update(_typed(float, 0, latent_radius=self.latent_radius))
         object.__setattr__(self, "basis", q)
 
     @property
@@ -154,13 +147,11 @@ class LatentProjectionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _typed(steps=self.steps, restarts=self.restarts, seed=self.seed)
-        _typed(numbers.Real, learning_rate=self.learning_rate)
-        object.__setattr__(self, "learning_rate", float(self.learning_rate))
+        settings = vars(self)
+        settings.update(_typed(steps=self.steps, restarts=self.restarts, seed=self.seed))
+        settings.update(_typed(float, 0, learning_rate=self.learning_rate))
         if self.steps < 1 or self.restarts < 1:
             raise ValueError("steps and restarts must be >= 1")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be finite and positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,7 +439,7 @@ def model_to_json(gen: Generator) -> dict:
     head = {
         "latent_dim": gen.latent_dim,
         "output_dim": gen.output_dim,
-        "latent_radius": float(gen.latent_radius),
+        "latent_radius": gen.latent_radius,
     }
     if isinstance(gen, SubspaceGenerator):
         return {**head, "basis": gen.basis.tolist()}

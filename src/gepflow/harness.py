@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -86,7 +85,8 @@ class SweepSpec:
     sweep and shared by all cells.
 
     `eta`, `max_iters` and `stop_tol` are checked by building
-    `solver_config`, the one SolverConfig every cell's solves share.
+    `solver_config`, the one SolverConfig every cell's solves share, and
+    stored as it stores them.
     """
 
     kind: str
@@ -104,37 +104,27 @@ class SweepSpec:
     base_seed: int = 0
 
     def __post_init__(self):
-        _typed(n=self.n, trials=self.trials, restarts=self.restarts, base_seed=self.base_seed)
+        settings = vars(self)
+        settings.update(_typed(int, 2, n=self.n))
+        settings.update(_typed(int, 1, trials=self.trials, restarts=self.restarts))
+        settings.update(_typed(int, 0, base_seed=self.base_seed))
         if self.s is not None:
-            _typed(s=self.s)
+            settings.update(_typed(s=self.s))
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        ms = tuple(self.m_values)
-        for m in ms:
-            _typed(m_values=m)
-        ms = tuple(map(int, ms))  # numpy integers pass; summary JSON needs Python ints
+        ms = tuple(_typed(m_values=m)["m_values"] for m in self.m_values)
         if not ms or any(m < 1 for m in ms) or list(ms) != sorted(set(ms)):
             raise ValueError("m_values must be nonempty, positive, strictly ascending")
-        object.__setattr__(self, "m_values", ms)
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
+        settings["m_values"] = ms
         sv = tuple(self.solvers)
         if not sv or any(name not in SOLVER_NAMES for name in sv):
             raise ValueError(f"solvers must be a nonempty subset of {SOLVER_NAMES}")
-        object.__setattr__(self, "solvers", sv)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        self.solver_config  # checks eta, max_iters and stop_tol
-        _typed(numbers.Real, eta_prime=self.eta_prime)
-        object.__setattr__(self, "eta_prime", float(self.eta_prime))
-        if not 0 < self.eta_prime < math.inf:
-            raise ValueError("eta_prime must be finite and positive")
+        settings["solvers"] = sv
+        cfg = self.solver_config  # checks eta, max_iters and stop_tol
+        settings.update(eta=cfg.step_size, max_iters=cfg.max_iters, stop_tol=cfg.stop_tol)
+        settings.update(_typed(float, 0, eta_prime=self.eta_prime))
         if "rifle" in sv and (self.s is None or self.s < 1):
             raise ValueError("rifle requires a positive sparsity level s")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be >= 0")
         if self.prior is not None and (
             not isinstance(self.prior, dict) or self.prior.get("prior") not in PRIOR_NAMES
         ):
@@ -231,9 +221,7 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1, timing: str = "real") -> list[R
     timing="zero" blanks the wall_ms column so output files can be compared
     byte-for-byte across machines and parallelism degrees.
     """
-    _typed(jobs=jobs)
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    _typed(int, 1, jobs=jobs)
     if timing not in ("real", "zero"):
         raise ValueError('timing must be "real" or "zero"')
     prior = spec.prior if spec.prior is not None else {"prior": "sphere"}

@@ -277,15 +277,36 @@ def _number(obj: dict, key: str, cast, kind: str):
     return out
 
 
-def _typed(kind=numbers.Integral, **values) -> None:
-    """Refuse each `name=value` whose value is not a `kind` (an integer
-    unless told otherwise): a bool, a string, or a float where an integer
-    belongs is a ValueError naming the field or argument. numpy scalars
-    pass."""
+#: The values `_typed` takes for each kind, and how it names them.
+_KINDS = {
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a real number"),
+    bool: ((bool, np.bool_), "a bool"),
+}
+
+
+def _typed(kind=int, lo=None, **values) -> dict:
+    """Each `name=value` setting as a Python `kind` (int unless told
+    otherwise), in a dict keyed by name.
+
+    An int setting takes any integer, a float setting any real number
+    (numpy scalars and `Fraction`s pass) and a bool setting only a bool,
+    numpy's included; a bool where a number belongs, a string, or a float
+    where an integer belongs is a ValueError naming the setting. Given
+    `lo`, an int below it reads "{name} must be >= {lo}", and a float not
+    finite and above it "{name} must be finite and positive" (`lo` is 0).
+    """
+    types, want = _KINDS[kind]
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, kind):
-            want = "an integer" if kind is numbers.Integral else "a real number"
-            raise ValueError(f"{name} must be {want}, got {reprlib.repr(value)}")
+        if type(value) is not kind:
+            if kind is not bool and isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"{name} must be {want}, got {reprlib.repr(value)}")
+            values[name] = value = kind(value)
+        if lo is not None and not (value >= lo if kind is int else lo < value < math.inf):
+            raise ValueError(
+                f"{name} must be >= {lo}" if kind is int else f"{name} must be finite and positive"
+            )
+    return values
 
 
 def matrix_from_json(obj: dict) -> NDArray[np.float64]:

@@ -54,7 +54,7 @@ class SparseProjector:
     s: int
 
     def __post_init__(self):
-        _typed(s=self.s)
+        vars(self).update(_typed(s=self.s))
         if self.s < 1:
             raise ValueError("sparsity level must be >= 1")
 

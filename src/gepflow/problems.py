@@ -87,16 +87,12 @@ class ProblemInstance:
         b = as_sym_matrix(self.b_hat, name="b_hat")
         if a.shape != b.shape:
             raise ValueError("a_hat and b_hat dimensions differ")
-        _typed(m=self.m, seed=self.seed)
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        vars(self).update(_typed(int, 1, m=self.m) | _typed(seed=self.seed))
         truth_dim = len(a) if self.truth is None else len(self.truth.pair.a)
         if truth_dim != len(a):
             raise ValueError(f"truth pair has dimension {truth_dim}, a_hat has dimension {len(a)}")
         object.__setattr__(self, "a_hat", a)
         object.__setattr__(self, "b_hat", b)
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def dim(self) -> int:
@@ -127,9 +123,7 @@ _BLOCK_ENTRIES = 1 << 15
 def _sample_stream(m: int, seed: int) -> NormalStream:
     """The draw stream of an m-sample instance, after checking that `m` and
     `seed` are integers and m >= 1."""
-    _typed(m=m, seed=seed)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _typed(int, 1, m=m)
     return NormalStream(seed, stream=0)
 
 
@@ -266,11 +260,10 @@ def verify_perturbation(
     Probe vectors are uniform unit vectors, or random decoder range points
     when a generator is supplied (S1 drawn first, then S2, one stream).
     """
-    _typed(set_size=set_size, seed=seed)
+    set_size = _typed(int, 1, set_size=set_size)["set_size"]
+    _typed(seed=seed)
     if instance.truth is None:
         raise TruthMissing("verify_perturbation needs an instance with truth")
-    if set_size < 1:
-        raise ValueError("set_size must be >= 1")
     if generator is not None and generator.output_dim != instance.dim:
         raise ValueError(
             f"generator output_dim {generator.output_dim} does not match "

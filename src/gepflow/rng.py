@@ -103,9 +103,7 @@ class NormalStream:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        _typed(seed=seed, stream=stream)
-        self.seed = int(seed)
-        self.stream = int(stream)
+        vars(self).update(_typed(seed=seed, stream=stream))
         key = np.array([self.seed % 2**64, self.stream % 2**64], dtype=_U64)
         self._bits = np.random.Philox(key=key)
 

@@ -19,7 +19,6 @@ the configured start vector), so parallel and serial execution agree.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
@@ -83,21 +82,16 @@ class SolverConfig:
     stop_tol: float | None = 1e-9
 
     def __post_init__(self):
-        _typed(max_iters=self.max_iters)
-        _typed(numbers.Real, step_size=self.step_size, denominator_floor=self.denominator_floor)
-        object.__setattr__(self, "step_size", float(self.step_size))
-        object.__setattr__(self, "denominator_floor", float(self.denominator_floor))
+        settings = vars(self)
+        settings.update(_typed(int, 1, max_iters=self.max_iters))
+        settings.update(
+            _typed(float, 0, step_size=self.step_size, denominator_floor=self.denominator_floor)
+        )
+        settings.update(_typed(bool, record_trace=self.record_trace))
         if self.stop_tol is not None:
-            _typed(numbers.Real, stop_tol=self.stop_tol)
-            object.__setattr__(self, "stop_tol", float(self.stop_tol))
-        if not 0 < self.step_size < math.inf:
-            raise ValueError("step_size must be finite and positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not 0 < self.denominator_floor < math.inf:
-            raise ValueError("denominator_floor must be finite and positive")
-        if self.stop_tol is not None and not 0 <= self.stop_tol < math.inf:
-            raise ValueError("stop_tol must be None or finite and >= 0")
+            settings.update(_typed(float, stop_tol=self.stop_tol))
+            if not 0 <= self.stop_tol < math.inf:
+                raise ValueError("stop_tol must be None or finite and >= 0")
         if self.init is not None:
             u = np.asarray(self.init, dtype=np.float64).reshape(-1)
             if not np.all(np.isfinite(u)):
@@ -334,12 +328,9 @@ def rifle(
     Requires rho_t to stay positive (it divides the step); a nonpositive
     quotient raises NonPositiveRho at the offending iteration.
     """
-    _typed(s=s)
-    _typed(numbers.Real, eta_prime=eta_prime)
-    eta_prime = float(eta_prime)
+    s = _typed(s=s)["s"]
+    eta_prime = _typed(float, 0, eta_prime=eta_prime)["eta_prime"]
     a, b = _pair(a_hat, b_hat)
-    if not 0 < eta_prime < math.inf:
-        raise ValueError("eta_prime must be finite and positive")
 
     def step(t, u, au, bu, rho, proj):
         if rho <= cfg.denominator_floor:
@@ -396,9 +387,8 @@ def run_with_restarts(
     """
     if solver not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {solver!r}")
-    _typed(restarts=restarts, seed=seed)
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    _typed(int, 1, restarts=restarts)
+    _typed(seed=seed)
     given = {"p": p, "s": s, "eta_prime": eta_prime}
     for name in ("s", "eta_prime") if solver == "rifle" else ("p",):
         if given[name] is None:

@@ -25,7 +25,6 @@ suite failing indicates an implementation bug.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,8 +109,7 @@ def compute_conditions(pair: MatrixPair, eta: float, u0) -> ConvergenceCondition
     (a unit start equal to the truth can round just past 1), and may come
     out negative: the report flags it rather than erroring.
     """
-    _typed(numbers.Real, eta=eta)
-    eta = float(eta)
+    eta = _typed(float, eta=eta)["eta"]
     if not 0 <= eta < math.inf:
         raise ValueError("eta must be finite and >= 0")
     spectrum = pair.spectrum
@@ -292,9 +290,8 @@ def run_lemma_suites(draws: int = 10_000, seed: int = 0) -> tuple[LemmaSuiteResu
     observed, a float (negative slack would mean a violation beyond
     tolerance).
     """
-    _typed(draws=draws, seed=seed)
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
+    _typed(int, 1, draws=draws)
+    _typed(seed=seed)
     pairs = (draws + _SUITE_DRAWS_PER_PAIR - 1) // _SUITE_DRAWS_PER_PAIR
     # per suite: [draws, failures, worst slack]
     tally = {name: [0, 0, math.inf] for name in ("sandwich", "inner", "coefficient")}

@@ -8,7 +8,8 @@ generators and the solvers; the iterative solvers take only the input
 checks `as_sym_matrix` and `_typed` from `linalg`, so they run no dense
 eigensolve, and only `SubspaceGenerator` from `generative`, the type that
 sends a run to the prior's coordinates, so no decoder code reaches the
-solver layer; `rng` takes only `_typed`, its count check.
+solver layer; `rng` takes only `_typed`, its count check, and `_typed` is
+the one place that converts a checked setting to its Python type.
 `gepflow/__init__.py`'s import list is the one declaration of the public
 names: no module assigns `__all__`, and the set is pinned so that every
 added or dropped name shows in a diff.
@@ -109,6 +110,40 @@ def test_rng_takes_only_typed_from_linalg():
         for alias in node.names
     }
     assert imports == {("linalg", "_typed")}
+
+
+def _is_conversion(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and (
+        node.func.id in ("int", "float", "bool")
+    )
+
+
+def test_only_typed_converts_a_stored_setting():
+    """`linalg._typed` converts each checked setting to its Python type; no
+    function stores an `int(…)`, `float(…)` or `bool(…)` call through
+    `object.__setattr__` or an attribute assignment, and `generative` keeps
+    no `_positive` check of its own."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_tree(path.stem)):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__setattr__"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "object"
+            ):
+                stored = node.args[2:]
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Attribute) for target in node.targets
+            ):
+                stored = [node.value]
+            else:
+                continue
+            assert not any(map(_is_conversion, stored)), f"{path.name}:{node.lineno}"
+    defined = {
+        node.name for node in ast.walk(_tree("generative")) if isinstance(node, ast.FunctionDef)
+    }
+    assert "_positive" not in defined
 
 
 #: The package's public names, sorted. One leaves only with its reason in CHANGES.md.

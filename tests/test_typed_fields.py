@@ -2,7 +2,8 @@
 and the plain solver functions, the instance generators, `run_lemma_suites`,
 `verify_perturbation`, `run_sweep`'s `jobs`, `NormalStream` and the seeded
 decoder constructors when they are called. Every real-valued setting that a
-command-line flag feeds refuses a bool or a string the same way.
+command-line flag or a model file feeds refuses a bool or a string the
+same way, and `record_trace` anything but a bool.
 
 A float, bool or string in an integer field or argument (or a bool or
 string in `learning_rate`) used to build, then die later with a TypeError
@@ -14,11 +15,18 @@ builds the config and runs the call it feeds in one
 test. `step_size=True` used to run with a step of 1.0 (and `trace_to_json`
 wrote `"step_size": true`), and `step_size="0.5"` died with a TypeError
 from the range check.
+
+Each setting is stored as its Python `int`, `float` or `bool`, whatever
+numpy or `Fraction` form it was given in, so every JSON writer takes it: an
+`np.int64` count, an `np.float32` `SweepSpec.eta` or an `np.True_` `record_trace` used
+to reach `json.dumps` and raise a TypeError there.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -29,6 +37,8 @@ from hypothesis import strategies as st
 
 from gepflow.generative import (
     LatentProjectionConfig,
+    MlpGenerator,
+    SubspaceGenerator,
     model_to_json,
     random_mlp,
     random_subspace,
@@ -42,9 +52,16 @@ from gepflow.priors import (
     project,
     sparse_truncate,
 )
-from gepflow.problems import gen_diag_b, gen_phase_retrieval, gen_spiked, verify_perturbation
+from gepflow.problems import (
+    ProblemInstance,
+    gen_diag_b,
+    gen_phase_retrieval,
+    gen_spiked,
+    instance_to_json,
+    verify_perturbation,
+)
 from gepflow.rng import NormalStream
-from gepflow.solvers import SolverConfig, rifle, run_with_restarts, trace_to_json
+from gepflow.solvers import SolverConfig, prfm, rifle, run_with_restarts, trace_to_json
 from gepflow.theory import compute_conditions, run_lemma_suites
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
@@ -363,13 +380,26 @@ def _conditions(eta):
     return compute_conditions(pair, eta, V)
 
 
-#: (field, the call it feeds) for every real-valued setting a CLI flag feeds.
+def _mlp_radius(latent_radius):
+    layers = random_mlp(6, 2, hidden=(3,)).layers
+    return model_to_json(MlpGenerator(layers=layers, latent_radius=latent_radius))
+
+
+def _subspace_radius(latent_radius):
+    basis = random_subspace(6, 2).basis
+    return model_to_json(SubspaceGenerator(basis=basis, latent_radius=latent_radius))
+
+
+#: (field, the call it feeds) for every real-valued setting a CLI flag or a
+#: model file feeds.
 REAL_FIELDS = [
     ("learning_rate", _range_project),
     *((name, _solve) for name in ("step_size", "denominator_floor", "stop_tol")),
     ("eta_prime", _sweep_eta_prime),
     ("eta_prime", _rifle_eta),
     ("eta", _conditions),
+    ("latent_radius", _mlp_radius),
+    ("latent_radius", _subspace_radius),
 ]
 
 
@@ -405,17 +435,137 @@ def test_real_fields_take_numpy_floats_ints_and_fractions(field, run, value, pla
         assert a == b
 
 
+@pytest.mark.parametrize("value", [True, "3"], ids=repr)
+@pytest.mark.parametrize("run", [_mlp_radius, _subspace_radius], ids=lambda run: run.__name__)
+def test_decoders_refuse_a_bool_or_string_latent_radius(run, value):
+    # latent_radius=True built a radius-1 decoder, and "3" died with a bare
+    # TypeError from math.isfinite
+    with pytest.raises(ValueError, match=f"^latent_radius must be a real number, got {value!r}$"):
+        run(value)
+
+
 @pytest.mark.parametrize("value", [np.float32(0.25), Fraction(7, 32), 1], ids=repr)
 @pytest.mark.parametrize(
-    "field", ["step_size", "denominator_floor", "stop_tol", "eta_prime", "learning_rate"]
+    "field",
+    ["step_size", "denominator_floor", "stop_tol", "eta_prime", "learning_rate", "eta",
+     "latent_radius"],
 )
 def test_checked_real_fields_are_stored_as_floats(field, value):
-    if field == "eta_prime":
-        built = SweepSpec(**SWEEP, eta_prime=value)
+    if field in ("eta_prime", "eta"):
+        built = SweepSpec(**SWEEP, **{field: value})
     elif field == "learning_rate":
         built = LatentProjectionConfig(learning_rate=value)
+    elif field == "latent_radius":
+        built = SubspaceGenerator(basis=np.eye(3)[:, :2], latent_radius=value)
     else:
         built = SolverConfig(**{"step_size": 0.1, "max_iters": 5, field: value})
     got = getattr(built, field)
     assert type(got) is float and got == float(value)
 
+
+
+@pytest.mark.parametrize("value", ["no", 0, 1, None], ids=repr)
+def test_record_trace_refuses_non_bools(value):
+    # record_trace="no" was stored as given and recorded a trace
+    with pytest.raises(ValueError, match=f"^record_trace must be a bool, got {value!r}$"):
+        _solve(record_trace=value)
+
+
+@pytest.mark.parametrize("value", [np.True_, np.False_], ids=repr)
+def test_record_trace_takes_numpy_bools(value):
+    # record_trace=np.True_ was stored as given, and json.dumps of its
+    # trace_to_json raised "Object of type bool is not JSON serializable"
+    cfg = SolverConfig(step_size=0.1, max_iters=5, record_trace=value)
+    assert cfg.record_trace is bool(value)
+    _, trace = prfm(np.diag([3.0, 2.0, 1.0]), np.eye(3), SphereProjector(), cfg)
+    assert len(trace.rows) == (6 if value else 0)
+    assert json.loads(json.dumps(trace_to_json("prfm", cfg, trace)))["config"]["record_trace"] is (
+        bool(value)
+    )
+
+
+#: The forms a setting is given in: Python, numpy and `Fraction` values.
+INTEGER_FORMS = (int, np.int64, np.int32)
+REAL_FORMS = (float, np.float64, np.float32, Fraction, int, np.int64, np.int32)
+BOOL_FORMS = (bool, np.bool_)
+
+
+def _real(draw, value):
+    """`value` (a Fraction) in a drawn form; an integer form rounds it up."""
+    form = draw(st.sampled_from(REAL_FORMS))
+    if form in INTEGER_FORMS:
+        return form(math.ceil(value))
+    return value if form is Fraction else form(float(value))
+
+
+@st.composite
+def typed_settings(draw):
+    """Every type that holds a setting, built from drawn forms of its values."""
+
+    def i(value):
+        return draw(st.sampled_from(INTEGER_FORMS))(value)
+
+    def r(value):
+        return _real(draw, value)
+
+    cfg = SolverConfig(
+        step_size=r(Fraction(7, 32)), max_iters=i(5), denominator_floor=r(Fraction(1, 1024)),
+        record_trace=draw(st.sampled_from(BOOL_FORMS))(draw(st.booleans())),
+        stop_tol=draw(st.sampled_from((None, r(Fraction(1, 2**30))))),
+    )
+    spec = SweepSpec(
+        kind="spiked", m_values=(i(20), i(30)), n=i(4), solvers=("prfm", "rifle"), trials=i(1),
+        restarts=i(2), eta=r(Fraction(7, 32)), eta_prime=r(Fraction(35, 32)), s=i(2),
+        max_iters=i(5), stop_tol=draw(st.sampled_from((None, r(Fraction(1, 2**30))))),
+        base_seed=i(3),
+    )
+    latent = LatentProjectionConfig(
+        steps=i(4), learning_rate=r(Fraction(1, 10)), restarts=i(2), seed=i(1)
+    )
+    sparse = SparseProjector(s=i(3))
+    instance = ProblemInstance(
+        a_hat=np.eye(3), b_hat=np.eye(3), truth=None, m=i(20), kind="spiked", seed=i(7)
+    )
+    stream = NormalStream(i(5), stream=i(2))
+    mlp = MlpGenerator(layers=random_mlp(6, 2, hidden=(3,)).layers, latent_radius=r(Fraction(5, 2)))
+    subspace = SubspaceGenerator(basis=random_subspace(6, 2).basis, latent_radius=r(Fraction(5, 2)))
+    return cfg, spec, latent, sparse, instance, stream, mlp, subspace
+
+
+def _scalars(obj):
+    """The scalar settings `obj` holds: every number, bool and count it stores."""
+    values = dict(vars(obj))
+    values.pop("m_values", None)
+    if isinstance(obj, SweepSpec):
+        values.update({f"m_values[{k}]": m for k, m in enumerate(obj.m_values)})
+    return {
+        name: value for name, value in values.items()
+        if isinstance(value, (bool, np.bool_, int, float, np.number, Fraction))
+    }
+
+
+@PROPERTY_SETTINGS
+@given(typed_settings())
+def test_every_setting_is_stored_as_a_python_scalar(built):
+    """Each scalar setting of each type that holds settings is exactly an
+    int, float or bool, whatever form it was given in, so the JSON writers
+    take every one of them."""
+    cfg, spec, latent, sparse, instance, stream, mlp, subspace = built
+    kinds = {
+        "record_trace": bool,
+        **dict.fromkeys(("step_size", "denominator_floor", "stop_tol", "eta", "eta_prime",
+                         "learning_rate", "latent_radius"), float),
+    }
+    for obj in built:
+        scalars = _scalars(obj)
+        assert scalars, type(obj).__name__
+        for name, value in scalars.items():
+            assert type(value) is kinds.get(name, int), (type(obj).__name__, name, type(value))
+    # B = 4I keeps u'Bu above a denominator_floor given as an integer
+    _, trace = prfm(np.diag([3.0, 2.0, 1.0]), 4.0 * np.eye(3), SphereProjector(), cfg)
+    for payload in (
+        trace_to_json("prfm", cfg, trace), dataclasses.asdict(spec),
+        dataclasses.asdict(latent), instance_to_json(instance), model_to_json(mlp),
+        model_to_json(subspace),
+    ):
+        json.dumps(payload)
