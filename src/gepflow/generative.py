@@ -4,9 +4,10 @@ Two families serve as desk-scale stand-ins for pretrained decoders: a
 feed-forward MLP, and a linear subspace decoder that admits a closed-form
 projection oracle. Both share one decode path (clamp, layers, normalize;
 `backward` runs it in reverse): the subspace decoder is one bias-free
-identity layer over its basis. Both expose `forward`, `backward` and
-`project_to_range` (Adam in latent space); `subspace_project` is the exact
-oracle for the subspace family.
+identity layer over its basis. A generator keeps its last decode, so
+`backward` on the latent `forward` just decoded runs no layer again. Both
+expose `forward`, `backward` and `project_to_range` (Adam in latent
+space); `subspace_project` is the exact oracle for the subspace family.
 Every decoder divides its raw output by its 2-norm; a raw norm at or below
 MIN_NORM_DEFAULT, or not finite, raises DegenerateOutput. Adam runs on the
 fixed constants beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
@@ -189,8 +190,16 @@ def _clamp_latent(gen: Generator, z) -> NDArray[np.float64]:
 
 def _decode(gen: Generator, z):
     """Clamp z into the latent ball, run the layers and normalize:
-    (output, raw output norm, per-layer (pre, post) activations)."""
+    (output, raw output norm, per-layer (pre, post) activations). Kept on
+    the generator, keyed on z's bytes, unless z was clamped (which warns on
+    every call) or the output is degenerate. One assignment swaps the
+    entry, so threads sharing the generator can miss it, never read it torn."""
+    key = np.asarray(z, dtype=np.float64).tobytes()
+    last = vars(gen).get("_last_decode")
+    if last is not None and last[0] == key:
+        return last[1]
     h = _clamp_latent(gen, z)
+    unclamped = h.tobytes() == key
     cache = []
     for layer in gen.layers:
         pre = layer.weight.dot(h)
@@ -205,7 +214,10 @@ def _decode(gen: Generator, z):
     norm = math.sqrt(float(h.dot(h)))
     if not MIN_NORM_DEFAULT < norm < math.inf:  # NaN fails too
         raise DegenerateOutput(f"raw output norm {norm:.6g} not in ({MIN_NORM_DEFAULT:.6g}, inf)")
-    return h / norm, norm, cache
+    decoded = h / norm, norm, cache
+    if unclamped:
+        vars(gen)["_last_decode"] = key, decoded
+    return decoded
 
 
 def forward(gen: Generator, z) -> NDArray[np.float64]:
@@ -216,7 +228,7 @@ def forward(gen: Generator, z) -> NDArray[np.float64]:
     raised when the raw output norm is at or below MIN_NORM_DEFAULT or is
     not finite (the layers overflowed), since no direction can be assigned.
     """
-    return _decode(gen, z)[0]
+    return _decode(gen, z)[0].copy()  # the kept decode stays the generator's
 
 
 def backward(gen: Generator, z, cotangent) -> NDArray[np.float64]:
@@ -277,9 +289,9 @@ def project_to_range(gen: Generator, x, cfg: LatentProjectionConfig) -> RangePro
 
     The restarts advance together, as the rows of one block: Adam updates
     every live row at once, elementwise, and each row is clipped, decoded
-    by one `forward` and one `backward` call on its own latent, and dropped
-    when it dies. So each row's arithmetic is a lone descent's, and the
-    result equals that of running the restarts one at a time.
+    once on its own latent (by `forward`; `backward` reuses that decode),
+    and dropped when it dies. So each row's arithmetic is a lone descent's,
+    and the result equals that of running the restarts one at a time.
 
     Raises AllRestartsDegenerate only if every restart dies with
     DegenerateOutput before recording a candidate, and ValueError on a

@@ -295,13 +295,18 @@ def _typed(kind=int, lo=None, **values) -> dict:
     where an integer belongs is a ValueError naming the setting. Given
     `lo`, an int below it reads "{name} must be >= {lo}", and a float not
     finite and above it "{name} must be finite and positive" (`lo` is 0).
+    A real too large for a float is stored as +-inf, to fail those checks.
     """
     types, want = _KINDS[kind]
     for name, value in values.items():
         if type(value) is not kind:
             if kind is not bool and isinstance(value, bool) or not isinstance(value, types):
                 raise ValueError(f"{name} must be {want}, got {reprlib.repr(value)}")
-            values[name] = value = kind(value)
+            try:
+                value = kind(value)
+            except OverflowError:
+                value = math.inf if value > 0 else -math.inf
+            values[name] = value
         if lo is not None and not (value >= lo if kind is int else lo < value < math.inf):
             raise ValueError(
                 f"{name} must be >= {lo}" if kind is int else f"{name} must be finite and positive"

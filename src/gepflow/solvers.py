@@ -190,11 +190,30 @@ def _compress(m, q):
     return np.matmul(qt, np.matmul(m, qt[:, :, None]))[:, :, 0].T.copy()
 
 
+class _Checked:
+    """A matrix as_sym_matrix has passed, with Q'MQ for the last basis Q
+    asked for. run_with_restarts checks each matrix once per solve and hands
+    this to every restart's prfm, rifle or ppower, which check and compress
+    only what they are given as plain arrays."""
+
+    def __init__(self, matrix: NDArray[np.float64]):
+        self.matrix, self._basis = matrix, None
+
+    def compressed(self, q: NDArray[np.float64]) -> NDArray[np.float64]:
+        if self._basis is not q:
+            self._basis, self._compressed = q, _compress(self.matrix, q)
+        return self._compressed
+
+
+def _checked(m, name: str) -> _Checked:
+    return m if isinstance(m, _Checked) else _Checked(as_sym_matrix(m, name=name))
+
+
 def _flow(a, b, cfg: SolverConfig, v_star, step, p=None) -> tuple[NDArray[np.float64], RunTrace]:
     """The loop all three solvers share: per iterate u_t, compute A u_t and
     B u_t once (no B u_t when b is None), take rho_t from them, record a
     trace row if asked, and move to step(t, u_t, A u_t, B u_t, rho_t, proj),
-    proj being the projection onto prior p.
+    proj being the projection onto prior p. a and b come as _Checked.
 
     Under a subspace prior every iterate after the first is Q c, so from t = 1
     the loop carries c = Q'u_1 on (Q'AQ, Q'BQ) with proj _unit_in_span: the
@@ -210,6 +229,8 @@ def _flow(a, b, cfg: SolverConfig, v_star, step, p=None) -> tuple[NDArray[np.flo
     max_iters - (t+1) is even and u_t otherwise, and reports the true
     iterations_run. rho's guard also covers the final iterate.
     """
+    checked_a, checked_b = a, b
+    a, b = a.matrix, None if b is None else b.matrix
     u = _resolve_init(cfg, a.shape[0])
     record = cfg.record_trace
     v = None
@@ -228,7 +249,8 @@ def _flow(a, b, cfg: SolverConfig, v_star, step, p=None) -> tuple[NDArray[np.flo
     for t in range(cfg.max_iters):
         if t == 1 and isinstance(p, SubspaceGenerator):
             q = p.basis
-            loop_a, loop_b = _compress(a, q), None if b is None else _compress(b, q)
+            loop_a = checked_a.compressed(q)
+            loop_b = None if b is None else checked_b.compressed(q)
             u, proj, moved_prev = q.T.dot(u), _unit_in_span, None
             slack = (q.shape[1] + 4) * 2.0**-52
         # ndarray.dot, here, in _rho and in the projections, not @: both reach
@@ -285,9 +307,8 @@ def _flow(a, b, cfg: SolverConfig, v_star, step, p=None) -> tuple[NDArray[np.flo
 
 
 def _pair(a_hat, b_hat):
-    a = as_sym_matrix(a_hat, name="a_hat")
-    b = as_sym_matrix(b_hat, name="b_hat")
-    if a.shape != b.shape:
+    a, b = _checked(a_hat, "a_hat"), _checked(b_hat, "b_hat")
+    if a.matrix.shape != b.matrix.shape:
         raise ValueError("a_hat and b_hat dimensions differ")
     return a, b
 
@@ -352,7 +373,7 @@ def ppower(
     B = identity, so traces stay comparable across solvers even though this
     method never sees B.
     """
-    a = as_sym_matrix(a_hat, name="a_hat")
+    a = _checked(a_hat, "a_hat")
 
     def step(t, u, au, bu, rho, proj):
         if _norm(au) <= 1e-12:
@@ -393,9 +414,9 @@ def run_with_restarts(
     for name in ("s", "eta_prime") if solver == "rifle" else ("p",):
         if given[name] is None:
             raise ValueError(f"{solver} needs {name}")
-    a = as_sym_matrix(a_hat, name="a_hat")
-    n = a.shape[0]
-    b = None if b_hat is None else as_sym_matrix(b_hat, name="b_hat")
+    a = _checked(a_hat, "a_hat")
+    n = a.matrix.shape[0]
+    b = None if b_hat is None else _checked(b_hat, "b_hat")
     if solver in ("prfm", "rifle") and b is None:
         raise ValueError(f"{solver} needs b_hat")
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -527,14 +529,90 @@ class TestLockstepRestarts:
 
     def test_each_live_row_decodes_once_per_step(self, monkeypatch):
         # perfbench counts forward and backward calls: one of each per live
-        # row per step, as when the restarts ran one at a time
+        # row per step, as when the restarts ran one at a time. The layers
+        # run once per row per step (the decode starts at _clamp_latent), as
+        # backward reuses the decode forward has just made.
         gen = random_mlp(10, 3, hidden=(6,), seed=4)
         cfg = LatentProjectionConfig(steps=7, restarts=3, seed=5)
         tallies = [_count_calls(monkeypatch, name) for name in ("forward", "backward")]
+        decodes = _count_calls(monkeypatch, "_clamp_latent")
         for target in range(2):
             project_to_range(gen, NormalStream(6, stream=target).normals(10), cfg)
             for tally in tallies:
                 assert tally == {"calls": (target + 1) * 3 * (7 + 1), "raised": 0}
+            assert decodes == {"calls": (target + 1) * 3 * (7 + 1), "raised": 0}
+
+
+class TestLastDecode:
+    """A generator keeps its last decode, and no caller can tell."""
+
+    def test_backward_reuses_forwards_decode(self, monkeypatch):
+        gen = random_mlp(8, 3, hidden=(5,), activation="sigmoid", seed=2)
+        z, other = NormalStream(3, stream=0).normals(3), NormalStream(3, stream=1).normals(3)
+        cot = NormalStream(3, stream=2).normals(8)
+        decodes = _count_calls(monkeypatch, "_clamp_latent")
+        point = forward(gen, z)
+        grad = backward(gen, z.copy(), cot)  # equal bytes, another array
+        assert decodes["calls"] == 1
+        backward(gen, other, cot)
+        backward(gen, z, cot)
+        assert decodes["calls"] == 3
+        fresh = replace(gen)
+        assert point.tobytes() == forward(fresh, z).tobytes()
+        assert grad.tobytes() == backward(fresh, z, cot).tobytes()
+
+    def test_each_generator_keeps_its_own_decode(self):
+        gens = random_mlp(8, 3, seed=1), random_mlp(8, 3, seed=2)
+        z = np.array([0.5, -1.0, 2.0])
+        want = [forward(replace(gen), z).tobytes() for gen in gens]
+        assert want[0] != want[1]
+        assert [forward(gen, z).tobytes() for gen in gens * 2] == want * 2
+
+    def test_forward_returns_the_callers_own_array(self):
+        gen = random_subspace(6, 2, seed=3)
+        z = np.array([0.5, -1.0])
+        first = forward(gen, z)
+        want = first.tobytes()
+        first[:] = np.nan
+        assert forward(gen, z).tobytes() == want
+
+    def test_clamped_latents_and_degenerate_outputs_are_not_kept(self, monkeypatch):
+        gen = random_mlp(6, 2, seed=1)
+        far = np.array([30.0, 40.0])  # norm 50 > r = 3 sqrt(2)
+        decodes = _count_calls(monkeypatch, "_clamp_latent")
+        for _ in range(2):
+            with pytest.warns(LatentClampWarning):
+                forward(gen, far)
+        assert decodes["calls"] == 2
+        dead = _two_threshold_decoder(-0.05, 0.0)
+        for _ in range(2):
+            with pytest.raises(DegenerateOutput):
+                forward(dead, np.array([-0.5]))
+        assert decodes == {"calls": 4, "raised": 0}
+
+    def test_threads_sharing_a_generator_match_a_serial_run(self):
+        # three threads, 50 targets each: one may lose the kept decode to another
+        gen = random_mlp(16, 3, hidden=(8,), seed=6)
+        cfg = LatentProjectionConfig(steps=5, restarts=2, seed=4)
+        targets = [
+            [NormalStream(40 + side, stream=i).normals(16) for i in range(50)] for side in range(3)
+        ]
+
+        def run(side):
+            return [
+                (r.point.tobytes(), r.latent.tobytes(), r.distance.hex(), r.restart_index)
+                for r in (project_to_range(gen, x, cfg) for x in targets[side])
+            ]
+
+        serial = [run(side) for side in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over between small steps
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                threaded = list(pool.map(run, range(3), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
 
 class TestRandomStarts:

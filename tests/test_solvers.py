@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -297,7 +298,7 @@ class TestSubspaceCoordinates:
 
         cfg = SolverConfig(step_size=0.1, max_iters=5)
         with pytest.raises(DegenerateProjection) as raised:
-            solvers._flow(a, b, cfg, None, step, p)
+            solvers._flow(*solvers._pair(a, b), cfg, None, step, p)
         assert shapes == [(6,), (3,)]
         orthogonal = np.linalg.svd(p.basis, full_matrices=True)[0][:, -1]
         with pytest.raises(DegenerateProjection) as expected:
@@ -469,6 +470,39 @@ class TestRunWithRestarts:
         result = run_with_restarts("ppower", a, None, cfg, 3, seed=2, p=SPHERE)
         expected = float(result.estimate @ a @ result.estimate)
         assert result.objective == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("solver, compressions", [("prfm", 2), ("rifle", 0), ("ppower", 1)])
+    def test_each_matrix_is_checked_and_compressed_once_per_solve(
+        self, monkeypatch, solver, compressions
+    ):
+        # The restarts share the checked pair and, under a subspace prior,
+        # its Q'AQ and Q'BQ; each restart's own call gives the same bytes
+        a, b, _ = _spiked_pair(12, seed=41)
+        p = subspace_containing(np.ones(12), 3, seed=2)
+        cfg = SolverConfig(step_size=7 / 32, max_iters=30)
+        args = dict(p=p, s=4, eta_prime=35 / 32)
+        counts = Counter()
+        for name in ("as_sym_matrix", "_compress"):
+            inner = getattr(solvers, name)
+
+            def counted(*call, _name=name, _inner=inner, **kwargs):
+                counts[_name] += 1
+                return _inner(*call, **kwargs)
+
+            monkeypatch.setattr(solvers, name, counted)
+        result = run_with_restarts(solver, a, b, cfg, 4, seed=3, **args)
+        assert (counts["as_sym_matrix"], counts["_compress"]) == (2, compressions)
+        monkeypatch.undo()
+        j = result.restart_index
+        init = cfg.init if j == 0 else _unit(np.abs(NormalStream(3, stream=j).unit_vector(12)))
+        run_cfg = SolverConfig(step_size=7 / 32, max_iters=30, init=init)
+        direct = {
+            "prfm": lambda: prfm(a, b, p, run_cfg),
+            "rifle": lambda: rifle(a, b, 4, 35 / 32, run_cfg),
+            "ppower": lambda: ppower(a, p, run_cfg),
+        }[solver]()
+        assert result.estimate.tobytes() == direct[0].tobytes()
+        assert result.trace.rows == direct[1].rows
 
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError):

@@ -410,6 +410,26 @@ def test_real_fields_refuse_bools_and_strings(field, run, value):
         run(**{field: value})
 
 
+def _sweep_eta(eta):
+    return _sweep(eta=eta)
+
+
+@pytest.mark.parametrize(
+    "value", [10**400, -(10**400), Fraction(10**400, 3)], ids=["1e400", "-1e400", "1e400/3"]
+)
+@pytest.mark.parametrize(
+    "field, run, named",
+    [*((field, run, field) for field, run in REAL_FIELDS), ("eta", _sweep_eta, "step_size")],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_real_fields_refuse_reals_beyond_float_range(field, run, named, value):
+    # float(10**400) raises OverflowError, which escaped every one of these
+    # calls; such a value now reads as +-inf and meets the range check. A
+    # sweep's eta is checked as its SolverConfig's step_size.
+    with pytest.raises(ValueError, match=f"^{named} must be (None or )?finite and "):
+        run(**{field: value})
+
+
 @pytest.mark.parametrize(
     "value, plain",
     [(np.float64(0.5), 0.5), (1, 1.0), (Fraction(1, 4), 0.25), (np.float32(0.25), 0.25),
