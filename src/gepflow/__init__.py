@@ -41,7 +41,6 @@ from .linalg import (
     sym_eig,
 )
 from .generative import (
-    LatentClampWarning,
     LatentProjectionConfig,
     Layer,
     MlpGenerator,

@@ -2,12 +2,15 @@
 
 Two families serve as desk-scale stand-ins for pretrained decoders: a
 feed-forward MLP, and a linear subspace decoder that admits a closed-form
-projection oracle. Both share one decode path (clamp, layers, normalize;
-`backward` runs it in reverse): the subspace decoder is one bias-free
-identity layer over its basis. A generator keeps its last decode, so
-`backward` on the latent `forward` just decoded runs no layer again. Both
-expose `forward`, `backward` and `project_to_range` (Adam in latent
-space); `subspace_project` is the exact oracle for the subspace family.
+projection oracle. A decoder's domain is its closed latent ball: a latent of
+norm above r (1 + 1e-9) raises ValueError, and a rounding overshoot up to
+that bound is rescaled onto the sphere of radius r. Both share one decode
+path (check the latent, layers, normalize; `backward` runs it in reverse):
+the subspace decoder is one bias-free identity layer over its basis. A
+generator keeps its last decode, so `backward` on the latent `forward` just
+decoded runs no layer again. Both expose `forward`, `backward` and
+`project_to_range` (Adam in latent space); `subspace_project` is the exact
+oracle for the subspace family.
 Every decoder divides its raw output by its 2-norm; a raw norm at or below
 MIN_NORM_DEFAULT, or not finite, raises DegenerateOutput. Adam runs on the
 fixed constants beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +39,6 @@ MIN_NORM_DEFAULT = 1e-6
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 ACTIVATIONS = ("relu", "sigmoid", "identity")
-
-
-class LatentClampWarning(UserWarning):
-    """Raised (as a warning) when a latent input is clamped to the ball."""
 
 
 def default_latent_radius(latent_dim: int) -> float:
@@ -171,35 +169,34 @@ class RangeProjection:
 
 def _clamp_latent(gen: Generator, z) -> NDArray[np.float64]:
     # ravel, not reshape: a strided view must be copied to contiguous memory,
-    # or its dot product (hence the clamp) can differ in the last bit.
+    # or its dot product (hence the rescale) can differ in the last bit.
     zv = np.asarray(z, dtype=np.float64).ravel()
     if zv.shape[0] != gen.latent_dim:
         raise ValueError(f"latent has length {zv.shape[0]}, expected {gen.latent_dim}")
     norm = math.sqrt(float(zv.dot(zv)))
     if norm > gen.latent_radius:
-        # Rescaling-induced 1-ulp overshoots are silent; real violations warn.
         if norm > gen.latent_radius * (1.0 + 1e-9):
-            warnings.warn(
-                f"latent norm {norm:.6g} clamped to radius {gen.latent_radius:.6g}",
-                LatentClampWarning,
-                stacklevel=4,  # here <- _decode <- forward/backward <- caller
+            raise ValueError(
+                f"latent norm {norm:.6g} is outside the latent ball of radius "
+                f"{gen.latent_radius:.6g}"
             )
-        zv = zv * (gen.latent_radius / norm)
+        zv = zv * (gen.latent_radius / norm)  # a rounding overshoot
     return zv
 
 
 def _decode(gen: Generator, z):
-    """Clamp z into the latent ball, run the layers and normalize:
-    (output, raw output norm, per-layer (pre, post) activations). Kept on
-    the generator, keyed on z's bytes, unless z was clamped (which warns on
-    every call) or the output is degenerate. One assignment swaps the
-    entry, so threads sharing the generator can miss it, never read it torn."""
+    """Check z against the latent ball, run the layers and normalize:
+    (output, raw output norm, per-layer (pre, post) activations). A latent
+    of norm above r (1 + 1e-9) raises ValueError; one above r by no more
+    is rescaled onto the sphere of radius r. Kept on the generator, keyed
+    on z's bytes (of which it is a pure function), unless the output is
+    degenerate. One assignment swaps the entry, so threads sharing the
+    generator can miss it, never read it torn."""
     key = np.asarray(z, dtype=np.float64).tobytes()
     last = vars(gen).get("_last_decode")
     if last is not None and last[0] == key:
         return last[1]
     h = _clamp_latent(gen, z)
-    unclamped = h.tobytes() == key
     cache = []
     for layer in gen.layers:
         pre = layer.weight.dot(h)
@@ -215,18 +212,18 @@ def _decode(gen: Generator, z):
     if not MIN_NORM_DEFAULT < norm < math.inf:  # NaN fails too
         raise DegenerateOutput(f"raw output norm {norm:.6g} not in ({MIN_NORM_DEFAULT:.6g}, inf)")
     decoded = h / norm, norm, cache
-    if unclamped:
-        vars(gen)["_last_decode"] = key, decoded
+    vars(gen)["_last_decode"] = key, decoded
     return decoded
 
 
 def forward(gen: Generator, z) -> NDArray[np.float64]:
     """Decode a latent vector to the generator's output sphere.
 
-    Latents outside the ball are clamped to its boundary (and flagged with a
-    LatentClampWarning). The output has unit norm; DegenerateOutput is
-    raised when the raw output norm is at or below MIN_NORM_DEFAULT or is
-    not finite (the layers overflowed), since no direction can be assigned.
+    A latent of norm above r (1 + 1e-9) raises ValueError; a rounding
+    overshoot up to that bound is rescaled onto the sphere of radius r. The
+    output has unit norm; DegenerateOutput is raised when the raw output
+    norm is at or below MIN_NORM_DEFAULT or is not finite (the layers
+    overflowed), since no direction can be assigned.
     """
     return _decode(gen, z)[0].copy()  # the kept decode stays the generator's
 
@@ -235,8 +232,8 @@ def backward(gen: Generator, z, cotangent) -> NDArray[np.float64]:
     """Gradient of <forward(gen, z), cotangent> with respect to z.
 
     The normalization layer is differentiated analytically; ReLU uses
-    subgradient 0 at kinks. Evaluated at the clamped latent, mirroring
-    `forward`.
+    subgradient 0 at kinks. The latent is checked and rescaled as by
+    `forward`, so a latent of norm above r (1 + 1e-9) raises ValueError.
     """
     out, norm, cache = _decode(gen, z)
     cot = np.asarray(cotangent, dtype=np.float64).reshape(-1)

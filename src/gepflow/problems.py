@@ -65,9 +65,7 @@ class Truth:
 
     def __post_init__(self):
         object.__setattr__(self, "v_star", _unit_v(self.v_star))
-        object.__setattr__(
-            self, "v_lead", np.asarray(self.v_lead, dtype=np.float64).reshape(-1)
-        )
+        object.__setattr__(self, "v_lead", _unit_v(self.v_lead, "v_lead"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,11 +97,11 @@ class ProblemInstance:
         return self.a_hat.shape[0]
 
 
-def _unit_v(v_star) -> NDArray[np.float64]:
-    v = np.asarray(v_star, dtype=np.float64).reshape(-1)
+def _unit_v(x, name: str = "v_star") -> NDArray[np.float64]:
+    v = np.asarray(x, dtype=np.float64).reshape(-1)
     # Written so that a NaN norm (a non-finite entry) is refused too.
     if not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-12:
-        raise ValueError("v_star must be a finite unit vector within 1e-12")
+        raise ValueError(f"{name} must be a finite unit vector within 1e-12")
     return v
 
 

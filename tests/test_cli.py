@@ -235,6 +235,21 @@ class TestSolve:
         assert f"'{key}' must be" in lines[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale", [0.0, 2.0], ids=["zero", "doubled"])
+    def test_non_unit_v_lead_refused_at_load(self, tmp_path, capsys, scale):
+        # solve used to run to the end and then die on a ZeroVector traceback,
+        # or exit 1 with an error naming v_star, a key the file does not have.
+        obj = json.loads(_generate(tmp_path).read_text())
+        obj["truth"]["v_lead"] = [scale * x for x in obj["truth"]["v_lead"]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        out = tmp_path / "t.json"
+        assert main(["solve", "--solver", "prfm", "--in", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: invalid instance file {bad}: v_lead must be a finite unit vector within 1e-12"
+        ]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_truth_of_another_dimension_refused(self, tmp_path, capsys, command):
         # verify used to exit 0 with the 1 x 1 truth broadcast against the

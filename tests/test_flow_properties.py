@@ -12,7 +12,10 @@ direction (`oracles.reference_compressed_solve`) a third that replays no
 iteration. Check 06's prfm winners, rebuilt cell by cell from the
 harness's seed layout, are held to that third route too. The restart
 winner must not move with last-bit noise in the final quotients, and prfm
-must take the same steps on (A + sigma B, B) as on (A, B).
+must take the same steps on (A + sigma B, B) as on (A, B). Scaling A, or A
+and B, by a power of two c scales every product exactly, so prfm (step
+eta/c), rifle (eta' unchanged) and ppower must return the same bytes on
+the scaled pair, with the final quotient scaled by c or unchanged.
 """
 
 import math
@@ -340,6 +343,80 @@ def test_prfm_is_invariant_to_a_spectral_shift(case):
     if base.stop_reason == "converged":
         assert 1.0 - abs(float(u @ u_shift)) <= SHIFT_TOL
         assert abs(shifted.final_rho - base.final_rho - sigma) <= SHIFT_TOL
+
+
+@st.composite
+def scale_case(draw):
+    n = draw(st.integers(6, 25))
+    return dict(
+        seed=draw(st.integers(0, 2**31 - 1)),
+        kind=draw(st.sampled_from(("spiked", "diag_b"))),
+        n=n,
+        m=draw(st.integers(2 * n, 200)),
+        c=draw(st.sampled_from((4.0, 0.5, 0.125))),
+        solver=draw(st.sampled_from(("prfm", "rifle", "ppower"))),
+        prior=draw(st.sampled_from(("sphere", "sparse", "subspace"))),
+        level=draw(st.integers(2, n)),
+    )
+
+
+def _outcome(solver, *args):
+    """The solver's (final vector, trace), or the class of the error it raised."""
+    try:
+        return solver(*args)
+    except GepflowError as exc:
+        return type(exc)
+
+
+@PROPERTY_SETTINGS
+@given(scale_case())
+def test_solvers_are_invariant_to_a_power_of_two_scale(case):
+    """With c a power of two, c x rounds to c fl(x) wherever x is a sum,
+    product, quotient or square root, so each scaled run below takes the
+    steps of the run on (A, B) bit for bit:
+    - prfm on (cA, B) with step eta/c: (eta/c)(cAu - (c rho) Bu) = eta (Au - rho Bu);
+    - prfm on (cA, cB) with step eta/c: rho is unchanged, and so is the step;
+    - rifle on (cA, B) with eta': (eta'/(c rho)) c(Au - rho Bu) is its own step;
+    - ppower on cA: every prior's projection divides the scale out.
+    Each returns the same final vector, iteration count and stop reason, or
+    the same error, with its final quotient c times the original, or the
+    original for (cA, cB). A range prior is left out: its latent descent is
+    not scale-invariant."""
+    v = np.abs(NormalStream(case["seed"], stream=0).unit_vector(case["n"]))
+    generate = gen_spiked if case["kind"] == "spiked" else gen_diag_b
+    inst = generate(v / np.linalg.norm(v), case["m"], seed=case["seed"])
+    a, b, c = inst.a_hat, inst.b_hat, case["c"]
+    if case["prior"] == "sphere":
+        p = SphereProjector()
+    elif case["prior"] == "sparse":
+        p = SparseProjector(case["level"])
+    else:
+        p = subspace_containing(inst.truth.v_lead, case["level"], seed=case["seed"] + 1)
+    eta = 7.0 / 32.0
+    cfg = SolverConfig(step_size=eta, max_iters=300, record_trace=False)
+    scaled_cfg = SolverConfig(step_size=eta / c, max_iters=300, record_trace=False)
+    if case["solver"] == "prfm":
+        base = _outcome(prfm, a, b, p, cfg)
+        scaled = [
+            (_outcome(prfm, c * a, b, p, scaled_cfg), c),
+            (_outcome(prfm, c * a, c * b, p, scaled_cfg), 1.0),
+        ]
+    elif case["solver"] == "rifle":
+        base = _outcome(rifle, a, b, case["level"], eta, cfg)
+        scaled = [(_outcome(rifle, c * a, b, case["level"], eta, cfg), c)]
+    else:
+        base = _outcome(ppower, a, p, cfg)
+        scaled = [(_outcome(ppower, c * a, p, cfg), c)]
+    for run, factor in scaled:
+        if isinstance(base, type) or isinstance(run, type):
+            assert run == base
+            continue
+        (u, trace), (u_scaled, trace_scaled) = base, run
+        assert u_scaled.tobytes() == u.tobytes()
+        assert (trace_scaled.iterations_run, trace_scaled.stop_reason) == (
+            trace.iterations_run, trace.stop_reason
+        )
+        assert trace_scaled.final_rho == factor * trace.final_rho
 
 
 @PROPERTY_SETTINGS

@@ -18,7 +18,6 @@ from gepflow import generative
 from gepflow.errors import AllRestartsDegenerate, DegenerateOutput, DegenerateProjection
 from gepflow.generative import (
     _random_start,
-    LatentClampWarning,
     LatentProjectionConfig,
     Layer,
     MlpGenerator,
@@ -156,8 +155,8 @@ class TestForward:
         assert_allclose(out, gen.basis @ z / np.linalg.norm(gen.basis @ z), atol=1e-14)
 
         # Through the shared layer path, forward and backward equal the
-        # closed forms Qz/||Qz|| and Q'(c - (o.c)o)/||Qz|| bit for bit, at
-        # the clamped latent, inside and outside the ball.
+        # closed forms Qz/||Qz|| and Q'(c - (o.c)o)/||Qz|| bit for bit inside
+        # the ball; outside it both refuse the latent.
         stream = NormalStream(5, stream=0)
         gens = [
             gen,
@@ -165,19 +164,17 @@ class TestForward:
             SubspaceGenerator(basis=np.eye(8)[:, 2:5], latent_radius=2.0),
         ]
         for gen in gens:
-            for scale in (0.1, 0.5, 0.99, 1.5, 4.0):
+            for scale in (0.1, 0.5, 0.99):
                 z = stream.unit_vector(3) * (scale * gen.latent_radius)
                 cot = stream.normals(8)
-                norm_z = math.sqrt(float(z.dot(z)))
-                zc = z if norm_z <= gen.latent_radius else z * (gen.latent_radius / norm_z)
-                raw = gen.basis.dot(zc)
+                raw = gen.basis.dot(z)
                 norm = math.sqrt(float(raw.dot(raw)))
                 o = raw / norm
                 grad = gen.basis.T.dot((cot - float(o.dot(cot)) * o) / norm)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", LatentClampWarning)
-                    assert forward(gen, z).tobytes() == o.tobytes()
-                    assert backward(gen, z, cot).tobytes() == grad.tobytes()
+                assert forward(gen, z).tobytes() == o.tobytes()
+                assert backward(gen, z, cot).tobytes() == grad.tobytes()
+            for scale in (1.5, 4.0):
+                _assert_refused(gen, stream.unit_vector(3) * (scale * gen.latent_radius))
 
     def test_identity_single_layer_matches_by_hand(self):
         w = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
@@ -188,30 +185,25 @@ class TestForward:
         out = forward(gen, [1.0, 1.0])
         assert_allclose(out, _unit([1.0, 2.0, 2.0]), atol=1e-14)
 
-    def test_clamp_warns_and_hits_boundary(self):
+    def test_rounding_overshoot_decodes_on_the_boundary(self):
         gen = replace(random_subspace(6, 2, seed=2), latent_radius=1.0)
-        with pytest.warns(LatentClampWarning):
-            out = forward(gen, [10.0, 0.0])
-        with pytest.warns(LatentClampWarning):
-            boundary = forward(gen, [1e6, 0.0])
-        assert_allclose(out, boundary, atol=1e-12)
+        z = _overshooting(gen, np.array([0.6, -0.8]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = forward(gen, z)
+        rescaled = z * (1.0 / math.sqrt(float(z.dot(z))))
+        assert out.tobytes() == forward(replace(gen), rescaled).tobytes()
 
-    def test_clamp_warning_points_at_the_caller(self):
+    def test_latent_outside_the_ball_is_refused(self):
         for gen in (replace(random_subspace(6, 2, seed=2), latent_radius=1.0),
                     random_mlp(6, 2, hidden=(4,), seed=3)):
-            z = np.full(2, 10.0 * gen.latent_radius)
-            with pytest.warns(LatentClampWarning) as fwd:
-                forward(gen, z)
-            with pytest.warns(LatentClampWarning) as bwd:
-                backward(gen, z, np.ones(6))
-            assert fwd[0].filename == bwd[0].filename == __file__
+            for scale in (1.5, 4.0, 1e6):
+                _assert_refused(gen, np.array([0.6, -0.8]) * (scale * gen.latent_radius))
 
     def test_interior_latent_does_not_warn(self):
         gen = replace(random_subspace(6, 2, seed=2), latent_radius=1.0)
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error", LatentClampWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             forward(gen, [0.3, 0.4])
 
     def test_degenerate_output_raises(self):
@@ -454,6 +446,29 @@ def _two_threshold_decoder(t1: float, t2: float) -> MlpGenerator:
     return MlpGenerator(layers=(hidden, top), latent_radius=1.0)
 
 
+def _overshooting(gen, direction):
+    """`direction` scaled to norm r and moved outward an ulp at a time until
+    its computed norm exceeds r: a rounding overshoot, not a refusal."""
+    r = gen.latent_radius
+    z = direction * (r / math.sqrt(float(direction.dot(direction))))
+    while math.sqrt(float(z.dot(z))) <= r:
+        z = np.nextafter(z, 2.0 * z)
+    assert math.sqrt(float(z.dot(z))) <= r * (1.0 + 1e-9)
+    return z
+
+
+def _assert_refused(gen, z):
+    """forward and backward both refuse z, naming its norm and the radius."""
+    message = (
+        f"latent norm {math.sqrt(float(z.dot(z))):.6g} is outside the latent ball of radius "
+        f"{gen.latent_radius:.6g}"
+    )
+    cot = np.ones(gen.output_dim)
+    for call in (lambda: forward(gen, z), lambda: backward(gen, z, cot)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 def _count_calls(monkeypatch, name: str) -> dict:
     """Wrap gepflow.generative.<name> to count its calls and those that raised."""
     tally = {"calls": 0, "raised": 0}
@@ -527,6 +542,18 @@ class TestLockstepRestarts:
         assert got.distance == alone.distance
         assert _same_projection(got, reference_project_to_range(gen, x, cfg))
 
+    def test_rounding_overshoots_decode_once_per_step(self, monkeypatch):
+        # At the range prior's shape, a step clipped onto the sphere of radius
+        # r often lands an ulp outside it; that latent's decode is kept like
+        # any other, so backward does not decode it again.
+        gen = random_mlp(64, 4, hidden=(32,))
+        cfg = LatentProjectionConfig(steps=30, restarts=2, seed=7)
+        decodes = _count_calls(monkeypatch, "_clamp_latent")
+        for target in (1, 8, 10):
+            before = decodes["calls"]
+            project_to_range(gen, NormalStream(11, stream=target).unit_vector(64), cfg)
+            assert decodes["calls"] - before == cfg.restarts * (cfg.steps + 1)
+
     def test_each_live_row_decodes_once_per_step(self, monkeypatch):
         # perfbench counts forward and backward calls: one of each per live
         # row per step, as when the restarts ran one at a time. The layers
@@ -576,12 +603,23 @@ class TestLastDecode:
         first[:] = np.nan
         assert forward(gen, z).tobytes() == want
 
-    def test_clamped_latents_and_degenerate_outputs_are_not_kept(self, monkeypatch):
+    def test_rounding_overshoot_is_kept(self, monkeypatch):
+        gen = random_mlp(6, 2, hidden=(4,), seed=1)
+        z = _overshooting(gen, np.array([0.6, -0.8]))
+        cot = NormalStream(3, stream=0).normals(6)
+        decodes = _count_calls(monkeypatch, "_clamp_latent")
+        point, grad = forward(gen, z), backward(gen, z, cot)
+        assert decodes["calls"] == 1
+        fresh = replace(gen)
+        assert point.tobytes() == forward(fresh, z).tobytes()
+        assert grad.tobytes() == backward(fresh, z, cot).tobytes()
+
+    def test_refused_latents_and_degenerate_outputs_are_not_kept(self, monkeypatch):
         gen = random_mlp(6, 2, seed=1)
         far = np.array([30.0, 40.0])  # norm 50 > r = 3 sqrt(2)
         decodes = _count_calls(monkeypatch, "_clamp_latent")
         for _ in range(2):
-            with pytest.warns(LatentClampWarning):
+            with pytest.raises(ValueError, match="outside the latent ball"):
                 forward(gen, far)
         assert decodes["calls"] == 2
         dead = _two_threshold_decoder(-0.05, 0.0)

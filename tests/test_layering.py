@@ -150,7 +150,7 @@ def test_only_typed_converts_a_stored_setting():
 PUBLIC_NAMES = [
     "AllRestartsDegenerate", "AllRunsFailed", "ConvergenceConditions",
     "DegenerateFit", "DegenerateGap", "DegenerateOutput", "DegenerateProjection",
-    "DenominatorNonPositive", "GeneralizedSpectrum", "GepflowError", "LatentClampWarning",
+    "DenominatorNonPositive", "GeneralizedSpectrum", "GepflowError",
     "LatentProjectionConfig", "Layer", "MatrixPair", "MlpGenerator", "NonConvergence",
     "NonPositiveAlignment", "NonPositiveRho", "NormalStream", "NotPositiveDefinite",
     "PerturbationReport", "ProblemInstance", "RangeProjection", "RangeProjector", "RestartResult",

@@ -488,6 +488,13 @@ _TRUTH_1 = Truth(pair=MatrixPair(a=[[2.0]], b=[[1.0]]), v_star=[1.0], lambda1=2.
                  v_lead=[1.0])
 
 
+def _bundle_scaling(key, scale):
+    """A generated spiked bundle with truth vector `key` scaled by `scale`."""
+    blob = json.loads(json.dumps(instance_to_json(gen_spiked(_nonneg_unit(6, 31), 12, seed=8))))
+    blob["truth"][key] = [scale * x for x in blob["truth"][key]]
+    return blob
+
+
 def _instance(**fields):
     return ProblemInstance(**{"a_hat": np.eye(8), "b_hat": np.eye(8), "truth": None, "m": 5,
                               "kind": "x", "seed": 0, **fields})
@@ -511,6 +518,11 @@ REFUSALS = [
                  id="m-true"),
     pytest.param(lambda: _instance(seed="x"), ValueError, "seed must be an integer, got 'x'",
                  id="seed-str"),
+    # each of these used to load, and the solve failed only when it scored its result
+    pytest.param(lambda: instance_from_json(_bundle_scaling("v_lead", 0.0)), ValueError,
+                 "v_lead must be a finite unit vector within 1e-12", id="v_lead-zero"),
+    pytest.param(lambda: instance_from_json(_bundle_scaling("v_lead", 2.0)), ValueError,
+                 "v_lead must be a finite unit vector within 1e-12", id="v_lead-doubled"),
 ]
 
 

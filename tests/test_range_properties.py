@@ -8,13 +8,15 @@ every restart dies. Decoders: relu, sigmoid and identity MLPs with 0-2
 hidden layers, subspace decoders, and a ReLU decoder
 whose output vanishes on part of the latent ball, so restarts hit
 DegenerateOutput at their start or mid-descent. Over the same family the
-projection never clamps a latent: its starts lie inside 0.9 r and each
-step is clipped to the ball before it is decoded, and the decode a
-generator keeps is invisible: any sequence of `forward` and `backward`
-calls returns what a fresh copy of the generator returns.
+projection never warns or has a latent refused: its starts lie inside
+0.9 r and each step is clipped to the ball before it is decoded, and the
+decode a generator keeps is invisible: any sequence of `forward` and
+`backward` calls, on latents inside the ball, an ulp outside it or far
+outside it, returns or raises what a fresh copy of the generator does.
 """
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -23,7 +25,6 @@ from hypothesis import strategies as st
 
 from gepflow.errors import AllRestartsDegenerate, DegenerateOutput
 from gepflow.generative import (
-    LatentClampWarning,
     LatentProjectionConfig,
     Layer,
     MlpGenerator,
@@ -117,62 +118,77 @@ def call_sequence(draw):
     """Two decoders, a pool of latents for each and a run of calls on them.
 
     Pool entry i of each decoder is the same base draw cut to its latent
-    dimension, inside the ball or out of it, so decoders of equal k see
-    equal bytes. A "write" draws new values into a pool entry in place.
+    dimension and placed by its kind, so decoders of equal k see equal
+    bytes. A "write" draws new values into a pool entry in place.
     """
     gens = [draw(decoder()) for _ in range(2)]
     seed = draw(st.integers(0, 2**40))
-    outside = draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    kinds = draw(st.lists(st.sampled_from(_LATENT_KINDS), min_size=1, max_size=4))
     calls = draw(
         st.lists(
             st.tuples(
                 st.integers(0, 1),
-                st.integers(0, len(outside) - 1),
+                st.integers(0, len(kinds) - 1),
                 st.sampled_from(("forward", "backward", "write")),
             ),
             min_size=1,
             max_size=16,
         )
     )
-    return gens, seed, outside, calls
+    return gens, seed, kinds, calls
 
 
-def _latent(base, gen, out_of_ball):
-    """`base` cut to the decoder's latent dimension and scaled to norm 1.5 r,
-    out of the ball, or else to at most 0.9 r."""
+#: Where a pool latent lies: inside the ball, an ulp or so outside it (a
+#: rounding overshoot, rescaled onto the sphere of radius r), or far outside.
+_LATENT_KINDS = ("inside", "overshoot", "outside")
+
+
+def _latent(base, gen, kind):
+    """`base` cut to the decoder's latent dimension and placed by `kind`:
+    scaled to at most 0.9 r, moved outward from norm r an ulp at a time
+    until its computed norm exceeds r, or scaled to norm 1.5 r."""
     z = base[: gen.latent_dim]
-    norm = float(np.linalg.norm(z))
-    scale = 1.5 / norm if out_of_ball else 0.9 / max(norm, 1.0)
-    return z * (scale * gen.latent_radius)
+    r, norm = gen.latent_radius, float(np.linalg.norm(z))
+    if kind == "inside":
+        return z * (0.9 / max(norm, 1.0) * r)
+    if kind == "outside":
+        return z * (1.5 / norm * r)
+    z = z * (r / norm)
+    while math.sqrt(float(z.dot(z))) <= r:
+        z = np.nextafter(z, 2.0 * z)
+    return z
 
 
 def _call(gen, op, z, cot):
-    """The call's result (None on DegenerateOutput) and the warning classes it raised."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    """The call's result, None when it raised, and the class and message of
+    the ValueError it raised, if any. Any warning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         try:
-            out = forward(gen, z) if op == "forward" else backward(gen, z, cot)
+            return (forward(gen, z) if op == "forward" else backward(gen, z, cot)), None
         except DegenerateOutput:
-            out = None
-    return out, [w.category for w in caught]
+            return None, None
+        except ValueError as exc:
+            return None, (type(exc), str(exc))
 
 
 @PROPERTY_SETTINGS
 @given(case=call_sequence())
 def test_kept_decode_is_invisible(case):
-    gens, seed, outside, calls = case
+    gens, seed, kinds, calls = case
     stream = NormalStream(seed, stream=0)
-    bases = [stream.normals(4) for _ in outside]
-    pools = [[_latent(base, gen, far) for base, far in zip(bases, outside)] for gen in gens]
+    bases = [stream.normals(4) for _ in kinds]
+    pools = [[_latent(base, gen, kind) for base, kind in zip(bases, kinds)] for gen in gens]
     cots = [stream.normals(gen.output_dim) for gen in gens]
     for g, i, op in calls:
         gen, z, cot = gens[g], pools[g][i], cots[g]
         if op == "write":
-            z[:] = _latent(stream.normals(4), gen, outside[i])
+            z[:] = _latent(stream.normals(4), gen, kinds[i])
             continue
-        out, warned = _call(gen, op, z, cot)
-        fresh_out, fresh_warned = _call(dataclasses.replace(gen), op, z, cot)
-        assert warned == fresh_warned == ([LatentClampWarning] if outside[i] else [])
+        out, refused = _call(gen, op, z, cot)
+        fresh_out, fresh_refused = _call(dataclasses.replace(gen), op, z, cot)
+        assert refused == fresh_refused
+        assert (refused is not None) == (kinds[i] == "outside")
         assert (out is None) == (fresh_out is None)
         if out is not None:
             assert out.tobytes() == fresh_out.tobytes()

@@ -429,6 +429,37 @@ def test_checkers_match_matmul_formulas(seed, n, frac, eta, scale):
     assert _bits(dataclasses.astuple(got)) == _bits(coefficient)
 
 
+#: Largest relative change (floored at 1) allowed in gamma1, gamma2, nu0 and
+#: kappa_b under the maps below; over 1,000 random pairs (n = 2-11) the largest
+#: seen was 1.6e-14.
+INVARIANCE_RTOL = 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 11),
+    sigma=st.sampled_from((0.5, -2.0)),
+    c=st.sampled_from((4.0, 0.25, 3.0)),
+)
+def test_conditions_are_invariant_to_shift_and_b_scale(seed, n, sigma, c):
+    """A -> A + sigma B shifts every eigenvalue by sigma and keeps the
+    eigenvectors and B; B -> cB divides the eigenvalues by c and multiplies
+    B's extremes by c. Neither moves a gap-times-extreme product, the
+    leading unit direction or B's condition number, so gamma1, gamma2, nu0
+    and kappa_b stay put at a fixed eta."""
+    rng = np.random.default_rng(seed)
+    a, b = random_definite_pair(rng, n, min_gap=1e-3)
+    u0 = NormalStream(seed, stream=0).unit_vector(n)
+    fields = ("gamma1", "gamma2", "nu0", "kappa_b")
+    base = compute_conditions(MatrixPair(a=a, b=b), 0.1, u0)
+    for pair in (MatrixPair(a=a + sigma * b, b=b), MatrixPair(a=a, b=c * b)):
+        moved = compute_conditions(pair, 0.1, u0)
+        for name in fields:
+            want, got = getattr(base, name), getattr(moved, name)
+            assert abs(got - want) <= INVARIANCE_RTOL * max(abs(want), 1.0), name
+
+
 class TestContractionConsistency:
     def test_noiseless_descent_beats_predicted_factor(self):
         # Population spiked pair, start at alignment 0.99: every per-step
