@@ -482,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--trials", type=int, default=20)
     _add_run_options(w)
     w.add_argument("--jobs", type=int, default=1, help="worker threads; never changes "
-                   "output (cells hold the interpreter lock, so more than 1 runs slower)")
+                   "output (faster where instance generation dominates, slower where solves do)")
     w.add_argument("--timing", choices=("real", "zero"), default="real")
     w.add_argument("--summary-out")
     w.add_argument("--out")

@@ -3,14 +3,14 @@
 Two families serve as desk-scale stand-ins for pretrained decoders: a
 feed-forward MLP, and a linear subspace decoder that admits a closed-form
 projection oracle. A decoder's domain is its closed latent ball: a latent of
-norm above r (1 + 1e-9) raises ValueError, and a rounding overshoot up to
-that bound is rescaled onto the sphere of radius r. Both share one decode
-path (check the latent, layers, normalize; `backward` runs it in reverse):
-the subspace decoder is one bias-free identity layer over its basis. A
-generator keeps its last decode, so `backward` on the latent `forward` just
-decoded runs no layer again. Both expose `forward`, `backward` and
-`project_to_range` (Adam in latent space); `subspace_project` is the exact
-oracle for the subspace family.
+norm above r (1 + 1e-9), or NaN, raises ValueError, and a rounding
+overshoot up to that bound is rescaled onto the sphere of radius r. Both
+share one decode path (check the latent, layers, normalize; `backward` runs
+it in reverse): the subspace decoder is one bias-free identity layer over
+its basis. A generator keeps its last decode, so `backward` on the latent
+`forward` just decoded runs no layer again. Both expose `forward`,
+`backward` and `project_to_range` (Adam in latent space); `subspace_project`
+is the exact oracle for the subspace family.
 Every decoder divides its raw output by its 2-norm; a raw norm at or below
 MIN_NORM_DEFAULT, or not finite, raises DegenerateOutput. Adam runs on the
 fixed constants beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
@@ -132,6 +132,14 @@ class SubspaceGenerator:
         # bias -0.0, the exact additive identity: the layer yields Qz bit for bit
         return (Layer(self.basis, np.full(self.output_dim, -0.0), "identity"),)
 
+    def unit_coordinates(self, c: NDArray[np.float64]) -> NDArray[np.float64]:
+        """c / ||c||, the Q-coordinates of the nearest unit vector in span(Q)
+        to a target x with c = Q'x; DegenerateProjection at ||c|| <= 1e-12."""
+        norm = math.sqrt(float(c.dot(c)))  # equals ||QQ^T x|| for orthonormal Q
+        if norm <= 1e-12:
+            raise DegenerateProjection("target is orthogonal to the subspace")
+        return c / norm
+
 
 Generator = MlpGenerator | SubspaceGenerator
 
@@ -174,8 +182,8 @@ def _clamp_latent(gen: Generator, z) -> NDArray[np.float64]:
     if zv.shape[0] != gen.latent_dim:
         raise ValueError(f"latent has length {zv.shape[0]}, expected {gen.latent_dim}")
     norm = math.sqrt(float(zv.dot(zv)))
-    if norm > gen.latent_radius:
-        if norm > gen.latent_radius * (1.0 + 1e-9):
+    if not norm <= gen.latent_radius:  # a NaN norm is refused too
+        if not norm <= gen.latent_radius * (1.0 + 1e-9):
             raise ValueError(
                 f"latent norm {norm:.6g} is outside the latent ball of radius "
                 f"{gen.latent_radius:.6g}"
@@ -219,11 +227,11 @@ def _decode(gen: Generator, z):
 def forward(gen: Generator, z) -> NDArray[np.float64]:
     """Decode a latent vector to the generator's output sphere.
 
-    A latent of norm above r (1 + 1e-9) raises ValueError; a rounding
-    overshoot up to that bound is rescaled onto the sphere of radius r. The
-    output has unit norm; DegenerateOutput is raised when the raw output
-    norm is at or below MIN_NORM_DEFAULT or is not finite (the layers
-    overflowed), since no direction can be assigned.
+    A latent of norm above r (1 + 1e-9), or of NaN norm, raises ValueError;
+    a rounding overshoot up to that bound is rescaled onto the sphere of
+    radius r. The output has unit norm; DegenerateOutput is raised when the
+    raw output norm is at or below MIN_NORM_DEFAULT or is not finite (the
+    layers overflowed), since no direction can be assigned.
     """
     return _decode(gen, z)[0].copy()  # the kept decode stays the generator's
 
@@ -258,11 +266,7 @@ def subspace_project(gen: SubspaceGenerator, x) -> NDArray[np.float64]:
     xv = np.asarray(x, dtype=np.float64).reshape(-1)
     if xv.shape[0] != gen.output_dim:
         raise ValueError(f"target has length {xv.shape[0]}, expected {gen.output_dim}")
-    coeff = gen.basis.T.dot(xv)
-    norm = math.sqrt(float(coeff.dot(coeff)))  # equals ||QQ^T x|| for orthonormal Q
-    if norm <= 1e-12:
-        raise DegenerateProjection("target is orthogonal to the subspace")
-    return gen.basis.dot(coeff / norm)
+    return gen.basis.dot(gen.unit_coordinates(gen.basis.T.dot(xv)))
 
 
 def _objective_and_grad(gen: Generator, z: NDArray[np.float64], x: NDArray[np.float64]):
@@ -285,10 +289,10 @@ def project_to_range(gen: Generator, x, cfg: LatentProjectionConfig) -> RangePro
     (lowest restart, earliest step) candidate.
 
     The restarts advance together, as the rows of one block: Adam updates
-    every live row at once, elementwise, and each row is clipped, decoded
-    once on its own latent (by `forward`; `backward` reuses that decode),
-    and dropped when it dies. So each row's arithmetic is a lone descent's,
-    and the result equals that of running the restarts one at a time.
+    every row at once, elementwise, and each row is clipped and decoded once
+    on its own latent (by `forward`; `backward` reuses that decode), until
+    its decode degenerates. So each row's arithmetic is a lone descent's,
+    and one running best gives the result of running them one at a time.
 
     Raises AllRestartsDegenerate only if every restart dies with
     DegenerateOutput before recording a candidate, and ValueError on a
@@ -306,12 +310,14 @@ def project_to_range(gen: Generator, x, cfg: LatentProjectionConfig) -> RangePro
     z = np.stack([_random_start(cfg.seed, i, gen.latent_dim, radius) for i in range(cfg.restarts)])
     m = np.zeros_like(z)
     v = np.zeros_like(z)
-    grad = np.empty_like(z)
-    live = list(range(cfg.restarts))  # the restart behind each row
-    # Each restart's first minimal candidate (distance, point, latent): NaN
-    # compares false, so its first candidate is always taken. The latent is
-    # a row of z, safe to keep because every step builds a new z.
-    best = [(math.nan, None, None)] * cfg.restarts
+    grad = np.zeros_like(z)  # a dead row keeps stepping, so its row must be finite
+    dead = set()  # restarts whose decode degenerated: their rows step unevaluated
+    # The best candidate (distance, point, latent, restart): least distance,
+    # then lowest restart, then earliest step. The NaN start compares false,
+    # so the first candidate is always taken; later distances are never NaN
+    # (the point and the target are finite). The latent is a row of z, safe
+    # to keep because every step builds a new z.
+    best = (math.nan, None, None, cfg.restarts)
 
     for step in range(cfg.steps + 1):  # step 0 evaluates the starts
         if step:
@@ -324,29 +330,23 @@ def project_to_range(gen: Generator, x, cfg: LatentProjectionConfig) -> RangePro
                 norm = math.sqrt(float(row.dot(row)))
                 if norm > radius:
                     row *= radius / norm
-        dead = []
-        for i, (restart, row) in enumerate(zip(live, z)):
+        for restart, row in enumerate(z):
+            if restart in dead:
+                continue
             try:
-                value, grad[i], point = _objective_and_grad(gen, row, xv)
+                value, grad[restart], point = _objective_and_grad(gen, row, xv)
             except DegenerateOutput:
-                dead.append(i)
+                dead.add(restart)
                 continue
             distance = math.sqrt(max(value, 0.0))
-            if not distance >= best[restart][0]:
-                best[restart] = (distance, point, row)
-        if dead:
-            rows = [i for i in range(len(live)) if i not in dead]
-            z, m, v, grad = z[rows], m[rows], v[rows], grad[rows]
-            live = [live[i] for i in rows]
-            if not live:
-                break
+            if not distance >= best[0] or (distance == best[0] and restart < best[3]):
+                best = (distance, point, row, restart)
+        if len(dead) == cfg.restarts:
+            break
 
-    found = [(d, p, zb, restart) for restart, (d, p, zb) in enumerate(best) if p is not None]
-    if not found:
+    distance, point, latent, restart = best
+    if point is None:
         raise AllRestartsDegenerate(f"all {cfg.restarts} restarts hit degenerate outputs")
-    # Distances are never NaN (the point and the target are finite), so the
-    # first minimum in restart order is the one-restart-at-a-time winner.
-    distance, point, latent, restart = min(found, key=lambda c: c[0])
     return RangeProjection(
         point=point.copy(), latent=latent.copy(), distance=distance, restart_index=restart
     )

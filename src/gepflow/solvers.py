@@ -27,7 +27,6 @@ from numpy.typing import NDArray
 
 from .errors import (
     AllRunsFailed,
-    DegenerateProjection,
     DenominatorNonPositive,
     GepflowError,
     NonPositiveRho,
@@ -174,14 +173,6 @@ def _row(t: int, rho: float, u, v) -> TraceRow:
     return TraceRow(t=t, rho=rho, cos_sim=float(u @ v), dist=_norm(u - v))
 
 
-def _unit_in_span(c: NDArray[np.float64]) -> NDArray[np.float64]:
-    """subspace_project in the basis' coordinates, with its guard on ||c||."""
-    norm = _norm(c)
-    if norm <= 1e-12:
-        raise DegenerateProjection("target is orthogonal to the subspace")
-    return c / norm
-
-
 def _compress(m, q):
     """Q'MQ built column by column as Q'(M q_j). A stacked np.matmul runs one
     gemv per column; a 2-D product would call gemm, which the sweeps call
@@ -216,9 +207,10 @@ def _flow(a, b, cfg: SolverConfig, v_star, step, p=None) -> tuple[NDArray[np.flo
     proj being the projection onto prior p. a and b come as _Checked.
 
     Under a subspace prior every iterate after the first is Q c, so from t = 1
-    the loop carries c = Q'u_1 on (Q'AQ, Q'BQ) with proj _unit_in_span: the
-    same rho and movements in exact arithmetic. Rows, the final vector and its
-    quotient use the lifted Q c, as does the t = 1 cycle test against u_0.
+    the loop carries c = Q'u_1 on (Q'AQ, Q'BQ) with proj p.unit_coordinates
+    (subspace_project in Q's coordinates): the same rho and movements in
+    exact arithmetic. Rows, the final vector and its quotient use the lifted
+    Q c, as does the t = 1 cycle test against u_0.
 
     Stops once an update moves u by at most cfg.stop_tol ("converged"), or
     after cfg.max_iters updates ("max_iters"). With stop_tol set it also
@@ -251,7 +243,7 @@ def _flow(a, b, cfg: SolverConfig, v_star, step, p=None) -> tuple[NDArray[np.flo
             q = p.basis
             loop_a = checked_a.compressed(q)
             loop_b = None if b is None else checked_b.compressed(q)
-            u, proj, moved_prev = q.T.dot(u), _unit_in_span, None
+            u, proj, moved_prev = q.T.dot(u), p.unit_coordinates, None
             slack = (q.shape[1] + 4) * 2.0**-52
         # ndarray.dot, here, in _rho and in the projections, not @: both reach
         # the same BLAS call, but @'s ufunc dispatch adds up to a microsecond

@@ -139,32 +139,28 @@ class SandwichCheck:
 
 
 @dataclass(frozen=True)
-class InnerCheck:
-    lhs: float
-    rhs: float
-    holds: bool
+class BoundCheck:
+    """A one-sided bound: lhs against rhs, and whether it held within LEMMA_SLACK."""
 
-
-@dataclass(frozen=True)
-class CoefficientCheck:
     lhs: float
     rhs: float
     holds: bool
 
 
 def _prepare(pair: MatrixPair, x):
-    """The checkers' shared start: x as a flat float64 vector, B x, and the
-    leading coefficient f1 = v1' B x."""
+    """The checkers' shared start: x as a flat float64 vector, B x, the
+    leading coefficient f1 = v1' B x, the pair's generalized eigenvalues
+    (descending, as floats) and B's extremes (lambda_min(B), lambda_max(B))."""
     xv = np.asarray(x, dtype=np.float64).reshape(-1)
     bx = pair.b.dot(xv)
-    return xv, bx, float(pair.spectrum.eigenvectors[:, 0].dot(bx))
+    spectrum = pair.spectrum
+    f1 = float(spectrum.eigenvectors[:, 0].dot(bx))
+    return xv, bx, f1, spectrum.eigenvalues.tolist(), pair.b_extremes
 
 
 def _check_rho(rho: float, lam) -> None:
-    if not (float(lam[1]) < rho <= float(lam[0]) + 1e-12):
-        raise RhoOutOfRange(
-            f"rho {rho:.6g} outside ({float(lam[1]):.6g}, {float(lam[0]):.6g}]"
-        )
+    if not (lam[1] < rho <= lam[0] + 1e-12):
+        raise RhoOutOfRange(f"rho {rho:.6g} outside ({lam[1]:.6g}, {lam[0]:.6g}]")
 
 
 def check_lemma_sandwich(pair: MatrixPair, rho: float, x) -> SandwichCheck:
@@ -177,19 +173,17 @@ def check_lemma_sandwich(pair: MatrixPair, rho: float, x) -> SandwichCheck:
           <= x'(rho B - A) x <=
         (rho - lambda_n) lambda_max(B) ||x||^2 - (lambda_1 - lambda_n) f1^2
     """
-    xv, bx, f1 = _prepare(pair, x)
-    lam = pair.spectrum.eigenvalues
+    xv, bx, f1, lam, (b_min, b_max) = _prepare(pair, x)
     _check_rho(rho, lam)
-    b_min, b_max = pair.b_extremes
     nsq = float(xv.dot(xv))
     middle = float(xv.dot(rho * bx - pair.a.dot(xv)))
-    lower = (rho - float(lam[1])) * b_min * nsq - (float(lam[0]) - float(lam[1])) * f1**2
-    upper = (rho - float(lam[-1])) * b_max * nsq - (float(lam[0]) - float(lam[-1])) * f1**2
+    lower = (rho - lam[1]) * b_min * nsq - (lam[0] - lam[1]) * f1**2
+    upper = (rho - lam[-1]) * b_max * nsq - (lam[0] - lam[-1]) * f1**2
     holds = (lower - LEMMA_SLACK) <= middle <= (upper + LEMMA_SLACK)
     return SandwichCheck(lower=lower, middle=middle, upper=upper, holds=holds)
 
 
-def check_lemma_inner(pair: MatrixPair, rho: float, eta: float, x, y) -> InnerCheck:
+def check_lemma_inner(pair: MatrixPair, rho: float, eta: float, x, y) -> BoundCheck:
     """Lower bound on the step inner product eta <(rho B - A) x, y>.
 
     With tau1 = eta (rho - lambda_2) lambda_min(B) and
@@ -200,41 +194,38 @@ def check_lemma_inner(pair: MatrixPair, rho: float, eta: float, x, y) -> InnerCh
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    xv, bx, f1 = _prepare(pair, x)
-    yv, _, g1 = _prepare(pair, y)
-    lam = pair.spectrum.eigenvalues
+    xv, bx, f1, lam, (b_min, b_max) = _prepare(pair, x)
+    yv, _, g1, *_ = _prepare(pair, y)
     _check_rho(rho, lam)
-    b_min, b_max = pair.b_extremes
-    tau1 = eta * (rho - float(lam[1])) * b_min
-    tau2 = eta * (rho - float(lam[-1])) * b_max
+    tau1 = eta * (rho - lam[1]) * b_min
+    tau2 = eta * (rho - lam[-1]) * b_max
     lhs = eta * float(yv.dot(rho * bx - pair.a.dot(xv)))
     rhs = (
         ((tau1 + tau2) / 2.0) * float(xv.dot(yv))
         - ((tau2 - tau1) / 4.0) * (float(xv.dot(xv)) + float(yv.dot(yv)))
-        - eta * (float(lam[0]) - float(lam[1])) * f1 * g1
+        - eta * (lam[0] - lam[1]) * f1 * g1
     )
-    return InnerCheck(lhs=lhs, rhs=rhs, holds=lhs >= rhs - LEMMA_SLACK)
+    return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs >= rhs - LEMMA_SLACK)
 
 
-def check_lemma_coefficient(pair: MatrixPair, x) -> CoefficientCheck:
+def check_lemma_coefficient(pair: MatrixPair, x) -> BoundCheck:
     """Bound the leading-coefficient error by the chord to the optimum.
 
     For unit x with nu = x'v* > 0, h = x - v*, and d = 1/||v1||_2:
 
         (f1 - d)^2 <= (lambda_max(B) - (1 + nu) lambda_min(B) / 2) ||h||^2
     """
-    xv, _, f1 = _prepare(pair, x)
+    xv, _, f1, _, (b_min, b_max) = _prepare(pair, x)
     if abs(math.sqrt(xv.dot(xv)) - 1.0) > 1e-10:
         raise ValueError("x must be a unit vector")
     v_star = pair.spectrum.leading_unit
     nu = float(xv.dot(v_star))
     if nu <= 0:
         raise NonPositiveAlignment(f"x'v* = {nu:.6g} <= 0")
-    b_min, b_max = pair.b_extremes
     h = xv - v_star
     lhs = (f1 - pair.spectrum.scale_d) ** 2
     rhs = (b_max - (1.0 + nu) * b_min / 2.0) * float(h.dot(h))
-    return CoefficientCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + LEMMA_SLACK)
+    return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + LEMMA_SLACK)
 
 
 # ---------------------------------------------------------------------------

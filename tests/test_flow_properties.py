@@ -15,10 +15,13 @@ winner must not move with last-bit noise in the final quotients, and prfm
 must take the same steps on (A + sigma B, B) as on (A, B). Scaling A, or A
 and B, by a power of two c scales every product exactly, so prfm (step
 eta/c), rifle (eta' unchanged) and ppower must return the same bytes on
-the scaled pair, with the final quotient scaled by c or unchanged.
+the scaled pair, with the final quotient scaled by c or unchanged. A rotation
+of the pair, the start and a subspace prior's basis (a permutation, under a
+sparse prior) rotates the iterates, to rounding.
 """
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -417,6 +420,74 @@ def test_solvers_are_invariant_to_a_power_of_two_scale(case):
             trace.iterations_run, trace.stop_reason
         )
         assert trace_scaled.final_rho == factor * trace.final_rho
+
+
+@st.composite
+def rotation_case(draw):
+    n = draw(st.integers(6, 25))
+    return dict(
+        seed=draw(st.integers(0, 2**31 - 1)),
+        kind=draw(st.sampled_from(("spiked", "diag_b"))),
+        n=n,
+        m=draw(st.integers(2 * n, 200)),
+        level=draw(st.integers(2, n)),
+    )
+
+
+#: Largest |U u - u'| entry allowed between runs that converge on both sides;
+#: over this property's 1,640 such pairs the largest seen is 1.5e-15.
+ROTATION_TOL = 1e-13
+
+
+def _rotated(u, m):
+    r = u @ m @ u.T
+    return (r + r.T) / 2.0
+
+
+@PROPERTY_SETTINGS
+@given(rotation_case())
+def test_solvers_are_equivariant_under_rotation(case):
+    """For an orthogonal U, the run on (UAU', UBU') from U u0, under the
+    sphere prior or the subspace prior of basis UQ, visits U times the
+    iterates of the run on (A, B) from u0 in exact arithmetic: every
+    product, quotient, norm and span projection commutes with U. For a
+    permutation U the same holds under the sparse prior and for rifle, whose
+    truncation keeps the permuted entries. So prfm and ppower under each
+    prior, and rifle, stop after the same number of iterations where both
+    sides converge, at points that differ only by rounding."""
+    n, seed, level = case["n"], case["seed"], case["level"]
+    v = np.abs(NormalStream(seed, stream=0).unit_vector(n))
+    generate = gen_spiked if case["kind"] == "spiked" else gen_diag_b
+    inst = generate(v / np.linalg.norm(v), case["m"], seed=seed)
+    a, b = inst.a_hat, inst.b_hat
+    g, r = np.linalg.qr(NormalStream(seed, stream=5).matrix(n, n))
+    orthogonal = g * np.sign(np.diag(r))
+    permutation = np.eye(n)[NormalStream(seed, stream=6).normals(n).argsort()]
+    u0 = NormalStream(seed, stream=7).unit_vector(n)
+    sub = subspace_containing(inst.truth.v_lead, level, seed=seed + 1)
+    priors = {
+        "sphere": (orthogonal, SphereProjector(), SphereProjector()),
+        "sparse": (permutation, SparseProjector(level), SparseProjector(level)),
+        "subspace": (orthogonal, sub, replace(sub, basis=orthogonal @ sub.basis)),
+    }
+    runs = [(solver, prior) for solver in ("prfm", "ppower") for prior in priors]
+    for solver, prior in [*runs, ("rifle", "sparse")]:
+        u, p, rotated_p = priors[prior]
+        sides = []
+        rotated = (_rotated(u, a), _rotated(u, b), rotated_p, u @ u0)
+        for pa, pb, pp, start in ((a, b, p, u0), rotated):
+            cfg = SolverConfig(step_size=0.1, max_iters=300, init=start, record_trace=False)
+            if solver == "prfm":
+                sides.append(_outcome(prfm, pa, pb, pp, cfg))
+            elif solver == "ppower":
+                sides.append(_outcome(ppower, pa, pp, cfg))
+            else:
+                sides.append(_outcome(rifle, pa, pb, level, 0.1, cfg))
+        if any(isinstance(side, type) or side[1].stop_reason != "converged" for side in sides):
+            continue
+        (x, trace), (y, rotated_trace) = sides
+        assert rotated_trace.iterations_run == trace.iterations_run, (solver, prior)
+        assert float(np.max(np.abs(u @ x - y))) <= ROTATION_TOL, (solver, prior)
 
 
 @PROPERTY_SETTINGS

@@ -199,6 +199,7 @@ class TestForward:
                     random_mlp(6, 2, hidden=(4,), seed=3)):
             for scale in (1.5, 4.0, 1e6):
                 _assert_refused(gen, np.array([0.6, -0.8]) * (scale * gen.latent_radius))
+            _assert_refused(gen, np.array([math.nan, 0.0]))  # NaN is no norm <= r
 
     def test_interior_latent_does_not_warn(self):
         gen = replace(random_subspace(6, 2, seed=2), latent_radius=1.0)

@@ -4,7 +4,9 @@ Fixed-point values for the condition report are frozen from closed forms
 worked by hand (e.g. the admissible-pair contraction equals
 (14 + sqrt(611)) / 47); the randomized suites then hammer the three
 inequality checkers with thousands of draws, where a single failure means
-an implementation bug rather than a statistical fluke.
+an implementation bug rather than a statistical fluke. Metamorphic
+properties hold the condition report and the checkers' flags fixed under
+A -> A + sigma B and B -> cB.
 """
 
 from __future__ import annotations
@@ -458,6 +460,45 @@ def test_conditions_are_invariant_to_shift_and_b_scale(seed, n, sigma, c):
         for name in fields:
             want, got = getattr(base, name), getattr(moved, name)
             assert abs(got - want) <= INVARIANCE_RTOL * max(abs(want), 1.0), name
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 11),
+    frac=st.floats(0.05, 0.95),
+    eta=st.floats(0.0, 1.0),
+    sigma=st.sampled_from((0.5, -2.0, 10.0)),
+    c=st.sampled_from((4.0, 0.25, 1.0 / 64.0)),
+)
+def test_lemma_flags_are_invariant_to_shift_and_b_scale(seed, n, frac, eta, sigma, c):
+    """A -> A + sigma B with rho -> rho + sigma keeps rho B - A, B, the
+    eigenvectors, the gaps and rho's distance to every eigenvalue. B -> cB
+    with rho -> rho / c keeps rho B - A, divides the eigenvalues by c,
+    multiplies B's extremes by c and f1 and d by sqrt(c). So every bound of
+    the sandwich and inner checks stays put, both sides of the coefficient
+    check scale by c, and at a fixed eta, x and y each checker's holds flag
+    is the one it gives on (A, B) at rho."""
+    rng = np.random.default_rng(seed)
+    a, b = random_definite_pair(rng, n, min_gap=1e-3)
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    pair = MatrixPair(a=a, b=b)
+    lam = pair.spectrum.eigenvalues
+    rho = float(lam[1]) + frac * float(lam[0] - lam[1])
+    xu = x / float(np.linalg.norm(x))
+    if float(xu @ pair.spectrum.leading_unit) < 0:
+        xu = -xu
+
+    def flags(pair, rho):
+        return (
+            check_lemma_sandwich(pair, rho, x).holds,
+            check_lemma_inner(pair, rho, eta, x, y).holds,
+            check_lemma_coefficient(pair, xu).holds,
+        )
+
+    want = flags(pair, rho)
+    assert flags(MatrixPair(a=a + sigma * b, b=b), rho + sigma) == want
+    assert flags(MatrixPair(a=a, b=c * b), rho / c) == want
 
 
 class TestContractionConsistency:
