@@ -443,7 +443,9 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=int, default=SweepSpec.restarts)
     p.add_argument("--proj-steps", type=int, default=proj.steps)
     p.add_argument("--proj-lr", type=float, default=proj.learning_rate)
-    p.add_argument("--proj-restarts", type=int, default=proj.restarts)
+    p.add_argument("--proj-restarts", type=int, default=proj.restarts,
+                   help="seeded Adam starts of a run's first range projection; each "
+                   "later one descends from the previous projection's latent alone")
     p.add_argument("--proj-seed", type=int, default=proj.seed)
 
 

@@ -18,7 +18,10 @@ fixed constants beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
 Stream usage: `random_mlp`/`random_subspace` draw from
 NormalStream(seed, stream=0) (weights row-major then bias, layer by layer;
 the subspace draws its n*k basis entries row-major). `project_to_range`
-draws restart i's latent start from NormalStream(cfg.seed, stream=i).
+draws restart i's latent start from NormalStream(cfg.seed, stream=i). A
+solver run draws them for its first range projection only: each later
+projection of the run descends from the latent the one before it returned,
+as a single row.
 """
 
 from __future__ import annotations
@@ -146,7 +149,12 @@ Generator = MlpGenerator | SubspaceGenerator
 
 @dataclass(frozen=True)
 class LatentProjectionConfig:
-    """Range-projection settings; Adam's beta1 = 0.9, beta2 = 0.999, eps = 1e-8 are fixed."""
+    """Range-projection settings; Adam's beta1 = 0.9, beta2 = 0.999, eps = 1e-8 are fixed.
+
+    `restarts` seeded starts serve a standalone projection and a solver
+    run's first one; each later projection of a run takes `steps` Adam steps
+    from the latent the run's previous projection returned, alone.
+    """
 
     steps: int = 100
     learning_rate: float = 0.1
@@ -277,7 +285,9 @@ def _objective_and_grad(gen: Generator, z: NDArray[np.float64], x: NDArray[np.fl
     return value, grad, point
 
 
-def project_to_range(gen: Generator, x, cfg: LatentProjectionConfig) -> RangeProjection:
+def project_to_range(
+    gen: Generator, x, cfg: LatentProjectionConfig, *, _start=None
+) -> RangeProjection:
     """Approximate the closest range point to `x` by Adam in latent space.
 
     Runs `cfg.restarts` independent descents on z -> ||forward(gen, z) - x||^2.
@@ -294,6 +304,12 @@ def project_to_range(gen: Generator, x, cfg: LatentProjectionConfig) -> RangePro
     its decode degenerates. So each row's arithmetic is a lone descent's,
     and one running best gives the result of running them one at a time.
 
+    The private `_start` replaces the seeded rows with that one latent, as
+    restart 0: a solver run passes the latent its previous projection
+    returned (`priors.project`), whose decode already succeeded, so step 0
+    always records a candidate and the result is no farther from `x` than
+    forward(gen, _start).
+
     Raises AllRestartsDegenerate only if every restart dies with
     DegenerateOutput before recording a candidate, and ValueError on a
     non-finite target.
@@ -307,7 +323,11 @@ def project_to_range(gen: Generator, x, cfg: LatentProjectionConfig) -> RangePro
     radius = gen.latent_radius
     beta1, beta2, lr, eps = _ADAM_BETA1, _ADAM_BETA2, cfg.learning_rate, _ADAM_EPS
     keep1, keep2 = 1.0 - beta1, 1.0 - beta2
-    z = np.stack([_random_start(cfg.seed, i, gen.latent_dim, radius) for i in range(cfg.restarts)])
+    if _start is None:
+        starts = [_random_start(cfg.seed, i, gen.latent_dim, radius) for i in range(cfg.restarts)]
+    else:
+        starts = [_start]
+    z = np.stack(starts)
     m = np.zeros_like(z)
     v = np.zeros_like(z)
     grad = np.zeros_like(z)  # a dead row keeps stepping, so its row must be finite
@@ -317,7 +337,7 @@ def project_to_range(gen: Generator, x, cfg: LatentProjectionConfig) -> RangePro
     # so the first candidate is always taken; later distances are never NaN
     # (the point and the target are finite). The latent is a row of z, safe
     # to keep because every step builds a new z.
-    best = (math.nan, None, None, cfg.restarts)
+    best = (math.nan, None, None, len(z))
 
     for step in range(cfg.steps + 1):  # step 0 evaluates the starts
         if step:
@@ -341,12 +361,12 @@ def project_to_range(gen: Generator, x, cfg: LatentProjectionConfig) -> RangePro
             distance = math.sqrt(max(value, 0.0))
             if not distance >= best[0] or (distance == best[0] and restart < best[3]):
                 best = (distance, point, row, restart)
-        if len(dead) == cfg.restarts:
+        if len(dead) == len(z):
             break
 
     distance, point, latent, restart = best
     if point is None:
-        raise AllRestartsDegenerate(f"all {cfg.restarts} restarts hit degenerate outputs")
+        raise AllRestartsDegenerate(f"all {len(z)} restarts hit degenerate outputs")
     return RangeProjection(
         point=point.copy(), latent=latent.copy(), distance=distance, restart_index=restart
     )

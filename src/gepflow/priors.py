@@ -67,6 +67,18 @@ class RangeProjector:
     config: LatentProjectionConfig = LatentProjectionConfig()
 
 
+@dataclass(eq=False)
+class _RunRange:
+    """A RangeProjector inside one solver run, which builds it and alone
+    holds it: `project` descends from the seeded starts while `latent` is
+    None, else from `latent` alone, and stores the latent it returns. So
+    the shared RangeProjector holds no state."""
+
+    model: Generator
+    config: LatentProjectionConfig
+    latent: NDArray[np.float64] | None = None
+
+
 Projector = SphereProjector | SparseProjector | SubspaceGenerator | RangeProjector
 
 
@@ -109,6 +121,10 @@ def project(p: Projector, x) -> NDArray[np.float64]:
         return sparse_truncate(xv, p.s)
     if isinstance(p, SubspaceGenerator):
         return subspace_project(p, xv)
+    if isinstance(p, _RunRange):
+        found = project_to_range(p.model, xv, p.config, _start=p.latent)
+        p.latent = found.latent
+        return found.point
     if isinstance(p, RangeProjector):
         return project_to_range(p.model, xv, p.config).point
     raise TypeError(f"unknown projector type {type(p).__name__}")

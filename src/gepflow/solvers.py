@@ -34,7 +34,7 @@ from .errors import (
 )
 from .generative import SubspaceGenerator
 from .linalg import _typed, as_sym_matrix
-from .priors import Projector, project, sparse_truncate
+from .priors import Projector, RangeProjector, _RunRange, project, sparse_truncate
 from .rng import NormalStream
 
 SOLVER_NAMES = ("prfm", "rifle", "ppower")
@@ -210,7 +210,9 @@ def _flow(a, b, cfg: SolverConfig, v_star, step, p=None) -> tuple[NDArray[np.flo
     the loop carries c = Q'u_1 on (Q'AQ, Q'BQ) with proj p.unit_coordinates
     (subspace_project in Q's coordinates): the same rho and movements in
     exact arithmetic. Rows, the final vector and its quotient use the lifted
-    Q c, as does the t = 1 cycle test against u_0.
+    Q c, as does the t = 1 cycle test against u_0. Under a range prior the
+    run projects through its own `_RunRange`, which warm-starts each
+    projection after the first from the latent the previous one returned.
 
     Stops once an update moves u by at most cfg.stop_tol ("converged"), or
     after cfg.max_iters updates ("max_iters"). With stop_tol set it also
@@ -237,6 +239,8 @@ def _flow(a, b, cfg: SolverConfig, v_star, step, p=None) -> tuple[NDArray[np.flo
     held = 0
     loop_a, loop_b = a, b
     slack = (a.shape[0] + 4) * 2.0**-52
+    if isinstance(p, RangeProjector):
+        p = _RunRange(p.model, p.config)  # the run's own warm latent
     proj = partial(project, p)
     for t in range(cfg.max_iters):
         if t == 1 and isinstance(p, SubspaceGenerator):

@@ -224,6 +224,21 @@ MUTANTS = (
         "            fill(block, 0)\n",
         ("tests/test_problems.py",),
     ),
+    # A range-prior run's warm latent.
+    Mutant(
+        "warm_latent_not_carried",
+        "priors.py",
+        "        found = project_to_range(p.model, xv, p.config, _start=p.latent)\n",
+        "        found = project_to_range(p.model, xv, p.config, _start=None)\n",
+        ("tests/test_range_properties.py", "tests/test_solvers.py"),
+    ),
+    Mutant(
+        "warm_latent_frozen",
+        "priors.py",
+        "        p.latent = found.latent\n",
+        "        p.latent = found.latent if p.latent is None else p.latent\n",
+        ("tests/test_range_properties.py", "tests/test_solvers.py"),
+    ),
     Mutant(
         "scale_d_inverted",
         "linalg.py",

@@ -208,6 +208,10 @@ def reference_flow(
     the (t, rho, cos_sim, dist) of each visited iterate, the final one
     included; raises the package's error class for each failure.
 
+    Under a ("range", gen, cfg) prior the projection is
+    `reference_project_to_range`: from cfg's seeded starts at t = 0, and
+    after that from the latent the previous projection returned.
+
     Under a ("subspace", Q) prior, prfm and ppower take their first step as
     above and then, with compressed=True, run in Q's coordinates: c = Q'u_1
     and, with A_k = Q'AQ and B_k = Q'BQ built column by column as Q'(A q_j),
@@ -259,6 +263,15 @@ def reference_flow(
             raise DegenerateProjection("orthogonal to the subspace")
         return x / norm
 
+    latent = None
+
+    def project(x):
+        nonlocal latent
+        if prior[0] != "range":
+            return _reference_projection(prior, x)
+        point, latent, _, _ = reference_project_to_range(prior[1], x, prior[2], start=latent)
+        return point
+
     u = np.array(u0, dtype=np.float64)
     path = [u]
     switched = False
@@ -282,7 +295,7 @@ def reference_flow(
                 raise ZeroVector(f"A u vanished at iteration {t}")
             target = a @ u
         rows.append(row(t, rho, lifted(u)))
-        u_next = unit(target) if switched else _reference_projection(prior, target)
+        u_next = unit(target) if switched else project(target)
         iterations = t + 1
         moved = float(np.linalg.norm(u_next - u))
         if stop_tol is not None and moved <= stop_tol:
@@ -426,11 +439,12 @@ def reference_raw_decode(gen, z):
     return h, cache
 
 
-def reference_project_to_range(gen, x, cfg):
+def reference_project_to_range(gen, x, cfg, start=None):
     """`project_to_range` restated restart by restart, for byte comparison.
 
     Every product is written with @; each random start is a fresh
-    NormalStream(cfg.seed, stream=restart).ball_point(k, 0.9 r); the
+    NormalStream(cfg.seed, stream=restart).ball_point(k, 0.9 r), or, with
+    `start` given, the one descent runs from that latent as restart 0; the
     decoder's forward and backward passes are inline (`reference_raw_decode`,
     then the output divided by its norm, ReLU's subgradient at 0 taken as
     0); Adam runs with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8. The best
@@ -470,8 +484,11 @@ def reference_project_to_range(gen, x, cfg):
 
     b1, b2, eps = 0.9, 0.999, 1e-8
     best = None
-    for restart in range(cfg.restarts):
-        z = NormalStream(cfg.seed, stream=restart).ball_point(gen.latent_dim, 0.9 * r)
+    for restart in range(cfg.restarts if start is None else 1):
+        if start is None:
+            z = NormalStream(cfg.seed, stream=restart).ball_point(gen.latent_dim, 0.9 * r)
+        else:
+            z = np.array(start, dtype=np.float64)
         m = np.zeros(z.shape[0])
         v = np.zeros(z.shape[0])
         try:
