@@ -3,7 +3,10 @@ measures which of them the tests kill.
 
 Run from any directory:
 
-    python tests/mutants.py [--only NAME]
+    python tests/mutants.py [--only NAME] [--file NAME]
+
+`--file generative.py` runs the mutants of that one module of
+`src/gepflow`, so a change to a module re-runs its mutants in one command.
 
 For each mutant the runner copies `src/` into a temporary directory,
 replaces the mutant's source text in the copy, and runs the mutant's tests
@@ -81,8 +84,8 @@ MUTANTS = (
     Mutant(
         "dead_restart_skip",
         "generative.py",
-        "            if restart in dead:\n",
-        "            if False:\n",
+        "        except DegenerateOutput:\n            return None\n",
+        "        except DegenerateOutput:\n            return [0.0] * len(row)\n",
         ("tests/test_generative.py", "tests/test_range_properties.py"),
     ),
     Mutant(
@@ -185,8 +188,22 @@ MUTANTS = (
     Mutant(
         "adam_no_bias_correction",
         "generative.py",
-        "            m_hat = m / (1.0 - beta1**step)",
-        "            m_hat = m",
+        "lr * (mi / c1) / ",
+        "lr * mi / ",
+        ("tests/test_generative.py", "tests/test_range_properties.py"),
+    ),
+    Mutant(
+        "adam_no_second_moment_correction",
+        "generative.py",
+        "(math.sqrt(vi / c2) + eps)",
+        "(math.sqrt(vi) + eps)",
+        ("tests/test_generative.py", "tests/test_range_properties.py"),
+    ),
+    Mutant(
+        "adam_clip_skipped",
+        "generative.py",
+        "            if norm > radius:\n",
+        "            if False:\n",
         ("tests/test_generative.py", "tests/test_range_properties.py"),
     ),
     Mutant(
@@ -284,11 +301,23 @@ def run(mutant: Mutant) -> tuple[str, str, float]:
     return "error", f"pytest exit code {done.returncode}", seconds
 
 
-def main(argv=None) -> int:
+def select(argv=None) -> list[Mutant]:
+    """The mutants a command line names: every one, `--only NAME`'s, or
+    those of one module of src/gepflow (`--file generative.py`)."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--only", choices=[m.name for m in MUTANTS], help="run one mutant")
+    parser.add_argument(
+        "--file", choices=sorted({m.file for m in MUTANTS}), help="run one module's mutants"
+    )
     args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS if args.only in (None, m.name)]
+    return [m for m in MUTANTS if args.only in (None, m.name) and args.file in (None, m.file)]
+
+
+def main(argv=None) -> int:
+    chosen = select(argv)
+    if not chosen:
+        print("no mutant matches both --only and --file", file=sys.stderr)
+        return 2
     width = max(len(m.name) for m in chosen)
     for mutant in chosen:
         outcome, detail, seconds = run(mutant)

@@ -571,6 +571,39 @@ class TestLockstepRestarts:
             assert decodes == {"calls": (target + 1) * 3 * (7 + 1), "raised": 0}
 
 
+class TestOracleBytesAtRealShapes:
+    """project_to_range against the oracle, byte for byte, beyond the
+    Hypothesis strategy's k <= 4 and 12 steps: the range workload's shape
+    (Adam 30 x 2 from the seeded starts, then 30 x 1 from the latent found)
+    and k = 8 with 6 restarts and 40 steps, on targets whose descents reach
+    the clip (a latent of norm r reaches forward)."""
+
+    @pytest.mark.parametrize("k, restarts, steps", [(4, 2, 30), (8, 6, 40)])
+    def test_seeded_and_warm_projections_match_the_oracle(self, monkeypatch, k, restarts, steps):
+        gen = random_mlp(64, k, hidden=(32,))
+        r = gen.latent_radius
+        cfg = LatentProjectionConfig(steps=steps, restarts=restarts, seed=0)
+        norms = []
+        inner = generative.forward
+
+        def recorded(gen, z):
+            norms.append(math.sqrt(float(z.dot(z))))
+            return inner(gen, z)
+
+        monkeypatch.setattr(generative, "forward", recorded)
+        for target in (4, 5):
+            x = NormalStream(11, stream=target).unit_vector(64)
+            norms.clear()
+            got = project_to_range(gen, x, cfg)
+            assert _same_projection(got, reference_project_to_range(gen, x, cfg))
+            assert any(abs(norm - r) <= 1e-12 * r for norm in norms)
+            norms.clear()
+            warm = project_to_range(gen, -x, cfg, _start=got.latent)
+            oracle = reference_project_to_range(gen, -x, cfg, start=got.latent)
+            assert _same_projection(warm, oracle)
+            assert any(abs(norm - r) <= 1e-12 * r for norm in norms)
+
+
 class TestLastDecode:
     """A generator keeps its last decode, and no caller can tell."""
 

@@ -1,8 +1,9 @@
 """The mutant table in `tests/mutants.py` stays applicable: each mutant's
 source text occurs exactly once in `src/`, in the file it names, and each
-names the test files it runs."""
+names the test files it runs; `--file` selects one module's mutants."""
 
-from mutants import MUTANTS, ROOT
+import pytest
+from mutants import MUTANTS, ROOT, select
 
 SOURCES = {path.name: path.read_text() for path in (ROOT / "src" / "gepflow").glob("*.py")}
 
@@ -22,3 +23,17 @@ def test_each_mutant_is_named_once_and_runs_existing_tests():
         assert mutant.tests, mutant.name
         for node in mutant.tests:
             assert (ROOT / node.split("::")[0]).is_file(), (mutant.name, node)
+
+
+def test_file_selects_exactly_that_modules_mutants():
+    assert select([]) == list(MUTANTS)
+    for file in {mutant.file for mutant in MUTANTS}:
+        assert select(["--file", file]) == [m for m in MUTANTS if m.file == file]
+    generative = select(["--file", "generative.py"])
+    assert len(generative) >= 8 and all(m.file == "generative.py" for m in generative)
+    assert [m.name for m in select(["--only", "adam_clip_skipped", "--file", "generative.py"])] == [
+        "adam_clip_skipped"
+    ]
+    assert select(["--only", "adam_clip_skipped", "--file", "theory.py"]) == []
+    with pytest.raises(SystemExit):
+        select(["--file", "nothing.py"])

@@ -31,6 +31,7 @@ from gepflow.generative import (
     subspace_containing,
     subspace_project,
 )
+from gepflow.harness import fit_loglog_slope, signed_distance
 from gepflow.linalg import MatrixPair
 from gepflow.problems import gen_spiked
 from gepflow.priors import RangeProjector, SparseProjector, SphereProjector, project
@@ -585,6 +586,36 @@ class TestRangeWarmStart:
             means.append((float(np.mean(cos["prfm"])), float(np.mean(cos["ppower"]))))
         for prfm_mean, ppower_mean in means:
             assert prfm_mean >= 0.9 and ppower_mean >= 0.99, means
+
+
+class TestRangeRate:
+    def test_error_falls_at_the_papers_rate_under_a_generative_prior(self):
+        """The paper's rate under a generative prior: truths in the range of
+        random_mlp(64, 4, hidden=(32,)) (decodes of latents uniform in the
+        ball of radius 0.9 r), 10 spiked instances at each m, prfm with 3
+        restarts x 30 fixed iterations through a RangeProjector (Adam 30
+        steps x 2 seeded starts). The log-log slope of the per-m median
+        distance up to sign lies in check 05's band [-0.65, -0.35]. Its
+        truths must lie in the decoder's range, so it cannot go through
+        run_sweep, which plants a truth outside it."""
+        model = random_mlp(64, 4, hidden=(32,), seed=0)
+        truths = [
+            forward(model, NormalStream(0, stream=t + 1).ball_point(4, 0.9 * model.latent_radius))
+            for t in range(10)
+        ]
+        cfg = SolverConfig(step_size=7.0 / 32.0, max_iters=30, stop_tol=None)
+        p = RangeProjector(model, LatentProjectionConfig(steps=30, restarts=2, seed=0))
+        m_values = (250, 1000, 4000)
+        medians = []
+        for j, m in enumerate(m_values):
+            errors = []
+            for t, v in enumerate(truths):
+                inst = gen_spiked(v, m, seed=100 * j + t)
+                res = run_with_restarts("prfm", inst.a_hat, inst.b_hat, cfg, 3, 100 * j + t, p=p)
+                errors.append(signed_distance(res.estimate, inst.truth.v_lead))
+            medians.append(float(np.median(errors)))
+        slope, _, _ = fit_loglog_slope(zip(m_values, medians))
+        assert -0.65 <= slope <= -0.35, (slope, medians)
 
 
 class TestExactSolve:
