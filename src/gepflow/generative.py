@@ -13,9 +13,9 @@ its basis. A generator keeps its last decode, so `backward` on the latent
 is the exact oracle for the subspace family.
 Every decoder divides its raw output by its 2-norm; a raw norm at or below
 MIN_NORM_DEFAULT, or not finite, raises DegenerateOutput. Adam runs on the
-fixed constants beta1 = 0.9, beta2 = 0.999 and eps = 1e-8, on each
-restart's latent, moments and gradient held as Python floats: one latent
-array per step serves the clip and the decode.
+fixed constants beta1 = 0.9, beta2 = 0.999 and eps = 1e-8, one restart
+after another, on each restart's latent, moments and gradient held as
+Python floats: one latent array per step serves the clip and the decode.
 
 Stream usage: `random_mlp`/`random_subspace` draw from
 NormalStream(seed, stream=0) (weights row-major then bias, layer by layer;
@@ -292,14 +292,14 @@ def project_to_range(
     exceeds the distance at any sampled start; ties keep the earliest
     (lowest restart, earliest step) candidate.
 
-    The restarts advance together, one step each in restart order, until
-    a restart's decode degenerates and it is dropped. Each restart holds its
+    The restarts run one after another, each from its start (step 0)
+    through `cfg.steps` Adam steps; a decode that degenerates ends that
+    restart alone, and the candidates it recorded stay. A restart holds its
     latent, Adam moments and last gradient as Python floats, updated element
     by element with the same operations, in the same order, as Adam's array
     form, so the bytes are the array form's. Its latent becomes an array
     once per step, to be clipped and decoded (by `forward`; `backward`
-    reuses that decode). So each restart's arithmetic is a lone descent's,
-    and one running best gives the result of running them one at a time.
+    reuses that decode).
 
     The private `_start` replaces the seeded starts with that one latent,
     as restart 0: a solver run passes the latent its previous projection
@@ -324,55 +324,39 @@ def project_to_range(
         starts = [_random_start(cfg.seed, i, gen.latent_dim, radius) for i in range(cfg.restarts)]
     else:
         starts = [_start]
-    # The best candidate (distance, point, latent, restart): least distance,
-    # then lowest restart, then earliest step. The NaN start compares false,
-    # so the first candidate is always taken; later distances are never NaN
-    # (the point and the target are finite). Every step builds each latent
-    # row anew, so a kept row is never written again.
-    best = (math.nan, None, None, len(starts))
-
-    def evaluate(restart, row):
-        """Offer row's decode to the best; the VJP of ||forward - x||^2 / 2
-        as floats, or None once the decode degenerates."""
-        nonlocal best
-        try:
-            point = forward(gen, row)
-        except DegenerateOutput:
-            return None
-        diff = point - xv
-        distance = math.sqrt(max(float(diff.dot(diff)), 0.0))
-        vjp = backward(gen, row, diff).tolist()
-        if not distance >= best[0] or (distance == best[0] and restart < best[3]):
-            best = (distance, point, row, restart)
-        return vjp
-
-    # A live restart: (index, latent, first and second moments, last VJP).
-    live = []
-    for restart, start in enumerate(starts):  # step 0 evaluates the starts
+    # The best candidate (distance, point, latent, restart). The scan visits
+    # candidates in (restart, step) order and only a strictly smaller
+    # distance replaces the best, so ties keep the earliest. The NaN start
+    # compares false, so the first candidate is always taken; later distances
+    # are never NaN (the point and the target are finite). Every step builds
+    # its latent row anew, so a kept row is never written again.
+    best = (math.nan, None, None, None)
+    for restart, start in enumerate(starts):
         row = np.array(start, dtype=np.float64)
-        vjp = evaluate(restart, row)
-        if vjp is not None:
-            live.append((restart, row.tolist(), [0.0] * len(vjp), [0.0] * len(vjp), vjp))
-    for step in range(1, cfg.steps + 1):
-        if not live:
-            break
-        c1, c2 = 1.0 - beta1**step, 1.0 - beta2**step
-        stepped = []
-        for restart, z, m, v, vjp in live:
-            for i, half in enumerate(vjp):
-                g = 2.0 * half  # the objective's gradient: doubling is exact
-                m[i] = mi = beta1 * m[i] + keep1 * g
-                v[i] = vi = beta2 * v[i] + keep2 * g * g
-                z[i] -= lr * (mi / c1) / (math.sqrt(vi / c2) + eps)
-            row = np.array(z)
-            norm = math.sqrt(float(row.dot(row)))
-            if norm > radius:
-                row *= radius / norm
-                z = row.tolist()
-            vjp = evaluate(restart, row)
-            if vjp is not None:
-                stepped.append((restart, z, m, v, vjp))
-        live = stepped
+        z = row.tolist()
+        m, v = [0.0] * len(z), [0.0] * len(z)
+        for step in range(cfg.steps + 1):  # step 0 evaluates the start
+            if step:
+                c1, c2 = 1.0 - beta1**step, 1.0 - beta2**step
+                for i, half in enumerate(vjp):
+                    g = 2.0 * half  # the objective's gradient: doubling is exact
+                    m[i] = mi = beta1 * m[i] + keep1 * g
+                    v[i] = vi = beta2 * v[i] + keep2 * g * g
+                    z[i] -= lr * (mi / c1) / (math.sqrt(vi / c2) + eps)
+                row = np.array(z)
+                norm = math.sqrt(float(row.dot(row)))
+                if norm > radius:
+                    row *= radius / norm
+                    z = row.tolist()
+            try:
+                point = forward(gen, row)
+            except DegenerateOutput:
+                break
+            diff = point - xv
+            distance = math.sqrt(float(diff.dot(diff)))
+            vjp = backward(gen, row, diff).tolist()  # half the objective's gradient
+            if not distance >= best[0]:
+                best = (distance, point, row, restart)
 
     distance, point, latent, restart = best
     if point is None:

@@ -15,6 +15,7 @@ against that copy: `-o pythonpath=<copy>/src` overrides `pyproject.toml`'s
 `src/` first. It prints `killed` (some test failed, with the failing tests
 named), `survived` (every test passed) or `error` (pytest could not
 run the tests, or they ran past the time limit), with the seconds taken.
+It exits 1 when any mutant it ran survived, so a CI step can gate on it.
 The `import_breaks` mutant makes the package fail to import, so it reads
 `error` exactly when the copy is what runs.
 
@@ -77,15 +78,15 @@ MUTANTS = (
     Mutant(
         "running_best_tie",
         "generative.py",
-        "(distance == best[0] and restart < best[3])",
-        "(distance == best[0] and restart > best[3])",
+        "            if not distance >= best[0]:\n",
+        "            if not distance > best[0]:\n",
         ("tests/test_generative.py", "tests/test_range_properties.py"),
     ),
     Mutant(
         "dead_restart_skip",
         "generative.py",
-        "        except DegenerateOutput:\n            return None\n",
-        "        except DegenerateOutput:\n            return [0.0] * len(row)\n",
+        "            except DegenerateOutput:\n                break\n",
+        "            except DegenerateOutput:\n                continue\n",
         ("tests/test_generative.py", "tests/test_range_properties.py"),
     ),
     Mutant(
@@ -263,6 +264,56 @@ MUTANTS = (
         "    scale_d = v1_norm\n",
         ("tests/test_linalg.py", "tests/test_theory.py"),
     ),
+    # Seeds, signs, summaries and output: one or two per remaining module.
+    Mutant(
+        "cell_roles_overlap",
+        "harness.py",
+        "    return (spec.base_seed << 32) + (idx << 4)\n",
+        "    return (spec.base_seed << 32) + idx\n",
+        ("tests/test_harness.py", "tests/test_flow_properties.py"),
+    ),
+    Mutant(
+        "summary_counts_failed_rows",
+        "harness.py",
+        '        ok = [r for r in group if r.status == "ok"]\n',
+        "        ok = list(group)\n",
+        ("tests/test_harness.py", "tests/test_harness_properties.py"),
+    ),
+    Mutant(
+        "out_path_hashed",
+        "cli.py",
+        '    {"config", "out", "summary_out", "jobs", "handler", "subcommand", "flags"}\n',
+        '    {"config", "summary_out", "jobs", "handler", "subcommand", "flags"}\n',
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "json_keeps_non_finite",
+        "cli.py",
+        "        return obj if math.isfinite(obj) else None\n",
+        "        return obj\n",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "sign_fix_negative_peaks",
+        "linalg.py",
+        "    vectors *= np.where(peaks < 0.0, -1.0, 1.0)\n",
+        "    vectors *= np.where(peaks > 0.0, -1.0, 1.0)\n",
+        ("tests/test_linalg.py", "tests/test_problems.py"),
+    ),
+    Mutant(
+        "philox_key_swapped",
+        "rng.py",
+        "        key = np.array([self.seed % 2**64, self.stream % 2**64], dtype=_U64)\n",
+        "        key = np.array([self.stream % 2**64, self.seed % 2**64], dtype=_U64)\n",
+        ("tests/test_rng.py",),
+    ),
+    Mutant(
+        "diag_b_w0_variance_four",
+        "problems.py",
+        "    a_hat, b_hat = _spiked_draws(v, m, seed, math.sqrt(2.0))\n",
+        "    a_hat, b_hat = _spiked_draws(v, m, seed, 2.0)\n",
+        ("tests/test_problems.py",),
+    ),
 )
 
 
@@ -319,10 +370,12 @@ def main(argv=None) -> int:
         print("no mutant matches both --only and --file", file=sys.stderr)
         return 2
     width = max(len(m.name) for m in chosen)
+    survived = False
     for mutant in chosen:
         outcome, detail, seconds = run(mutant)
+        survived |= outcome == "survived"
         print(f"{mutant.name:<{width}}  {outcome:<8}  {seconds:6.1f} s  {detail}", flush=True)
-    return 0
+    return 1 if survived else 0
 
 
 if __name__ == "__main__":

@@ -807,6 +807,19 @@ class TestVerify:
         assert obj["set_size"] == 10
         assert obj["max_e_bilinear"] > 0
 
+    def test_infinite_constants_are_written_as_null(self, tmp_path):
+        # One probe per set makes log(|S1||S2|) = 0, so each implied
+        # constant is inf; the report stays strict JSON.
+        def refuse(name):
+            raise ValueError(f"{name} in strict JSON")
+
+        out = tmp_path / "report.json"
+        assert main(["verify", "--in", str(_generate(tmp_path)), "--set-size", "1",
+                     "--out", str(out)]) == 0
+        obj = json.loads(out.read_text(), parse_constant=refuse)
+        assert obj["c_hat_e"] is None and obj["c_hat_f"] is None
+        assert obj["max_e_bilinear"] > 0
+
     def test_generator_probes(self, tmp_path):
         inst = _generate(tmp_path)
         model = tmp_path / "gen.json"

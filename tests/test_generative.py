@@ -497,8 +497,8 @@ def _same_projection(got, oracle) -> bool:
     )
 
 
-class TestLockstepRestarts:
-    """The restarts advance together and still pick the sequential scan's winner."""
+class TestSequentialRestarts:
+    """The restarts run one after another, and the first least distance wins."""
 
     def test_constant_decoder_ties_go_to_restart_zero_start(self):
         bias = np.array([0.5, -1.0, 2.0])
@@ -556,10 +556,10 @@ class TestLockstepRestarts:
             assert decodes["calls"] - before == cfg.restarts * (cfg.steps + 1)
 
     def test_each_live_row_decodes_once_per_step(self, monkeypatch):
-        # perfbench counts forward and backward calls: one of each per live
-        # row per step, as when the restarts ran one at a time. The layers
-        # run once per row per step (the decode starts at _clamp_latent), as
-        # backward reuses the decode forward has just made.
+        # perfbench counts forward and backward calls: one of each per
+        # restart per step. The layers run once per restart per step (the
+        # decode starts at _clamp_latent), as backward reuses the decode
+        # forward has just made.
         gen = random_mlp(10, 3, hidden=(6,), seed=4)
         cfg = LatentProjectionConfig(steps=7, restarts=3, seed=5)
         tallies = [_count_calls(monkeypatch, name) for name in ("forward", "backward")]

@@ -184,6 +184,21 @@ class TestRunSweep:
         assert serial == parallel
         assert rows_to_csv(serial) == rows_to_csv(parallel)
 
+    def test_cell_roles_never_share_a_seed(self):
+        # A cell's key leaves room for its four roles (instance, truth,
+        # prior, restarts), so no seed serves two roles or two cells.
+        spec = SweepSpec(
+            kind="spiked", m_values=(60, 120, 240), n=8, solvers=("prfm",), trials=5,
+            base_seed=3,
+        )
+        seeds = [
+            harness._cell_key(spec, mi, trial) + role
+            for mi in range(len(spec.m_values))
+            for trial in range(spec.trials)
+            for role in range(4)
+        ]
+        assert len(set(seeds)) == len(seeds)
+
     def test_solvers_share_cell_instance(self):
         # Identical truth per cell: with enough samples both solvers land on
         # the same planted vector, so their estimates nearly agree.

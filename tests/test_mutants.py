@@ -1,8 +1,10 @@
 """The mutant table in `tests/mutants.py` stays applicable: each mutant's
 source text occurs exactly once in `src/`, in the file it names, and each
-names the test files it runs; `--file` selects one module's mutants."""
+names the test files it runs; `--file` selects one module's mutants, and
+`main` exits 1 when a mutant survives."""
 
 import pytest
+import mutants
 from mutants import MUTANTS, ROOT, select
 
 SOURCES = {path.name: path.read_text() for path in (ROOT / "src" / "gepflow").glob("*.py")}
@@ -37,3 +39,12 @@ def test_file_selects_exactly_that_modules_mutants():
     assert select(["--only", "adam_clip_skipped", "--file", "theory.py"]) == []
     with pytest.raises(SystemExit):
         select(["--file", "nothing.py"])
+
+
+def test_main_exits_one_when_a_mutant_survives(monkeypatch, capsys):
+    for outcome, code in (("survived", 1), ("killed", 0), ("error", 0)):
+        monkeypatch.setattr(mutants, "run", lambda mutant: (outcome, "", 0.0))
+        assert mutants.main(["--file", "generative.py"]) == code
+        assert capsys.readouterr().out.count(f"  {outcome}  ") == len(
+            select(["--file", "generative.py"])
+        )
