@@ -50,6 +50,7 @@ from .harness import (
     summary_to_json,
     summary_to_text,
 )
+from .linalg import _norm
 from .priors import PRIOR_NAMES, projector_from_spec
 from .problems import instance_from_json, instance_to_json, verify_perturbation
 from .rng import NormalStream
@@ -64,9 +65,7 @@ from .solvers import (
 from .theory import compute_conditions, run_lemma_suites
 
 #: parsed options that never change an output's content, and argparse plumbing
-_UNHASHED = frozenset(
-    {"config", "out", "summary_out", "jobs", "handler", "subcommand", "flags"}
-)
+_UNHASHED = frozenset({"config", "out", "handler", "subcommand", "flags"})
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -251,7 +250,7 @@ def _cmd_generate(args) -> int:
 
     raw = NormalStream(args.seed + 1, stream=0).unit_vector(args.n)
     v = np.abs(raw) if args.vstar == "nonneg" else raw
-    v = v / float(np.linalg.norm(v))
+    v = v / _norm(v)
     try:
         instance = GENERATORS[args.kind](v, args.m, seed=args.seed)
     except GepflowError as exc:

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import AllRestartsDegenerate, DegenerateOutput, DegenerateProjection
-from .linalg import _floats, _number, _typed
+from .linalg import _floats, _norm, _number, _typed, _unit
 from .rng import NormalStream
 
 #: Pre-normalization norm floor below which decoding is considered degenerate.
@@ -138,12 +138,9 @@ class SubspaceGenerator:
         return (Layer(self.basis, np.full(self.output_dim, -0.0), "identity"),)
 
     def unit_coordinates(self, c: NDArray[np.float64]) -> NDArray[np.float64]:
-        """c / ||c||, the Q-coordinates of the nearest unit vector in span(Q)
-        to a target x with c = Q'x; DegenerateProjection at ||c|| <= 1e-12."""
-        norm = math.sqrt(float(c.dot(c)))  # equals ||QQ^T x|| for orthonormal Q
-        if norm <= 1e-12:
-            raise DegenerateProjection("target is orthogonal to the subspace")
-        return c / norm
+        """c / ||c||, the Q-coordinates of the nearest unit vector in span(Q) to
+        a target x with c = Q'x; DegenerateProjection at the zero floor of ||c|| = ||QQ^T x||."""
+        return _unit(c, DegenerateProjection, "target is orthogonal to the subspace")
 
 
 Generator = MlpGenerator | SubspaceGenerator
@@ -186,12 +183,10 @@ class RangeProjection:
 
 
 def _clamp_latent(gen: Generator, z) -> NDArray[np.float64]:
-    # ravel, not reshape: a strided view must be copied to contiguous memory,
-    # or its dot product (hence the rescale) can differ in the last bit.
     zv = np.asarray(z, dtype=np.float64).ravel()
     if zv.shape[0] != gen.latent_dim:
         raise ValueError(f"latent has length {zv.shape[0]}, expected {gen.latent_dim}")
-    norm = math.sqrt(float(zv.dot(zv)))
+    norm = _norm(zv)
     if not norm <= gen.latent_radius:  # a NaN norm is refused too
         if not norm <= gen.latent_radius * (1.0 + 1e-9):
             raise ValueError(
@@ -226,7 +221,7 @@ def _decode(gen: Generator, z):
         else:
             h = pre
         cache.append((pre, h))
-    norm = math.sqrt(float(h.dot(h)))
+    norm = _norm(h)
     if not MIN_NORM_DEFAULT < norm < math.inf:  # NaN fails too
         raise DegenerateOutput(f"raw output norm {norm:.6g} not in ({MIN_NORM_DEFAULT:.6g}, inf)")
     decoded = h / norm, norm, cache
@@ -344,7 +339,7 @@ def project_to_range(
                     v[i] = vi = beta2 * v[i] + keep2 * g * g
                     z[i] -= lr * (mi / c1) / (math.sqrt(vi / c2) + eps)
                 row = np.array(z)
-                norm = math.sqrt(float(row.dot(row)))
+                norm = _norm(row)
                 if norm > radius:
                     row *= radius / norm
                     z = row.tolist()
@@ -353,7 +348,7 @@ def project_to_range(
             except DegenerateOutput:
                 break
             diff = point - xv
-            distance = math.sqrt(float(diff.dot(diff)))
+            distance = _norm(diff)
             vjp = backward(gen, row, diff).tolist()  # half the objective's gradient
             if not distance >= best[0]:
                 best = (distance, point, row, restart)
@@ -436,15 +431,13 @@ def subspace_containing(vector, latent_dim: int, *, seed: int = 0) -> SubspaceGe
     """
     _typed(latent_dim=latent_dim)
     v = np.asarray(vector, dtype=np.float64).reshape(-1)
-    norm = float(np.linalg.norm(v))
-    if norm <= 1e-12:
-        raise ValueError("vector must be nonzero")
+    unit = _unit(v, ValueError, "vector must be nonzero")
     n = v.shape[0]
     if not 1 <= latent_dim <= n:
         raise ValueError("need 1 <= latent_dim <= len(vector)")
     stream = NormalStream(seed, stream=0)
     cols = np.empty((n, latent_dim))
-    cols[:, 0] = v / norm
+    cols[:, 0] = unit
     for j in range(1, latent_dim):
         cols[:, j] = stream.normals(n)
     q = _orthonormalize(cols)  # R[0, 0] = +/-1 turns +, so column 0 stays v / ||v||

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DegenerateFit, GepflowError, ZeroVector
-from .linalg import _typed
+from .linalg import _ZERO_NORM, _norm, _typed
 from .priors import PRIOR_NAMES, Projector, projector_from_spec
 from .problems import ProblemInstance, gen_diag_b, gen_phase_retrieval, gen_spiked
 from .rng import NormalStream
@@ -40,8 +40,8 @@ KINDS = tuple(GENERATORS)
 
 def _unit_checked(x, name: str) -> NDArray[np.float64]:
     v = np.asarray(x, dtype=np.float64).reshape(-1)
-    norm = float(np.linalg.norm(v))
-    if norm <= 1e-12:
+    norm = _norm(v)
+    if norm <= _ZERO_NORM:
         raise ZeroVector(f"{name} has zero norm")
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"{name} must be unit within 1e-8, got norm {norm:.6g}")
@@ -63,7 +63,7 @@ def signed_distance(u, v_star) -> float:
     """
     uu = _unit_checked(u, "u")
     v = _unit_checked(v_star, "v_star")
-    return min(float(np.linalg.norm(uu - v)), float(np.linalg.norm(uu + v)))
+    return min(_norm(uu - v), _norm(uu + v))
 
 
 def plateau_index(values) -> int:
@@ -167,9 +167,8 @@ def _run_cell(
 ) -> list[ResultRow]:
     m = spec.m_values[m_index]
     key = _cell_key(spec, m_index, trial)
-    raw = NormalStream(key + 1, stream=0).unit_vector(spec.n)
-    v_star = np.abs(raw)
-    v_star = v_star / float(np.linalg.norm(v_star))
+    v_star = np.abs(NormalStream(key + 1, stream=0).unit_vector(spec.n))
+    v_star /= _norm(v_star)
     instance: ProblemInstance = GENERATORS[spec.kind](v_star, m, seed=key)
     # Metric reference is the population GEP optimum (unit leading
     # generalized eigenvector). It equals the planted vector when B = I;
@@ -199,7 +198,7 @@ def _run_cell(
             wall = (perf_counter() - start) * 1000.0
             u = result.estimate
             cos = cosine_similarity(truth_v, u)
-            dist = float(np.linalg.norm(u - truth_v))
+            dist = _norm(u - truth_v)
             signed = signed_distance(u, truth_v)
             trace = result.trace
             iterations, stop_reason, status = trace.iterations_run, trace.stop_reason, "ok"

@@ -9,6 +9,9 @@ The dense routines are numpy's LAPACK wrappers (``eigh``, ``cholesky``,
 ``solve``). The generalized problem is reduced to a symmetric one by
 Cholesky whitening (Golub & Van Loan, *Matrix Computations*, section 8.7);
 a singular B is refused, never regularized.
+
+Every vector 2-norm in the package is :func:`_norm`'s, and every normalization
+that refuses a zero vector is :func:`_unit`'s, at the one floor `_ZERO_NORM`.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ PIVOT_FLOOR = 1e-12
 
 #: Relative symmetry tolerance for validating inputs.
 SYMMETRY_RTOL = 1e-12
+
+#: A vector whose 2-norm is at or below this has no direction.
+_ZERO_NORM = 1e-12
 
 
 def as_sym_matrix(a, *, name: str = "matrix") -> NDArray[np.float64]:
@@ -199,8 +205,7 @@ def generalized_eig(pair: MatrixPair) -> GeneralizedSpectrum:
     vecs /= norms
     _fix_signs(vecs)
     v1 = vecs[:, 0]
-    v1_norm = float(np.linalg.norm(v1))
-    scale_d = 1.0 / v1_norm
+    scale_d = 1.0 / _norm(v1)
     leading = v1 * scale_d
     gap = float(w[0] - w[1]) if w.shape[0] > 1 else math.inf
     return GeneralizedSpectrum(
@@ -214,6 +219,21 @@ def generalized_eig(pair: MatrixPair) -> GeneralizedSpectrum:
 
 # ---------------------------------------------------------------------------
 # scalars
+
+
+def _norm(x: NDArray[np.float64]) -> float:
+    """2-norm of a float64 vector, bit for bit ``np.linalg.norm``'s without its
+    dispatch: ravel (copying a strided view to contiguous memory), dot, sqrt."""
+    flat = x.ravel()
+    return math.sqrt(flat.dot(flat))
+
+
+def _unit(x: NDArray[np.float64], error: type[Exception], message: str) -> NDArray[np.float64]:
+    """x / _norm(x); `error(message)` when the norm is at or below _ZERO_NORM."""
+    norm = _norm(x)
+    if norm <= _ZERO_NORM:
+        raise error(message)
+    return x / norm
 
 
 def spectral_norm(s) -> float:

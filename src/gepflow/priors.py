@@ -2,7 +2,7 @@
 
 Each projector maps an arbitrary nonzero vector to the prior's feasible set:
 
-* sphere: the full unit sphere (pure normalization);
+* sphere: the full unit sphere (pure normalization; `linalg._unit` refuses zero);
 * sparse: unit vectors with at most s nonzero entries;
 * subspace: unit vectors in a `SubspaceGenerator`'s span (closed form);
 * range: unit vectors output by a generative decoder (iterative, seeded).
@@ -14,7 +14,6 @@ projector so repeated calls agree bit for bit.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -30,7 +29,7 @@ from .generative import (
     subspace_containing,
     subspace_project,
 )
-from .linalg import _number, _typed
+from .linalg import _number, _typed, _unit
 
 #: Each prior's spec keys besides "prior"; a subspace spec takes one of its two.
 _SPEC_KEYS = {
@@ -97,10 +96,7 @@ def sparse_truncate(x, s: int) -> NDArray[np.float64]:
     keep = (-np.abs(xv)).argsort(kind="stable")[:s]
     out = np.zeros(xv.shape[0])
     out[keep] = xv[keep]
-    norm = math.sqrt(float(out.dot(out)))
-    if norm <= 1e-12:
-        raise ZeroVector("nothing left after sparse truncation")
-    return out / norm
+    return _unit(out, ZeroVector, "nothing left after sparse truncation")
 
 
 def project(p: Projector, x) -> NDArray[np.float64]:
@@ -109,14 +105,9 @@ def project(p: Projector, x) -> NDArray[np.float64]:
     Exact for sphere, sparse and subspace (`SubspaceGenerator`) priors;
     approximate (best of the configured restarts) for the range prior.
     """
-    # ravel copies a strided view, so the dot below sums in the same order
-    # as np.linalg.norm does
-    xv = np.asarray(x, dtype=np.float64).ravel()
+    xv = np.asarray(x, dtype=np.float64).ravel()  # BLAS sums a strided view in another order
     if isinstance(p, SphereProjector):
-        norm = math.sqrt(float(xv.dot(xv)))
-        if norm <= 1e-12:
-            raise ZeroVector("cannot normalize a (near-)zero vector")
-        return xv / norm
+        return _unit(xv, ZeroVector, "cannot normalize a (near-)zero vector")
     if isinstance(p, SparseProjector):
         return sparse_truncate(xv, p.s)
     if isinstance(p, SubspaceGenerator):

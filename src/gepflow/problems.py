@@ -41,6 +41,7 @@ from .linalg import (
     MatrixPair,
     _fix_signs,
     _floats,
+    _norm,
     _number,
     _typed,
     as_sym_matrix,
@@ -100,7 +101,7 @@ class ProblemInstance:
 def _unit_v(x, name: str = "v_star") -> NDArray[np.float64]:
     v = np.asarray(x, dtype=np.float64).reshape(-1)
     # Written so that a NaN norm (a non-finite entry) is refused too.
-    if not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-12:
+    if not abs(_norm(v) - 1.0) <= 1e-12:
         raise ValueError(f"{name} must be a finite unit vector within 1e-12")
     return v
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .linalg import _typed
+from .linalg import _ZERO_NORM, _norm, _typed
 
 _U64 = np.uint64
 _SHIFT = _U64(11)
@@ -142,8 +142,8 @@ class NormalStream:
         # A zero draw has probability ~0 but the retry keeps the map total.
         while True:
             v = self.normals(n)
-            norm = float(np.linalg.norm(v))
-            if norm > 1e-12:
+            norm = _norm(v)
+            if norm > _ZERO_NORM:
                 return v / norm
 
     def ball_point(self, k: int, radius: float) -> NDArray[np.float64]:

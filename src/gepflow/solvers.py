@@ -9,7 +9,8 @@ prior's feasible set:
 * truncated Rayleigh flow ("rifle"): u <- truncate(u + (eta'/rho)(A - rho B) u, s)
 * projected power iteration ("ppower"): u <- P(A u), ignoring B entirely
 
-So prfm and rifle cost two matvecs per iterate and ppower one.
+So prfm and rifle cost two matvecs per iterate and ppower one. Every norm is
+`linalg._norm`'s, and ppower's zero guard is `linalg._ZERO_NORM`.
 
 All runs are deterministic. Restart initializations for run_with_restarts
 come from NormalStream(seed, stream=j) for restart j >= 1 (restart 0 uses
@@ -33,7 +34,7 @@ from .errors import (
     ZeroVector,
 )
 from .generative import SubspaceGenerator
-from .linalg import _typed, as_sym_matrix
+from .linalg import _ZERO_NORM, _norm, _typed, as_sym_matrix
 from .priors import Projector, RangeProjector, _RunRange, project, sparse_truncate
 from .rng import NormalStream
 
@@ -149,12 +150,6 @@ def _resolve_init(cfg: SolverConfig, n: int) -> NDArray[np.float64]:
     if cfg.init.shape[0] != n:
         raise ValueError(f"init has length {cfg.init.shape[0]}, expected {n}")
     return cfg.init.copy()
-
-
-def _norm(x: NDArray[np.float64]) -> float:
-    # np.linalg.norm's dot-then-sqrt without its dispatch; bit-equal to it
-    # for the contiguous 1-D float64 arrays the solvers pass
-    return math.sqrt(float(x.dot(x)))
 
 
 def _rho(u, au, bu, floor: float, t: int) -> float:
@@ -372,7 +367,7 @@ def ppower(
     a = _checked(a_hat, "a_hat")
 
     def step(t, u, au, bu, rho, proj):
-        if _norm(au) <= 1e-12:
+        if _norm(au) <= _ZERO_NORM:
             raise ZeroVector(f"a_hat @ u vanished at iteration {t}")
         return proj(au)
 

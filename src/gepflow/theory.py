@@ -31,7 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DegenerateGap, NonPositiveAlignment, RhoOutOfRange
-from .linalg import MatrixPair, _typed
+from .linalg import MatrixPair, _norm, _typed
 from .rng import NormalStream, map_words
 
 LEMMA_SLACK = 1e-9
@@ -216,7 +216,7 @@ def check_lemma_coefficient(pair: MatrixPair, x) -> BoundCheck:
         (f1 - d)^2 <= (lambda_max(B) - (1 + nu) lambda_min(B) / 2) ||h||^2
     """
     xv, _, f1, _, (b_min, b_max) = _prepare(pair, x)
-    if abs(math.sqrt(xv.dot(xv)) - 1.0) > 1e-10:
+    if abs(_norm(xv) - 1.0) > 1e-10:
         raise ValueError("x must be a unit vector")
     v_star = pair.spectrum.leading_unit
     nu = float(xv.dot(v_star))
@@ -314,7 +314,7 @@ def run_lemma_suites(draws: int = 10_000, seed: int = 0) -> tuple[LemmaSuiteResu
             r = check_lemma_inner(pair, rho, eta, x, y)
             record("inner", r.holds, r.lhs - r.rhs)
 
-            xu = x / math.sqrt(x.dot(x))
+            xu = x / _norm(x)
             if float(xu.dot(v_star)) < 0:
                 xu = -xu
             if float(xu.dot(v_star)) > 0:

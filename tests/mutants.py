@@ -60,19 +60,22 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     # One rule, one owner: the subspace unit map, the range projection's
-    # running best, and the lemma checkers' shared setup.
+    # running best, and the lemma checkers' shared setup. The unit map's
+    # guard and division are `linalg._unit`'s, so its mutants drop them
+    # from the call.
     Mutant(
         "unit_coordinates_guard",
         "generative.py",
-        "        if norm <= 1e-12:\n            raise DegenerateProjection(",
-        "        if norm < 0.0:\n            raise DegenerateProjection(",
+        '        return _unit(c, DegenerateProjection, "target is orthogonal to the subspace")\n',
+        "        return c / _norm(c)\n",
         ("tests/test_solvers.py", "tests/test_generative.py", "tests/test_priors.py"),
     ),
     Mutant(
         "unit_coordinates_division",
         "generative.py",
-        "        return c / norm\n",
-        "        return c\n",
+        '        return _unit(c, DegenerateProjection, "target is orthogonal to the subspace")\n',
+        '        return _unit(c, DegenerateProjection, "target is orthogonal to the subspace")'
+        " * _norm(c)\n",
         ("tests/test_solvers.py", "tests/test_flow_properties.py"),
     ),
     Mutant(
@@ -158,10 +161,9 @@ MUTANTS = (
     Mutant(
         "sphere_l1_norm",
         "priors.py",
-        "        norm = math.sqrt(float(xv.dot(xv)))\n        if norm <= 1e-12:\n"
-        '            raise ZeroVector("cannot normalize',
-        "        norm = float(np.abs(xv).sum())\n        if norm <= 1e-12:\n"
-        '            raise ZeroVector("cannot normalize',
+        '        return _unit(xv, ZeroVector, "cannot normalize a (near-)zero vector")\n',
+        '        return (u := _unit(xv, ZeroVector, "cannot normalize a (near-)zero vector"))'
+        " / np.abs(u).sum()\n",
         ("tests/test_flow_properties.py", "tests/test_priors.py"),
     ),
     Mutant(
@@ -260,8 +262,8 @@ MUTANTS = (
     Mutant(
         "scale_d_inverted",
         "linalg.py",
-        "    scale_d = 1.0 / v1_norm\n",
-        "    scale_d = v1_norm\n",
+        "    scale_d = 1.0 / _norm(v1)\n",
+        "    scale_d = _norm(v1)\n",
         ("tests/test_linalg.py", "tests/test_theory.py"),
     ),
     # Seeds, signs, summaries and output: one or two per remaining module.
@@ -282,8 +284,8 @@ MUTANTS = (
     Mutant(
         "out_path_hashed",
         "cli.py",
-        '    {"config", "out", "summary_out", "jobs", "handler", "subcommand", "flags"}\n',
-        '    {"config", "summary_out", "jobs", "handler", "subcommand", "flags"}\n',
+        '_UNHASHED = frozenset({"config", "out", "handler", "subcommand", "flags"})\n',
+        '_UNHASHED = frozenset({"config", "handler", "subcommand", "flags"})\n',
         ("tests/test_cli.py",),
     ),
     Mutant(
@@ -313,6 +315,43 @@ MUTANTS = (
         "    a_hat, b_hat = _spiked_draws(v, m, seed, math.sqrt(2.0))\n",
         "    a_hat, b_hat = _spiked_draws(v, m, seed, 2.0)\n",
         ("tests/test_problems.py",),
+    ),
+    # The one owner of vector norms and of the zero floor.
+    Mutant(
+        "unit_floor_strict",
+        "linalg.py",
+        "    if norm <= _ZERO_NORM:\n        raise error(message)\n",
+        "    if norm < _ZERO_NORM:\n        raise error(message)\n",
+        ("tests/test_linalg.py",),
+    ),
+    Mutant(
+        "norm_without_ravel",
+        "linalg.py",
+        "    flat = x.ravel()\n",
+        "    flat = x\n",
+        ("tests/test_linalg_properties.py",),
+    ),
+    # The open arithmetic: the whitening, the flow's quotient, the sparse tie.
+    Mutant(
+        "cholesky_whitening_transposed",
+        "linalg.py",
+        "    x = np.linalg.solve(low, pair.a)\n",
+        "    x = np.linalg.solve(low.T, pair.a)\n",
+        ("tests/test_linalg.py", "tests/test_linalg_properties.py"),
+    ),
+    Mutant(
+        "quotient_ignores_b",
+        "solvers.py",
+        "    return float(u.dot(au)) / den\n",
+        "    return float(u.dot(au)) / float(u.dot(u))\n",
+        ("tests/test_flow_properties.py", "tests/test_solvers.py"),
+    ),
+    Mutant(
+        "sparse_tie_to_highest_index",
+        "priors.py",
+        '    keep = (-np.abs(xv)).argsort(kind="stable")[:s]\n',
+        '    keep = (xv.shape[0] - 1 - (-np.abs(xv[::-1])).argsort(kind="stable"))[:s]\n',
+        ("tests/test_flow_properties.py", "tests/test_priors.py"),
     ),
 )
 

@@ -1041,7 +1041,7 @@ class TestProvenanceHash:
 
     @pytest.mark.parametrize("command", sorted(HASHED_OPTION_CHANGES))
     def test_every_hashed_option_has_a_change(self, command):
-        unhashed = {"config", "out", "summary_out", "jobs", "handler", "subcommand", "flags"}
+        unhashed = {"config", "out", "handler", "subcommand", "flags"}
         parsed = set(vars(build_parser().parse_args([command])))
         assert set(HASHED_OPTION_CHANGES[command]) == parsed - unhashed
 

@@ -2,14 +2,16 @@
 
 `linalg` sits under everything that works on matrix pairs, so it needs
 nothing but the error types, and it alone solves a pair's spectrum
-(`MatrixPair.spectrum`); `theory` works on pairs alone, taking only
-`MatrixPair` and `_typed` from `linalg`, so it stays below the instance
-generators and the solvers; the iterative solvers take only the input
-checks `as_sym_matrix` and `_typed` from `linalg`, so they run no dense
-eigensolve, and only `SubspaceGenerator` from `generative`, the type that
-sends a run to the prior's coordinates, so no decoder code reaches the
-solver layer; `rng` takes only `_typed`, its count check, and `_typed` is
-the one place that converts a checked setting to its Python type.
+(`MatrixPair.spectrum`) and takes a vector's norm (`_norm`, and `_unit` at
+the one zero floor `_ZERO_NORM`); `theory` works on pairs alone, taking only
+`MatrixPair`, `_typed` and `_norm` from `linalg`, so it stays below the
+instance generators and the solvers; the iterative solvers take only the
+input checks `as_sym_matrix` and `_typed` and the norm and its floor from
+`linalg`, so they run no dense eigensolve, and only `SubspaceGenerator`
+from `generative`, the type that sends a run to the prior's coordinates, so
+no decoder code reaches the solver layer; `rng` takes only `_typed`, its
+count check, and the norm and its floor, and `_typed` is the one place that
+converts a checked setting to its Python type.
 `gepflow/__init__.py`'s import list is the one declaration of the public
 names: no module assigns `__all__`, and the set is pinned so that every
 added or dropped name shows in a diff.
@@ -59,8 +61,8 @@ def _names_from(module: str, source: str) -> set[str]:
     }
 
 
-def test_theory_takes_only_pairs_and_typed_from_linalg():
-    assert _names_from("theory", "linalg") == {"MatrixPair", "_typed"}
+def test_theory_takes_only_pairs_typed_and_norm_from_linalg():
+    assert _names_from("theory", "linalg") == {"MatrixPair", "_norm", "_typed"}
 
 
 def test_only_linalg_names_generalized_eig():
@@ -87,8 +89,8 @@ def test_only_linalg_names_generalized_eig():
             assert "generalized_eig" not in imported, path.name
 
 
-def test_solvers_take_only_input_checks_from_linalg():
-    assert _names_from("solvers", "linalg") == {"_typed", "as_sym_matrix"}
+def test_solvers_take_only_input_checks_and_norms_from_linalg():
+    assert _names_from("solvers", "linalg") == {"_ZERO_NORM", "_norm", "_typed", "as_sym_matrix"}
 
 
 def test_solvers_take_only_the_subspace_type_from_generative():
@@ -102,14 +104,96 @@ def test_solvers_take_only_the_subspace_type_from_generative():
     assert _package_imports("solvers") == {"errors", "generative", "linalg", "priors", "rng"}
 
 
-def test_rng_takes_only_typed_from_linalg():
+def test_rng_takes_only_typed_and_norms_from_linalg():
     imports = {
         (node.module, alias.name)
         for node in ast.walk(_tree("rng"))
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
     }
-    assert imports == {("linalg", "_typed")}
+    assert imports == {("linalg", "_typed"), ("linalg", "_norm"), ("linalg", "_ZERO_NORM")}
+
+
+def _called(node: ast.AST) -> str:
+    """The bare name a call's function goes by: `f` for `f(…)` and `m.f(…)`."""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def _is_norm(node: ast.AST) -> bool:
+    """A name or call that reads as a norm: `norm`, `v1_norm`, `_norm(x)`."""
+    if isinstance(node, ast.Call):
+        return "norm" in _called(node)
+    return isinstance(node, ast.Name) and "norm" in node.id
+
+
+def _is_self_dot(node: ast.AST) -> bool:
+    """`x.dot(x)`, or `float(x.dot(x))`."""
+    if isinstance(node, ast.Call) and _called(node) == "float" and node.args:
+        node = node.args[0]
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "dot"
+        and len(node.args) == 1
+        and ast.dump(node.args[0]) == ast.dump(node.func.value)
+    )
+
+
+def _hand_norms(tree: ast.AST) -> list[int]:
+    """Lines that take a vector norm by hand: a `linalg.norm` reference, a
+    `sqrt(x.dot(x))`, or a norm compared with the literal 1e-12."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hand = node.attr == "norm" and getattr(node.value, "attr", "") == "linalg"
+        elif isinstance(node, ast.Call):
+            hand = _called(node) == "sqrt" and len(node.args) == 1 and _is_self_dot(node.args[0])
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            hand = any(isinstance(o, ast.Constant) and o.value == 1e-12 for o in operands)
+            hand = hand and any(map(_is_norm, operands))
+        else:
+            continue
+        if hand:
+            found.append(node.lineno)
+    return found
+
+
+def test_only_linalg_takes_a_vector_norm():
+    """`linalg._norm` sums every norm and `linalg._unit` holds the one zero
+    floor: no other module calls `np.linalg.norm`, writes `sqrt(x.dot(x))`
+    or compares a norm with 1e-12. A unit tolerance such as
+    `abs(_norm(v) - 1.0) <= 1e-12` is its site's own, and passes."""
+    found = {
+        path.name: _hand_norms(_tree(path.stem))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "linalg"
+    }
+    assert not any(found.values()), found
+
+
+def test_hand_norm_scan_finds_the_old_patterns():
+    """The scan above finds each way a norm was once taken by hand, and
+    passes a site's own unit tolerance and other 1e-12 comparisons."""
+    planted = [
+        "norm = float(np.linalg.norm(v))",
+        "norm = math.sqrt(float(xv.dot(xv)))",
+        "xu = x / math.sqrt(x.dot(x))",
+        "if norm <= 1e-12:\n    pass",
+        "if _norm(au) <= 1e-12:\n    pass",
+        "if norm > 1e-12:\n    pass",
+    ]
+    for source in planted:
+        assert _hand_norms(ast.parse(source)) == [1], source
+    kept = [
+        "if not abs(_norm(v) - 1.0) <= 1e-12:\n    pass",
+        "if not (lam[1] < rho <= lam[0] + 1e-12):\n    pass",
+        "z = math.sqrt(vi / c2)",
+        "nsq = float(xv.dot(xv))",
+    ]
+    for source in kept:
+        assert _hand_norms(ast.parse(source)) == [], source
 
 
 def _is_conversion(node: ast.AST) -> bool:

@@ -1,4 +1,5 @@
-"""Dense linear algebra: eigensolvers, Cholesky, spectral norm, serialization.
+"""Dense linear algebra: eigensolvers, Cholesky, spectral norm, serialization,
+and the one zero-norm floor that every normalizing map of the package shares.
 
 Reference routes: numpy/LAPACK, exact characteristic-polynomial roots
 (frozen from a rational-arithmetic computation), and determinant bisection.
@@ -11,9 +12,13 @@ import re
 import numpy as np
 import pytest
 
-from gepflow.errors import NotPositiveDefinite
+from gepflow.errors import DegenerateProjection, NotPositiveDefinite, ZeroVector
+from gepflow.generative import SubspaceGenerator, subspace_containing, subspace_project
+from gepflow.harness import cosine_similarity
 from gepflow.linalg import (
+    _ZERO_NORM,
     MatrixPair,
+    _norm,
     as_sym_matrix,
     cholesky,
     generalized_eig,
@@ -22,6 +27,7 @@ from gepflow.linalg import (
     spectral_norm,
     sym_eig,
 )
+from gepflow.priors import SphereProjector, project, sparse_truncate
 from oracles import det_poly_roots, random_definite_pair
 
 # Frozen oracle: symmetric 4x4 drawn from NormalStream(424242, stream=0); the
@@ -289,3 +295,47 @@ REFUSALS = [
 def test_input_refusals(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+_PLANE = SubspaceGenerator(np.eye(4)[:, :2], 1.0)
+_E0 = np.array([1.0, 0.0, 0.0, 0.0])
+
+#: Each map that normalizes through `linalg._unit` (or, for
+#: `cosine_similarity`, checks against its floor): (call on a vector x of
+#: norm |x_0|, its error class and whole message for a zero-norm x, and what
+#: it refuses x for past the floor, or None when it returns a unit vector).
+ZERO_FLOOR_SITES = {
+    "sphere project": (lambda x: project(SphereProjector(), x), ZeroVector,
+                       "cannot normalize a (near-)zero vector", None),
+    "sparse_truncate": (lambda x: sparse_truncate(x, 1), ZeroVector,
+                        "nothing left after sparse truncation", None),
+    "unit_coordinates": (lambda x: _PLANE.unit_coordinates(x[:2]), DegenerateProjection,
+                         "target is orthogonal to the subspace", None),
+    "subspace_project": (lambda x: subspace_project(_PLANE, x), DegenerateProjection,
+                         "target is orthogonal to the subspace", None),
+    "subspace_containing": (lambda x: subspace_containing(x, 2).basis[:, 0], ValueError,
+                            "vector must be nonzero", None),
+    # takes unit vectors only, so past the zero floor its 1e-8 unit tolerance refuses
+    "cosine_similarity": (lambda x: cosine_similarity(_E0, x), ZeroVector, "u has zero norm",
+                          "u must be unit within 1e-8, got norm 1e-11"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(ZERO_FLOOR_SITES))
+@pytest.mark.parametrize("norm", [1e-13, _ZERO_NORM, 1e-11])
+def test_every_normalizing_map_shares_the_zero_floor(site, norm):
+    """At or below `_ZERO_NORM` each map raises its own error; just above
+    it, none does (or only for its own tolerance), whatever the scale."""
+    call, error, message, past_floor = ZERO_FLOOR_SITES[site]
+    x = norm * _E0
+    assert _norm(x) == norm
+    if norm <= _ZERO_NORM:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(x)
+    elif past_floor is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(past_floor)}$"):
+            call(x)
+    else:
+        out = call(x)
+        assert abs(_norm(out) - 1.0) <= 1e-15
+        assert out[0] > 0.0

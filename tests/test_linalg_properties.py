@@ -7,8 +7,10 @@ leading-vector scaling. Inputs are random symmetric A and B = M M^T + I
 with n in 1..12, given to the solvers in both C and Fortran memory order.
 
 The solver and range-projection hot loops call ndarray.dot where they once
-used @, on the premise that both give the same bytes; the last property
-checks that premise for the layouts those loops use.
+used @, on the premise that both give the same bytes; a property checks
+that premise for the layouts those loops use. Every vector norm in the
+package is `linalg._norm`'s, and the last property checks that it is
+`np.linalg.norm`'s to the byte, on contiguous and strided vectors.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gepflow.linalg import MatrixPair, generalized_eig, spectral_norm, sym_eig
+from gepflow.linalg import MatrixPair, _norm, generalized_eig, spectral_norm, sym_eig
 
 ENTRIES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False, allow_subnormal=False)
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
@@ -99,3 +101,19 @@ def test_dot_method_matches_matmul_bytes(ops):
     m, v, w = ops
     assert m.dot(v).tobytes() == (m @ v).tobytes()
     assert np.float64(v.dot(w)).tobytes() == np.float64(v @ w).tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 129),
+    cols=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from((1e-150, 1e-6, 1.0, 1e6, 1e150)),
+)
+def test_norm_matches_linalg_norm_bytes(n, cols, seed, scale):
+    """A contiguous vector and every column of a C-order matrix (a strided
+    view): a bare dot of a strided column sums in another order, so a norm
+    taken that way differs from np.linalg.norm's on about a third of them."""
+    matrix = np.random.default_rng(seed).standard_normal((n, cols)) * scale
+    for vector in (matrix[0], matrix[:, 0].copy(), *matrix.T):
+        assert np.float64(_norm(vector)).tobytes() == np.linalg.norm(vector).tobytes()
