@@ -21,9 +21,8 @@ Stream usage: `random_mlp`/`random_subspace` draw from
 NormalStream(seed, stream=0) (weights row-major then bias, layer by layer;
 the subspace draws its n*k basis entries row-major). `project_to_range`
 draws restart i's latent start from NormalStream(cfg.seed, stream=i). A
-solver run draws them for its first range projection only: each later
-projection of the run descends from the latent the one before it returned,
-as a single row.
+solver run draws them for its first range projection only; `priors.project`
+states how each later one warm-starts.
 """
 
 from __future__ import annotations
@@ -268,7 +267,7 @@ def backward(gen: Generator, z, cotangent) -> NDArray[np.float64]:
 
 def subspace_project(gen: SubspaceGenerator, x) -> NDArray[np.float64]:
     """Exact nearest unit vector in span(Q): QQ^T x / ||QQ^T x||."""
-    xv = np.asarray(x, dtype=np.float64).reshape(-1)
+    xv = np.asarray(x, dtype=np.float64).ravel()  # as `priors.project` reads it
     if xv.shape[0] != gen.output_dim:
         raise ValueError(f"target has length {xv.shape[0]}, expected {gen.output_dim}")
     return gen.basis.dot(gen.unit_coordinates(gen.basis.T.dot(xv)))
@@ -297,10 +296,9 @@ def project_to_range(
     reuses that decode).
 
     The private `_start` replaces the seeded starts with that one latent,
-    as restart 0: a solver run passes the latent its previous projection
-    returned (`priors.project`), whose decode already succeeded, so step 0
-    always records a candidate and the result is no farther from `x` than
-    forward(gen, _start).
+    as restart 0: a solver run's warm latent (the rule is `priors.project`'s),
+    whose decode already succeeded, so step 0 always records a candidate and
+    the result is no farther from `x` than forward(gen, _start).
 
     Raises AllRestartsDegenerate only if every restart dies with
     DegenerateOutput before recording a candidate, and ValueError on a

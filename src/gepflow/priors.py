@@ -66,18 +66,6 @@ class RangeProjector:
     config: LatentProjectionConfig = LatentProjectionConfig()
 
 
-@dataclass(eq=False)
-class _RunRange:
-    """A RangeProjector inside one solver run, which builds it and alone
-    holds it: `project` descends from the seeded starts while `latent` is
-    None, else from `latent` alone, and stores the latent it returns. So
-    the shared RangeProjector holds no state."""
-
-    model: Generator
-    config: LatentProjectionConfig
-    latent: NDArray[np.float64] | None = None
-
-
 Projector = SphereProjector | SparseProjector | SubspaceGenerator | RangeProjector
 
 
@@ -99,11 +87,19 @@ def sparse_truncate(x, s: int) -> NDArray[np.float64]:
     return _unit(out, ZeroVector, "nothing left after sparse truncation")
 
 
-def project(p: Projector, x) -> NDArray[np.float64]:
+def project(p: Projector, x, *, _run=None) -> NDArray[np.float64]:
     """Project `x` onto the feasible set of prior `p`.
 
     Exact for sphere, sparse and subspace (`SubspaceGenerator`) priors;
     approximate (best of the configured restarts) for the range prior.
+
+    The private `_run` is a solver run's own dict, empty when the run
+    starts, which the run creates and alone holds. A range projection
+    descends from the configured seeded starts while it holds no latent,
+    else from that latent alone, and stores the latent it returns: so each
+    projection of a run after the first warm-starts from the one before it.
+    A call without `_run` takes the seeded starts and stores nothing, so the
+    shared RangeProjector holds no state and two such calls agree bit for bit.
     """
     xv = np.asarray(x, dtype=np.float64).ravel()  # BLAS sums a strided view in another order
     if isinstance(p, SphereProjector):
@@ -112,12 +108,11 @@ def project(p: Projector, x) -> NDArray[np.float64]:
         return sparse_truncate(xv, p.s)
     if isinstance(p, SubspaceGenerator):
         return subspace_project(p, xv)
-    if isinstance(p, _RunRange):
-        found = project_to_range(p.model, xv, p.config, _start=p.latent)
-        p.latent = found.latent
-        return found.point
     if isinstance(p, RangeProjector):
-        return project_to_range(p.model, xv, p.config).point
+        run = {} if _run is None else _run
+        found = project_to_range(p.model, xv, p.config, _start=run.get("latent"))
+        run["latent"] = found.latent
+        return found.point
     raise TypeError(f"unknown projector type {type(p).__name__}")
 
 

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .generative import SubspaceGenerator
 from .linalg import _ZERO_NORM, _norm, _typed, as_sym_matrix
-from .priors import Projector, RangeProjector, _RunRange, project, sparse_truncate
+from .priors import Projector, project, sparse_truncate
 from .rng import NormalStream
 
 SOLVER_NAMES = ("prfm", "rifle", "ppower")
@@ -205,9 +205,9 @@ def _flow(a, b, cfg: SolverConfig, v_star, step, p=None) -> tuple[NDArray[np.flo
     the loop carries c = Q'u_1 on (Q'AQ, Q'BQ) with proj p.unit_coordinates
     (subspace_project in Q's coordinates): the same rho and movements in
     exact arithmetic. Rows, the final vector and its quotient use the lifted
-    Q c, as does the t = 1 cycle test against u_0. Under a range prior the
-    run projects through its own `_RunRange`, which warm-starts each
-    projection after the first from the latent the previous one returned.
+    Q c, as does the t = 1 cycle test against u_0. Each run hands `project`
+    its own empty `_run` state, in which a range prior's projections carry
+    their warm latent from one to the next (see `priors.project`).
 
     Stops once an update moves u by at most cfg.stop_tol ("converged"), or
     after cfg.max_iters updates ("max_iters"). With stop_tol set it also
@@ -234,9 +234,7 @@ def _flow(a, b, cfg: SolverConfig, v_star, step, p=None) -> tuple[NDArray[np.flo
     held = 0
     loop_a, loop_b = a, b
     slack = (a.shape[0] + 4) * 2.0**-52
-    if isinstance(p, RangeProjector):
-        p = _RunRange(p.model, p.config)  # the run's own warm latent
-    proj = partial(project, p)
+    proj = partial(project, p, _run={})  # the run's own state: see `project`
     for t in range(cfg.max_iters):
         if t == 1 and isinstance(p, SubspaceGenerator):
             q = p.basis

@@ -248,15 +248,36 @@ MUTANTS = (
     Mutant(
         "warm_latent_not_carried",
         "priors.py",
-        "        found = project_to_range(p.model, xv, p.config, _start=p.latent)\n",
+        '        found = project_to_range(p.model, xv, p.config, _start=run.get("latent"))\n',
         "        found = project_to_range(p.model, xv, p.config, _start=None)\n",
-        ("tests/test_range_properties.py", "tests/test_solvers.py"),
+        ("tests/test_range_properties.py", "tests/test_solvers.py", "tests/test_priors.py"),
     ),
     Mutant(
         "warm_latent_frozen",
         "priors.py",
-        "        p.latent = found.latent\n",
-        "        p.latent = found.latent if p.latent is None else p.latent\n",
+        '        run["latent"] = found.latent\n',
+        '        run.setdefault("latent", found.latent)\n',
+        ("tests/test_range_properties.py", "tests/test_solvers.py", "tests/test_priors.py"),
+    ),
+    Mutant(
+        "run_state_dropped",
+        "priors.py",
+        "        run = {} if _run is None else _run\n",
+        "        run = _run or {}\n",
+        ("tests/test_range_properties.py", "tests/test_solvers.py", "tests/test_priors.py"),
+    ),
+    Mutant(
+        "subspace_target_strided",
+        "generative.py",
+        "    xv = np.asarray(x, dtype=np.float64).ravel()  # as `priors.project` reads it\n",
+        "    xv = np.asarray(x, dtype=np.float64).reshape(-1)\n",
+        ("tests/test_priors.py",),
+    ),
+    Mutant(
+        "run_state_not_passed",
+        "solvers.py",
+        "    proj = partial(project, p, _run={})",
+        "    proj = partial(project, p)",
         ("tests/test_range_properties.py", "tests/test_solvers.py"),
     ),
     Mutant(

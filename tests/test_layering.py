@@ -9,7 +9,9 @@ instance generators and the solvers; the iterative solvers take only the
 input checks `as_sym_matrix` and `_typed` and the norm and its floor from
 `linalg`, so they run no dense eigensolve, and only `SubspaceGenerator`
 from `generative`, the type that sends a run to the prior's coordinates, so
-no decoder code reaches the solver layer; `rng` takes only `_typed`, its
+no decoder code reaches the solver layer; from `priors` they take only
+`Projector`, `project` and `sparse_truncate`, since a run's range state is
+the `_run` dict it hands `project`; `rng` takes only `_typed`, its
 count check, and the norm and its floor, and `_typed` is the one place that
 converts a checked setting to its Python type.
 `gepflow/__init__.py`'s import list is the one declaration of the public
@@ -102,6 +104,12 @@ def test_solvers_take_only_the_subspace_type_from_generative():
     }
     assert {name for module, name in imports if module == "generative"} == {"SubspaceGenerator"}
     assert _package_imports("solvers") == {"errors", "generative", "linalg", "priors", "rng"}
+
+
+def test_solvers_take_only_the_projections_from_priors():
+    """A run's range state lives in `project`'s `_run`, so `solvers` names
+    no range-prior type."""
+    assert _names_from("solvers", "priors") == {"Projector", "project", "sparse_truncate"}
 
 
 def test_rng_takes_only_typed_and_norms_from_linalg():

@@ -108,6 +108,34 @@ class TestProjectDispatch:
         assert_allclose(project(gen, x), expected, atol=1e-12)
         assert np.array_equal(project(gen, x), subspace_project(gen, x))
 
+    def test_subspace_project_matches_dispatch_on_strided_columns(self):
+        # both read a strided target as one contiguous copy, so BLAS sums it
+        # in one order
+        for n in range(9, 130):
+            gen = random_subspace(n, 8)
+            columns = NormalStream(n, stream=1).matrix(n, 4)
+            for j in range(4):
+                got = subspace_project(gen, columns[:, j])
+                assert got.tobytes() == project(gen, columns[:, j]).tobytes(), (n, j)
+
+    def test_range_run_state_warm_starts_each_later_projection(self):
+        gen = random_mlp(8, 3, hidden=(5,), activation="sigmoid", seed=80)
+        cfg = LatentProjectionConfig(steps=10, seed=5)
+        p = RangeProjector(model=gen, config=cfg)
+        stream = NormalStream(90, stream=0)
+        x, y, z = (stream.unit_vector(8) for _ in range(3))
+        cold = project_to_range(gen, x, cfg)
+        run = {}
+        assert project(p, x, _run=run).tobytes() == cold.point.tobytes()
+        warm = project_to_range(gen, y, cfg, _start=cold.latent)
+        assert project(p, y, _run=run).tobytes() == warm.point.tobytes()
+        later = project_to_range(gen, z, cfg, _start=warm.latent)
+        assert project(p, z, _run=run).tobytes() == later.point.tobytes()
+        frozen = project_to_range(gen, z, cfg, _start=cold.latent)
+        assert later.point.tobytes() != frozen.point.tobytes()
+        assert project(p, y).tobytes() == project_to_range(gen, y, cfg).point.tobytes()
+        assert project(p, y).tobytes() != warm.point.tobytes()
+
     def test_range_prior_over_a_subspace_runs_adam(self):
         gen = random_subspace(9, 3, seed=79)
         cfg = LatentProjectionConfig(steps=20, seed=3)

@@ -373,9 +373,9 @@ class TestSubspaceCoordinates:
         )
         calls = []
 
-        def counted(p, x):
+        def counted(p, x, *, _run=None):
             calls.append(1)
-            return project(p, x)
+            return project(p, x, _run=_run)
 
         cfg = SolverConfig(step_size=7 / 32, max_iters=6, stop_tol=None)
         with mock.patch.object(solvers, "project", counted):
